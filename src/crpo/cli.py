@@ -11,7 +11,16 @@ import json
 import sys
 from typing import Sequence
 
-from .core import GATE_MODES, INTO_EN, LOGPROB_NORMS, METHODS, OUT_OF_EN, SelectionConfig, ValidationError
+from .core import (
+    GATE_MODES,
+    INTO_EN,
+    LOGPROB_NORMS,
+    METHODS,
+    OUT_OF_EN,
+    UTILITY_RANKED_METHODS,
+    SelectionConfig,
+    ValidationError,
+)
 from .dataio import (
     digest_file,
     emit_pairs,
@@ -95,6 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
+    if args.utility_matrix is not None and args.method not in UTILITY_RANKED_METHODS:
+        raise ValidationError(
+            f"--utility-matrix applies only to {' and '.join(UTILITY_RANKED_METHODS)}, "
+            f"not to {args.method}"
+        )
     config = SelectionConfig(
         method=args.method,
         k_trust=args.k_trust,

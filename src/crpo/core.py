@@ -92,7 +92,11 @@ class Candidate:
                 f"disagrees with mean reward {agg!r}"
             )
         if self.token_count is not None:
-            if not isinstance(self.token_count, int) or self.token_count < 1:
+            if (
+                not isinstance(self.token_count, int)
+                or isinstance(self.token_count, bool)
+                or self.token_count < 1
+            ):
                 raise ValidationError(
                     f"candidate {self.id!r}: token_count must be a positive integer"
                 )

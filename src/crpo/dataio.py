@@ -290,6 +290,8 @@ def load_pairs(path: str | Path) -> PreferenceDataset:
         rejected_id = _require(record, "rejected_id", path, lineno)
         method = _require(record, "method", path, lineno)
         score = _require(record, "score", path, lineno)
+        if not isinstance(score, (int, float)) or isinstance(score, bool):
+            raise ValidationError(f"{path}:{lineno}: score must be a number")
         extras = record.get("extras", {})
         if not isinstance(extras, dict):
             raise ValidationError(f"{path}:{lineno}: extras must be an object")

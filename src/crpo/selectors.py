@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -25,14 +24,7 @@ from .core import (
     direction_class,
     effective_logprob,
 )
-from .scoring import (
-    PairScoreInput,
-    UtilityMatrix,
-    cr_plus,
-    cr_times,
-    mbr_scores,
-    utility_matrix_for_set,
-)
+from .scoring import UtilityMatrix, mbr_scores, utility_matrix_for_set
 
 # Draw budget of the stochastic subsampler, as a multiple of the target
 # number of acceptances.
@@ -52,14 +44,6 @@ class SelectionOutcome:
         object.__setattr__(self, "pairs", tuple(self.pairs))
 
 
-def _best_by_reward(candidates: Sequence[Candidate]) -> Candidate:
-    return min(candidates, key=lambda c: (-c.reward_agg, c.id))
-
-
-def _by_id(candidates: Sequence[Candidate]) -> list[Candidate]:
-    return sorted(candidates, key=lambda c: c.id)
-
-
 def _require_k(cset: CandidateSet, minimum: int) -> None:
     if len(cset.candidates) < minimum:
         raise ValidationError(
@@ -68,43 +52,80 @@ def _require_k(cset: CandidateSet, minimum: int) -> None:
         )
 
 
-def _pair(
-    cset: CandidateSet,
-    chosen: Candidate,
-    rejected: Candidate,
-    score: float,
-    method: str,
-    logp: Mapping[str, float],
-    extra: Mapping[str, float] | None = None,
-) -> PreferencePair:
-    extras = {
-        "reward_gap": chosen.reward_agg - rejected.reward_agg,
-        "confidence_gap": logp[rejected.id] - logp[chosen.id],
-    }
-    if extra:
-        extras.update(extra)
-    return PreferencePair(
-        source_id=cset.source_id,
-        chosen_id=chosen.id,
-        rejected_id=rejected.id,
-        score=score,
-        method=method,
-        extras=extras,
-    )
+@dataclass(frozen=True)
+class _Pool:
+    """One candidate set sorted by id, with its aggregate rewards, its
+    effective log-likelihoods, and ``best``: the index of the reward argmax
+    (the smallest id on ties), which is the chosen side of every
+    reward-labeled selector."""
+
+    cset: CandidateSet
+    ordered: tuple[Candidate, ...]
+    reward: np.ndarray
+    logp: np.ndarray
+    best: int
+
+    @classmethod
+    def of(cls, cset: CandidateSet, config: SelectionConfig) -> _Pool:
+        ordered = tuple(sorted(cset.candidates, key=lambda c: c.id))
+        reward = np.array([c.reward_agg for c in ordered], dtype=np.float64)
+        logp = np.array([effective_logprob(c, config) for c in ordered])
+        return cls(cset, ordered, reward, logp, int(np.argmax(reward)))
+
+    def pair(
+        self,
+        chosen: int,
+        rejected: int,
+        score: float,
+        method: str,
+        extra: Mapping[str, float] | None = None,
+    ) -> PreferencePair:
+        winner, loser = self.ordered[chosen], self.ordered[rejected]
+        extras = {
+            "reward_gap": winner.reward_agg - loser.reward_agg,
+            "confidence_gap": float(self.logp[rejected] - self.logp[chosen]),
+        }
+        if extra:
+            extras.update(extra)
+        return PreferencePair(
+            source_id=self.cset.source_id,
+            chosen_id=winner.id,
+            rejected_id=loser.id,
+            score=score,
+            method=method,
+            extras=extras,
+        )
+
+    def select(
+        self,
+        method: str,
+        scores: np.ndarray,
+        skip_reason: str,
+        mask: np.ndarray | None = None,
+    ) -> SelectionOutcome:
+        """Pair the reward argmax with the first argmax of ``scores`` among
+        the other candidates that ``mask`` keeps and whose score is strictly
+        positive; skip with ``skip_reason`` when there is none."""
+        keep = scores > 0.0
+        keep[self.best] = False
+        if mask is not None:
+            keep &= mask
+        if not keep.any():
+            return SelectionOutcome(skipped_reason=skip_reason)
+        rejected = int(np.argmax(np.where(keep, scores, -np.inf)))
+        pair = self.pair(self.best, rejected, float(scores[rejected]), method)
+        return SelectionOutcome(pairs=(pair,))
 
 
-def _effective_logps(cset: CandidateSet, config: SelectionConfig) -> dict[str, float]:
-    return {c.id: effective_logprob(c, config) for c in cset.candidates}
-
-
-def _passes_gate(
-    logp_other: float, logp_best: float, config: SelectionConfig
-) -> bool:
+def _likelihood_gate(pool: _Pool, config: SelectionConfig) -> np.ndarray | None:
+    """Competitors that pass the likelihood gate, or None when it is off."""
     if config.gate_mode == "off":
-        return True
+        return None
     if config.gate_mode == "log_space":
-        return logp_other - logp_best + config.epsilon > 0.0
-    return math.exp(logp_other) - math.exp(logp_best) + config.epsilon > 0.0
+        likelihood = pool.logp
+    else:
+        likelihood = np.array([math.exp(lp) for lp in pool.logp])
+    return likelihood - likelihood[pool.best] + config.epsilon > 0.0
 
 
 def select_crpo(cset: CandidateSet, config: SelectionConfig) -> SelectionOutcome:
@@ -113,37 +134,23 @@ def select_crpo(cset: CandidateSet, config: SelectionConfig) -> SelectionOutcome
 
     The chosen side is always the reward argmax.  Every other candidate that
     passes the likelihood gate is scored, and the best strictly positive
-    score wins; if no score is positive the source yields no pair.
+    score wins; if no score is positive the source yields no pair.  Scores
+    are evaluated with the same float operations as ``scoring.cr_plus`` and
+    ``scoring.cr_times``, so they match those references exactly.
     """
     if config.method not in ("cr_plus", "cr_times"):
         raise ValidationError(f"select_crpo cannot run method {config.method!r}")
     _require_k(cset, 2)
-    logp = _effective_logps(cset, config)
-    chosen = _best_by_reward(cset.candidates)
-    best_score = 0.0
-    best: Candidate | None = None
-    for other in _by_id(cset.candidates):
-        if other.id == chosen.id:
-            continue
-        if not _passes_gate(logp[other.id], logp[chosen.id], config):
-            continue
-        inputs = PairScoreInput(
-            r_w=chosen.reward_agg,
-            r_l=other.reward_agg,
-            logp_w=logp[chosen.id],
-            logp_l=logp[other.id],
-        )
-        if config.method == "cr_plus":
-            score = cr_plus(inputs, config.k_trust)
-        else:
-            score = cr_times(inputs)
-        if score > best_score:
-            best_score = score
-            best = other
-    if best is None:
-        return SelectionOutcome(skipped_reason="no positive CR score")
-    pair = _pair(cset, chosen, best, best_score, config.method, logp)
-    return SelectionOutcome(pairs=(pair,))
+    pool = _Pool.of(cset, config)
+    reward_gap = pool.reward[pool.best] - pool.reward
+    logp_gap = pool.logp - pool.logp[pool.best]
+    if config.method == "cr_plus":
+        scores = config.k_trust * reward_gap + logp_gap
+    else:
+        scores = reward_gap * logp_gap
+    return pool.select(
+        config.method, scores, "no positive CR score", _likelihood_gate(pool, config)
+    )
 
 
 @dataclass(frozen=True)
@@ -227,32 +234,18 @@ def select_rso(
     zero reward gap are dropped.
     """
     _require_k(cset, 2)
-    ordered = _by_id(cset.candidates)
-    logp = _effective_logps(cset, config)
-    probs = rso_acceptance_probs([c.reward_agg for c in ordered], config.beta)
+    pool = _Pool.of(cset, config)
+    probs = rso_acceptance_probs(pool.reward, config.beta)
     sample = rso_subsample(probs, config.rso_samples, rng)
     perm = rng.permutation(len(sample.picks))
-    shuffled = [ordered[sample.picks[i]] for i in perm]
+    shuffled = [sample.picks[i] for i in perm]
     pairs = []
-    for i in range(0, len(shuffled) - 1, 2):
-        first, second = shuffled[i], shuffled[i + 1]
-        if first.reward_agg == second.reward_agg:
+    for first, second in zip(shuffled[::2], shuffled[1::2]):
+        gap = pool.ordered[first].reward_agg - pool.ordered[second].reward_agg
+        if gap == 0.0:
             continue
-        chosen, rejected = (
-            (first, second)
-            if first.reward_agg > second.reward_agg
-            else (second, first)
-        )
-        pairs.append(
-            _pair(
-                cset,
-                chosen,
-                rejected,
-                chosen.reward_agg - rejected.reward_agg,
-                "rso",
-                logp,
-            )
-        )
+        chosen, rejected = (first, second) if gap > 0.0 else (second, first)
+        pairs.append(pool.pair(chosen, rejected, abs(gap), "rso"))
     if not pairs:
         return SelectionOutcome(skipped_reason="no pair with a positive reward gap")
     return SelectionOutcome(pairs=tuple(pairs))
@@ -272,39 +265,36 @@ def select_rsdpo(cset: CandidateSet, config: SelectionConfig) -> SelectionOutcom
             f"source {cset.source_id!r}: no eta threshold for direction class {klass!r}"
         )
     eta = config.eta[klass]
-    logp = _effective_logps(cset, config)
-    ordered = _by_id(cset.candidates)
+    pool = _Pool.of(cset, config)
     pairs = []
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            a, b = ordered[i], ordered[j]
-            gap = abs(a.reward_agg - b.reward_agg)
-            if gap <= eta:
+    for i in range(len(pool.ordered)):
+        for j in range(i + 1, len(pool.ordered)):
+            gap = pool.ordered[i].reward_agg - pool.ordered[j].reward_agg
+            if abs(gap) <= eta:
                 continue
-            chosen, rejected = (a, b) if a.reward_agg > b.reward_agg else (b, a)
-            pairs.append(_pair(cset, chosen, rejected, gap, "rs_dpo", logp))
+            chosen, rejected = (i, j) if gap > 0.0 else (j, i)
+            pairs.append(pool.pair(chosen, rejected, abs(gap), "rs_dpo"))
     pairs.sort(key=lambda p: (p.chosen_id, p.rejected_id))
     if not pairs:
         return SelectionOutcome(skipped_reason="no reward gap above eta")
     return SelectionOutcome(pairs=tuple(pairs))
 
 
-def _mbr_ranked(
-    cset: CandidateSet,
+def _mbr_scores(
+    pool: _Pool,
     utility: UtilityMatrix | Callable[[str, str], float] | None,
-) -> tuple[list[Candidate], dict[str, float]]:
+) -> np.ndarray:
+    """Expected utility of every candidate, aligned with ``pool.ordered``."""
     if isinstance(utility, UtilityMatrix):
         matrix = utility
-        if set(matrix.ids) != {c.id for c in cset.candidates}:
+        if set(matrix.ids) != {c.id for c in pool.ordered}:
             raise ValidationError(
-                f"source {cset.source_id!r}: utility matrix ids do not match the set"
+                f"source {pool.cset.source_id!r}: utility matrix ids do not match the set"
             )
     else:
-        matrix = utility_matrix_for_set(cset, utility)
-    scores = mbr_scores(matrix)
-    score_by_id = {cid: float(s) for cid, s in zip(matrix.ids, scores)}
-    ranked = sorted(cset.candidates, key=lambda c: (-score_by_id[c.id], c.id))
-    return ranked, score_by_id
+        matrix = utility_matrix_for_set(pool.cset, utility)
+    score_by_id = dict(zip(matrix.ids, mbr_scores(matrix)))
+    return np.array([score_by_id[c.id] for c in pool.ordered])
 
 
 def select_mbr(
@@ -325,21 +315,19 @@ def select_mbr(
         raise ValidationError(f"unknown MBR variant {variant!r}")
     method = f"mbr_{variant}"
     _require_k(cset, 2 if variant == "bw" else 3)
-    cfg = config if config is not None else SelectionConfig(method=method)
-    logp = _effective_logps(cset, cfg)
-    ranked, score_by_id = _mbr_ranked(cset, utility)
+    pool = _Pool.of(cset, config if config is not None else SelectionConfig(method=method))
+    score = _mbr_scores(pool, utility)
+    ranked = [int(j) for j in np.argsort(-score, kind="stable")]
 
-    def mbr_pair(chosen: Candidate, rejected: Candidate) -> PreferencePair:
-        return _pair(
-            cset,
+    def mbr_pair(chosen: int, rejected: int) -> PreferencePair:
+        return pool.pair(
             chosen,
             rejected,
-            score_by_id[chosen.id] - score_by_id[rejected.id],
+            float(score[chosen] - score[rejected]),
             method,
-            logp,
             extra={
-                "mbr_chosen": score_by_id[chosen.id],
-                "mbr_rejected": score_by_id[rejected.id],
+                "mbr_chosen": float(score[chosen]),
+                "mbr_rejected": float(score[rejected]),
             },
         )
 
@@ -358,7 +346,21 @@ def select_mbr(
 
 def select_qe_best(cset: CandidateSet) -> SelectionOutcome:
     """Quality-estimation fine-tuning mode: no pairs, just the best candidate."""
-    return SelectionOutcome(sft_target=_best_by_reward(cset.candidates).id)
+    pool = _Pool.of(cset, SelectionConfig(method="qe_best"))
+    return SelectionOutcome(sft_target=pool.ordered[pool.best].id)
+
+
+def _reward_extremes(pool: _Pool, method: str, n: int) -> SelectionOutcome:
+    """Reward argmax versus the reward argmin among the n highest-reward
+    candidates, smallest id on ties.
+
+    The argmin is taken on the rewards, not on the gaps: two distinct low
+    rewards can round to the same gap below the best one.
+    """
+    kept = np.argsort(-pool.reward, kind="stable")[:n]
+    worst = np.zeros(len(pool.ordered), dtype=bool)
+    worst[kept[np.argmin(pool.reward[kept])]] = True
+    return pool.select(method, pool.reward[pool.best] - pool.reward, "zero reward gap", worst)
 
 
 def select_top_scores(
@@ -370,15 +372,8 @@ def select_top_scores(
             f"source {cset.source_id!r}: top-scores subset size {n} must lie "
             f"in [2, {len(cset.candidates)}]"
         )
-    cfg = config if config is not None else SelectionConfig(method="top_scores")
-    logp = _effective_logps(cset, cfg)
-    kept = sorted(cset.candidates, key=lambda c: (-c.reward_agg, c.id))[:n]
-    best = kept[0]
-    worst = min(kept, key=lambda c: (c.reward_agg, c.id))
-    gap = best.reward_agg - worst.reward_agg
-    if gap == 0.0:
-        return SelectionOutcome(skipped_reason="zero reward gap")
-    return SelectionOutcome(pairs=(_pair(cset, best, worst, gap, "top_scores", logp),))
+    pool = _Pool.of(cset, config if config is not None else SelectionConfig(method="top_scores"))
+    return _reward_extremes(pool, "top_scores", n)
 
 
 def select_minmax_r(
@@ -386,53 +381,32 @@ def select_minmax_r(
 ) -> SelectionOutcome:
     """Pair the maximum-reward candidate with the minimum-reward one."""
     _require_k(cset, 2)
-    cfg = config if config is not None else SelectionConfig(method="minmax_r")
-    logp = _effective_logps(cset, cfg)
-    best = _best_by_reward(cset.candidates)
-    worst = min(cset.candidates, key=lambda c: (c.reward_agg, c.id))
-    gap = best.reward_agg - worst.reward_agg
-    if gap == 0.0:
-        return SelectionOutcome(skipped_reason="zero reward gap")
-    return SelectionOutcome(pairs=(_pair(cset, best, worst, gap, "minmax_r", logp),))
+    pool = _Pool.of(cset, config if config is not None else SelectionConfig(method="minmax_r"))
+    return _reward_extremes(pool, "minmax_r", len(pool.ordered))
 
 
 def select_minmax_p(cset: CandidateSet, config: SelectionConfig) -> SelectionOutcome:
     """Reward-free variant: best-reward candidate versus the competitor the
     reference policy is most (strictly more) confident in."""
     _require_k(cset, 2)
-    logp = _effective_logps(cset, config)
-    chosen = _best_by_reward(cset.candidates)
-    best_gap = 0.0
-    best: Candidate | None = None
-    for other in _by_id(cset.candidates):
-        if other.id == chosen.id:
-            continue
-        gap = logp[other.id] - logp[chosen.id]
-        if gap > best_gap:
-            best_gap = gap
-            best = other
-    if best is None:
-        return SelectionOutcome(skipped_reason="no positive confidence gap")
-    return SelectionOutcome(
-        pairs=(_pair(cset, chosen, best, best_gap, "minmax_p", logp),)
+    pool = _Pool.of(cset, config)
+    return pool.select(
+        "minmax_p", pool.logp - pool.logp[pool.best], "no positive confidence gap"
     )
 
 
 def select_minmax_po(cset: CandidateSet, config: SelectionConfig) -> SelectionOutcome:
     """Pair the most and least likely candidates, chosen by higher reward."""
     _require_k(cset, 2)
-    logp = _effective_logps(cset, config)
-    most = min(cset.candidates, key=lambda c: (-logp[c.id], c.id))
-    least = min(cset.candidates, key=lambda c: (logp[c.id], c.id))
-    if most.id == least.id:
+    pool = _Pool.of(cset, config)
+    most, least = int(np.argmax(pool.logp)), int(np.argmin(pool.logp))
+    if most == least:
         return SelectionOutcome(skipped_reason="degenerate likelihood range")
-    if most.reward_agg == least.reward_agg:
+    gap = pool.ordered[most].reward_agg - pool.ordered[least].reward_agg
+    if gap == 0.0:
         return SelectionOutcome(skipped_reason="zero reward gap")
-    chosen, rejected = (
-        (most, least) if most.reward_agg > least.reward_agg else (least, most)
-    )
-    gap = chosen.reward_agg - rejected.reward_agg
-    return SelectionOutcome(pairs=(_pair(cset, chosen, rejected, gap, "minmax_po", logp),))
+    chosen, rejected = (most, least) if gap > 0.0 else (least, most)
+    return SelectionOutcome(pairs=(pool.pair(chosen, rejected, abs(gap), "minmax_po"),))
 
 
 def per_source_rng(seed: int, source_id: str) -> np.random.Generator:
@@ -486,17 +460,17 @@ def select_dataset(
     sets: Sequence[CandidateSet],
     config: SelectionConfig,
     utilities: Mapping[str, UtilityMatrix] | None = None,
-    workers: int = 1,
     input_digest: str | None = None,
 ) -> PreferenceDataset:
-    """Run the configured selector over many candidate sets.
+    """Run the configured selector over many candidate sets, in order.
 
-    Work is distributed over a thread pool with order-preserving assembly,
-    so the result does not depend on the worker count.  Each set gets its
-    own seeded generator derived from (config.seed, source_id).
+    Sampling selectors draw from a generator seeded by (config.seed,
+    source_id), so a set's outcome does not depend on the others.
     """
-
-    def run_one(cset: CandidateSet) -> SelectionOutcome:
+    pairs: list[PreferencePair] = []
+    sft_targets: list[tuple[str, str]] = []
+    skipped = 0
+    for cset in sets:
         utility = None
         if utilities is not None:
             if cset.source_id not in utilities:
@@ -504,23 +478,7 @@ def select_dataset(
                     f"no utility matrix for source {cset.source_id!r}"
                 )
             utility = utilities[cset.source_id]
-        return run_selector(
-            cset,
-            config,
-            rng=per_source_rng(config.seed, cset.source_id),
-            utility=utility,
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_one, sets))
-    else:
-        outcomes = [run_one(cset) for cset in sets]
-
-    pairs: list[PreferencePair] = []
-    sft_targets: list[tuple[str, str]] = []
-    skipped = 0
-    for cset, outcome in zip(sets, outcomes):
+        outcome = run_selector(cset, config, utility=utility)
         pairs.extend(outcome.pairs)
         if outcome.sft_target is not None:
             sft_targets.append((cset.source_id, outcome.sft_target))

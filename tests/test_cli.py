@@ -131,6 +131,16 @@ class TestSelectErrors:
         golden_pairs = load_pairs(GOLDEN / "pairs_mbr_bw.jsonl").pairs
         assert load_pairs(out).pairs == golden_pairs
 
+    @pytest.mark.parametrize("method", ["cr_plus", "minmax_r", "rso"])
+    def test_utility_matrix_rejected_for_non_mbr_methods(self, tmp_path, method, capsys):
+        out = tmp_path / "out.jsonl"
+        rc = run_select(
+            out, method, ["--utility-matrix", str(GOLDEN / "utility_small.txt")]
+        )
+        assert rc == 2
+        assert "--utility-matrix applies only to mbr_bw and mbr_bmw" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStatsCommand:
     def test_matches_golden_bytes(self, tmp_path):
@@ -206,6 +216,33 @@ class TestStatsCommand:
         )
         assert rc == 2
         assert "unknown candidate" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("score", ["high", True, [1.0]])
+    def test_non_numeric_score_is_a_validation_error(self, tmp_path, score, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        record = {
+            "source_id": "s_alpha",
+            "chosen_id": "A",
+            "rejected_id": "B",
+            "method": "cr_plus",
+            "score": score,
+        }
+        pairs.write_text(
+            json.dumps({"_meta": {}}) + "\n" + json.dumps(record) + "\n", encoding="utf-8"
+        )
+        rc = main(
+            [
+                "stats",
+                "--pairs", str(pairs),
+                "--candidates", str(FIXTURE),
+                "--out", str(tmp_path / "stats.json"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "pairs.jsonl:2:" in err
+        assert "internal error" not in err
 
 
 class TestLossesCommand:

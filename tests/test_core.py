@@ -84,6 +84,10 @@ class TestCandidate:
         with pytest.raises(ValidationError, match="token_count"):
             Candidate(id="x", text="t", logprob=-1.0, rewards={"a": 0.2}, token_count=0)
 
+    def test_boolean_token_count_rejected(self):
+        with pytest.raises(ValidationError, match="token_count"):
+            Candidate(id="x", text="t", logprob=-1.0, rewards={"a": 0.2}, token_count=True)
+
 
 class TestCandidateSet:
     def test_k_is_recorded(self):

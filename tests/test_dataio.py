@@ -132,6 +132,14 @@ class TestIngestCandidates:
         write_lines(path, [candidate_record(token_count=12)])
         assert ingest_candidates(path)[0].candidates[0].token_count == 12
 
+    def test_boolean_token_count_reports_line(self, tmp_path):
+        path = tmp_path / "cands.jsonl"
+        write_lines(
+            path, [candidate_record(), candidate_record(candidate_id="B", token_count=True)]
+        )
+        with pytest.raises(ValidationError, match=r"cands\.jsonl:2: .*token_count"):
+            ingest_candidates(path)
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "cands.jsonl"
         write_lines(path, [candidate_record(), "{not json"])

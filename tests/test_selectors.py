@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -471,6 +473,14 @@ class TestRemainingSelectors:
         pair = only_pair(select_minmax_r(cset))
         assert (pair.chosen_id, pair.rejected_id) == ("A", "C")
 
+    def test_minmax_r_rejects_the_reward_argmin_when_gaps_round_equal(self):
+        low = 0.1
+        near = math.nextafter(low, 1.0)
+        assert 0.9 - low == 0.9 - near
+        cset = make_set([("A", 0.9, -1.0), ("B", near, -2.0), ("C", low, -3.0)])
+        for outcome in (select_minmax_r(cset), select_top_scores(cset, 3)):
+            assert only_pair(outcome).rejected_id == "C"
+
     def test_minmax_r_all_tied_skips(self):
         cset = make_set([("A", 0.4, -1.0), ("B", 0.4, -2.0)])
         assert select_minmax_r(cset).skipped_reason == "zero reward gap"
@@ -496,6 +506,64 @@ class TestRemainingSelectors:
         # extremes are A (most likely) and B (least); B wins on reward
         assert (pair.chosen_id, pair.rejected_id) == ("B", "A")
         assert pair.score == pytest.approx(0.6)
+
+
+def brute_force_baseline(cset, method, n=None):
+    """Independent enumeration of the reward-argmax baselines.
+
+    Returns the SFT target id (qe_best), a (chosen_id, rejected_id, score)
+    triple, or the skip reason.
+    """
+    by_reward = sorted(cset.candidates, key=lambda c: (-c.reward_agg, c.id))
+    chosen = by_reward[0]
+    if method == "qe_best":
+        return chosen.id
+    if method == "minmax_p":
+        gaps = [
+            (other.logprob - chosen.logprob, other.id)
+            for other in cset.candidates
+            if other.id != chosen.id and other.logprob - chosen.logprob > 0.0
+        ]
+        if not gaps:
+            return "no positive confidence gap"
+        best = max(gap for gap, _ in gaps)
+        return chosen.id, min(cid for gap, cid in gaps if gap == best), best
+    kept = by_reward if method == "minmax_r" else by_reward[:n]
+    worst = min(kept, key=lambda c: (c.reward_agg, c.id))
+    if worst.reward_agg == chosen.reward_agg:
+        return "zero reward gap"
+    return chosen.id, worst.id, chosen.reward_agg - worst.reward_agg
+
+
+def test_baselines_match_brute_force():
+    rng = np.random.default_rng(77)
+    checked = {"pair": 0, "zero reward gap": 0, "no positive confidence gap": 0}
+    for _ in range(600):
+        cset = random_set(rng, tie_probability=0.5)
+        k = len(cset.candidates)
+        runs = [
+            ("qe_best", None, select_qe_best(cset)),
+            ("minmax_p", None, select_minmax_p(cset, config(method="minmax_p"))),
+            ("minmax_r", None, select_minmax_r(cset)),
+        ]
+        runs += [
+            ("top_scores", n, select_top_scores(cset, n))
+            for n in sorted({2, 3, (k + 1) // 2, k})
+            if 2 <= n <= k
+        ]
+        for method, n, outcome in runs:
+            expected = brute_force_baseline(cset, method, n)
+            if method == "qe_best":
+                assert (outcome.sft_target, outcome.pairs) == (expected, ())
+            elif isinstance(expected, str):
+                assert (outcome.skipped_reason, outcome.pairs) == (expected, ())
+                checked[expected] += 1
+            else:
+                pair = only_pair(outcome)
+                assert (pair.chosen_id, pair.rejected_id, pair.score) == expected
+                assert pair.method == method
+                checked["pair"] += 1
+    assert checked["pair"] > 1000 and min(checked.values()) > 20
 
 
 class TestRunSelector:
@@ -564,16 +632,6 @@ class TestSelectDataset:
     def make_sets(self, n=30, seed=5):
         rng = np.random.default_rng(seed)
         return [random_set(rng, source_id=f"src{j:03d}") for j in range(n)]
-
-    @pytest.mark.parametrize("method", ["cr_plus", "rso", "rs_dpo", "mbr_bw"])
-    def test_worker_count_does_not_change_results(self, method):
-        sets = self.make_sets()
-        cfg = config(method=method)
-        serial = select_dataset(sets, cfg, workers=1)
-        threaded = select_dataset(sets, cfg, workers=4)
-        assert serial.pairs == threaded.pairs
-        assert serial.sft_targets == threaded.sft_targets
-        assert serial.provenance == threaded.provenance
 
     def test_rso_results_do_not_depend_on_set_order(self):
         sets = self.make_sets()
