@@ -34,7 +34,9 @@ from .core import (
     CandidateSet,
     PreferenceDataset,
     PreferencePair,
+    SelectionConfig,
     ValidationError,
+    effective_logprob,
 )
 from .scoring import UtilityMatrix
 
@@ -348,12 +350,20 @@ def _mean_or_none(values: Sequence[float]) -> float | None:
 def emit_stats(
     dataset: PreferenceDataset, sets: Sequence[CandidateSet], bins: int = 20
 ) -> StatsReport:
-    """Summarize chosen/rejected reward and log-likelihood populations."""
+    """Summarize chosen/rejected reward and log-likelihood populations.
+
+    Log-likelihoods are normalized as the selector normalized them: by the
+    ``logprob_norm`` of the dataset's provenance config (``sum`` if absent).
+    """
     if bins < 1:
         raise ValidationError(f"bins must be >= 1, got {bins}")
     dataset.validate_against(sets)
+    config = dataset.provenance.get("config", {})
+    if not isinstance(config, dict):
+        raise ValidationError("pair file provenance config must be a JSON object")
+    norm = SelectionConfig(logprob_norm=config.get("logprob_norm", "sum"))
     by_source = {cset.source_id: cset for cset in sets}
-    all_logprobs = [c.logprob for cset in sets for c in cset.candidates]
+    all_logprobs = [effective_logprob(c, norm) for cset in sets for c in cset.candidates]
     lo, hi = min(all_logprobs), max(all_logprobs)
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
@@ -377,13 +387,12 @@ def emit_stats(
         )
         series["chosen_reward"].append(chosen.reward_agg)
         series["rejected_reward"].append(rejected.reward_agg)
-        series["chosen_logprob"].append(chosen.logprob)
-        series["rejected_logprob"].append(rejected.logprob)
+        chosen_logprob = effective_logprob(chosen, norm)
+        rejected_logprob = effective_logprob(rejected, norm)
+        series["chosen_logprob"].append(chosen_logprob)
+        series["rejected_logprob"].append(rejected_logprob)
         series["scatter"].append(
-            (
-                chosen.reward_agg - rejected.reward_agg,
-                chosen.logprob - rejected.logprob,
-            )
+            (chosen.reward_agg - rejected.reward_agg, chosen_logprob - rejected_logprob)
         )
 
     methods: dict[str, dict[str, object]] = {}
@@ -452,37 +461,43 @@ def load_utility_matrices(path: str | Path) -> dict[str, UtilityMatrix]:
     """Read utility-matrix blocks back into per-source matrices."""
     matrices: dict[str, UtilityMatrix] = {}
     with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+        # Not str.splitlines(): it also breaks a header whose ids hold U+2028
+        # or U+0085, which json.dumps writes unescaped.
+        lines = handle.readlines()
     i = 0
     while i < len(lines):
         if not lines[i].strip():
             i += 1
             continue
+        where = f"{path}:{i + 1}"
         try:
             header = json.loads(lines[i])
         except json.JSONDecodeError as err:
-            raise ValidationError(f"{path}:{i + 1}: invalid block header: {err}") from None
+            raise ValidationError(f"{where}: invalid block header: {err}") from None
         if not isinstance(header, dict) or "source_id" not in header or "ids" not in header:
-            raise ValidationError(f"{path}:{i + 1}: block header needs source_id and ids")
-        ids = header["ids"]
+            raise ValidationError(f"{where}: block header needs source_id and ids")
+        source_id, ids = header["source_id"], header["ids"]
+        if not isinstance(source_id, str):
+            raise ValidationError(f"{where}: source_id must be a string")
+        if not isinstance(ids, list) or not all(isinstance(c, str) for c in ids):
+            raise ValidationError(f"{where}: ids must be a list of strings")
+        if source_id in matrices:
+            raise ValidationError(f"{where}: duplicate matrix for source {source_id!r}")
         k = len(ids)
         rows = []
-        for j in range(k):
-            lineno = i + 1 + j
-            if lineno >= len(lines):
-                raise ValidationError(f"{path}: block for {header['source_id']!r} is truncated")
-            parts = lines[lineno].split()
+        for lineno in range(i + 2, i + 2 + k):
+            if lineno > len(lines):
+                raise ValidationError(f"{where}: block for {source_id!r} is truncated")
+            parts = lines[lineno - 1].split()
             if len(parts) != k:
-                raise ValidationError(
-                    f"{path}:{lineno + 1}: expected {k} values, got {len(parts)}"
-                )
+                raise ValidationError(f"{path}:{lineno}: expected {k} values, got {len(parts)}")
             try:
                 rows.append([float(p) for p in parts])
             except ValueError:
-                raise ValidationError(f"{path}:{lineno + 1}: non-numeric matrix entry") from None
-        source_id = header["source_id"]
-        if source_id in matrices:
-            raise ValidationError(f"{path}: duplicate matrix for source {source_id!r}")
-        matrices[source_id] = UtilityMatrix(ids=tuple(ids), values=np.array(rows))
+                raise ValidationError(f"{path}:{lineno}: non-numeric matrix entry") from None
+        try:
+            matrices[source_id] = UtilityMatrix(ids=tuple(ids), values=np.array(rows))
+        except ValidationError as err:
+            raise ValidationError(f"{where}: {err}") from None
         i += 1 + k
     return matrices

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -124,32 +124,55 @@ def _char_ngrams(text: str, n: int) -> Counter:
     return Counter(text[i : i + n] for i in range(len(text) - n + 1))
 
 
-def builtin_utility(hypothesis: str, reference: str) -> float:
-    """Character n-gram F-score of ``hypothesis`` against ``reference``.
+@dataclass(frozen=True)
+class _NgramProfile:
+    """A text's character n-gram counts of orders 1.._NGRAM_ORDER, whitespace
+    removed, with the number of n-grams of each order."""
 
-    Whitespace is removed before extracting n-grams.  Precision and recall
-    are averaged over the n-gram orders that actually occur in both strings
-    (shorter strings simply contribute fewer orders), so identical strings
-    always score 1.0.  Two empty strings also score 1.0; an empty string
-    against a non-empty one scores 0.0.
+    grams: tuple[Counter, ...]
+    totals: tuple[int, ...]
+
+    @classmethod
+    def of(cls, text: str) -> _NgramProfile:
+        stripped = "".join(text.split())
+        grams = tuple(_char_ngrams(stripped, n) for n in range(1, _NGRAM_ORDER + 1))
+        return cls(grams, tuple(sum(counts.values()) for counts in grams))
+
+
+def _common_counts(a: _NgramProfile, b: _NgramProfile) -> list[int]:
+    """Clipped n-gram matches per order; symmetric in ``a`` and ``b``."""
+    common = []
+    for small, large in zip(a.grams, b.grams):
+        if len(small) > len(large):
+            small, large = large, small
+        # A plain loop: about 3x faster than sum() over a generator here.
+        matches = 0
+        for gram, count in small.items():
+            other = large.get(gram)
+            if other is not None:
+                matches += count if count < other else other
+        common.append(matches)
+    return common
+
+
+def _fscore(
+    common: Sequence[int], hyp_totals: Sequence[int], ref_totals: Sequence[int]
+) -> float:
+    """F-beta of the order-averaged n-gram precision and recall.
+
+    Orders that one of the texts is too short for are skipped; two empty
+    texts score 1.0.
     """
-    hyp = "".join(hypothesis.split())
-    ref = "".join(reference.split())
-    if not hyp and not ref:
+    if hyp_totals[0] == 0 and ref_totals[0] == 0:
         return 1.0
     precision_sum = 0.0
     recall_sum = 0.0
     orders = 0
-    for n in range(1, _NGRAM_ORDER + 1):
-        hyp_grams = _char_ngrams(hyp, n)
-        ref_grams = _char_ngrams(ref, n)
-        hyp_total = sum(hyp_grams.values())
-        ref_total = sum(ref_grams.values())
+    for matches, hyp_total, ref_total in zip(common, hyp_totals, ref_totals):
         if hyp_total == 0 or ref_total == 0:
             continue
-        common = sum((hyp_grams & ref_grams).values())
-        precision_sum += common / hyp_total
-        recall_sum += common / ref_total
+        precision_sum += matches / hyp_total
+        recall_sum += matches / ref_total
         orders += 1
     if orders == 0:
         return 0.0
@@ -160,16 +183,46 @@ def builtin_utility(hypothesis: str, reference: str) -> float:
     return (1 + _BETA_SQ) * precision * recall / (_BETA_SQ * precision + recall)
 
 
+def builtin_utility(hypothesis: str, reference: str) -> float:
+    """Character n-gram F-score of ``hypothesis`` against ``reference``.
+
+    Whitespace is removed before extracting n-grams.  Precision and recall
+    are averaged over the n-gram orders that actually occur in both strings
+    (shorter strings simply contribute fewer orders), so identical strings
+    always score 1.0.  Two empty strings also score 1.0; an empty string
+    against a non-empty one scores 0.0.
+    """
+    hyp = _NgramProfile.of(hypothesis)
+    ref = _NgramProfile.of(reference)
+    return _fscore(_common_counts(hyp, ref), hyp.totals, ref.totals)
+
+
 def utility_matrix_for_set(
     cset: CandidateSet,
     utility: Callable[[str, str], float] | None = None,
 ) -> UtilityMatrix:
-    """Pairwise utility matrix over one candidate set's texts."""
-    metric = builtin_utility if utility is None else utility
+    """Pairwise utility matrix over one candidate set's texts.
+
+    With the built-in utility, each text's n-gram profile is built once and
+    each unordered pair's matches are counted once: U[j, m] and U[m, j] share
+    them and only swap precision and recall.  The diagonal is 1.0, which is
+    what the built-in utility gives any text against itself.  A custom
+    ``utility`` is called for every ordered pair (j, m), K^2 calls.
+    """
     texts = [cand.text for cand in cset.candidates]
     k = len(texts)
     values = np.empty((k, k), dtype=np.float64)
-    for j in range(k):
-        for m in range(k):
-            values[j, m] = metric(texts[j], texts[m])
+    if utility is None:
+        profiles = [_NgramProfile.of(text) for text in texts]
+        for j, hyp in enumerate(profiles):
+            values[j, j] = 1.0
+            for m in range(j + 1, k):
+                ref = profiles[m]
+                common = _common_counts(hyp, ref)
+                values[j, m] = _fscore(common, hyp.totals, ref.totals)
+                values[m, j] = _fscore(common, ref.totals, hyp.totals)
+    else:
+        for j in range(k):
+            for m in range(k):
+                values[j, m] = utility(texts[j], texts[m])
     return UtilityMatrix(ids=tuple(c.id for c in cset.candidates), values=values)

@@ -244,6 +244,37 @@ class TestStatsCommand:
         assert "pairs.jsonl:2:" in err
         assert "internal error" not in err
 
+    def test_per_token_pair_file_reports_per_token_logprobs(self, tmp_path):
+        candidates = tmp_path / "cands.jsonl"
+        lines = []
+        for line in FIXTURE.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            if "text" in record:
+                record["token_count"] = len(record["text"].split())
+            lines.append(json.dumps(record, ensure_ascii=False))
+        candidates.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        pairs, out = tmp_path / "pairs.jsonl", tmp_path / "stats.json"
+        rc = main(
+            [
+                "select", "--in", str(candidates), "--out", str(pairs),
+                "--method", "cr_plus", "--logprob-norm", "per_token",
+            ]
+        )
+        assert rc == 0
+        rc = main(
+            ["stats", "--pairs", str(pairs), "--candidates", str(candidates), "--out", str(out)]
+        )
+        assert rc == 0
+        confidence_gaps = [p.extras["confidence_gap"] for p in load_pairs(pairs).pairs]
+        stats = json.loads(out.read_text(encoding="utf-8"))["methods"]["cr_plus"]
+        # The scatter's logprob gap is chosen minus rejected, the pair's
+        # confidence_gap rejected minus chosen.
+        logprob_gaps = [gap for _, gap in stats["scatter"]]
+        assert logprob_gaps == [-gap for gap in confidence_gaps]
+        assert stats["chosen_logprob_mean"] - stats["rejected_logprob_mean"] == pytest.approx(
+            -sum(confidence_gaps) / len(confidence_gaps)
+        )
+
 
 class TestLossesCommand:
     def test_check_grad_passes(self, capsys):
@@ -313,6 +344,25 @@ class TestUtilityCommand:
         assert set(matrices) == {"s_alpha", "s_beta", "s_gamma"}
         assert matrices["s_alpha"].ids == ("A", "B", "C")
         assert matrices["s_gamma"].values.shape == (5, 5)
+
+    @pytest.mark.parametrize(
+        "header,message",
+        [
+            ({"source_id": "s_alpha", "ids": "AB"}, "ids must be a list of strings"),
+            ({"source_id": "s_alpha", "ids": 5}, "ids must be a list of strings"),
+            ({"source_id": ["x"], "ids": ["A", "B"]}, "source_id must be a string"),
+        ],
+    )
+    def test_malformed_block_header_is_a_validation_error(
+        self, tmp_path, header, message, capsys
+    ):
+        matrices = tmp_path / "util.txt"
+        matrices.write_text(json.dumps(header) + "\n1.0 0.5\n0.5 1.0\n", encoding="utf-8")
+        rc = run_select(tmp_path / "out.jsonl", "mbr_bw", ["--utility-matrix", str(matrices)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"util.txt:1: {message}" in err
+        assert "internal error" not in err
 
 
 def test_module_entry_point_prints_help():

@@ -536,6 +536,14 @@ class TestUtilityMatrixFiles:
             assert back[source_id].ids == matrix.ids
             np.testing.assert_array_equal(back[source_id].values, matrix.values)
 
+    def test_ids_with_unicode_line_breaks_round_trip(self, tmp_path):
+        path = tmp_path / "util.txt"
+        entries = [("s\u2028", UtilityMatrix(ids=("A\x85", "B"), values=np.eye(2)))]
+        save_utility_matrices(entries, path)
+        back = load_utility_matrices(path)
+        assert list(back) == ["s\u2028"]
+        assert back["s\u2028"].ids == ("A\x85", "B")
+
     def test_block_layout(self, tmp_path):
         path = tmp_path / "util.txt"
         save_utility_matrices(self.sample_entries(), path)
@@ -550,7 +558,7 @@ class TestUtilityMatrixFiles:
             json.dumps({"source_id": "s1", "ids": ["A", "B"]}) + "\n1.0 0.5\n",
             encoding="utf-8",
         )
-        with pytest.raises(ValidationError, match="truncated"):
+        with pytest.raises(ValidationError, match="is truncated"):
             load_utility_matrices(path)
 
     def test_wrong_row_width_rejected(self, tmp_path):

@@ -16,7 +16,7 @@ from crpo.scoring import (
     reward_gap,
     utility_matrix_for_set,
 )
-from crpo.core import ValidationError
+from crpo.core import Candidate, CandidateSet, ValidationError
 
 from conftest import make_set
 
@@ -195,7 +195,7 @@ class TestBuiltinUtility:
 
     def test_identical_strings_score_one(self):
         for text in ("a", "abc", "the quick brown fox", "ab", "žluťoučký kůň"):
-            assert builtin_utility(text, text) == pytest.approx(1.0)
+            assert builtin_utility(text, text) == 1.0
 
     def test_disjoint_strings_score_zero(self):
         assert builtin_utility("aaa", "bbb") == 0.0
@@ -227,3 +227,54 @@ def test_utility_matrix_for_set_uses_texts():
     assert matrix.values[0, 1] == pytest.approx(
         builtin_utility("text A", "text B")
     )
+
+
+def text_set(texts) -> CandidateSet:
+    return CandidateSet(
+        source_id="s1",
+        source_text="a source segment",
+        direction=("en", "de"),
+        candidates=tuple(
+            Candidate(id=f"c{j}", text=text, logprob=-1.0, rewards={"qe": 0.5})
+            for j, text in enumerate(texts)
+        ),
+    )
+
+
+def test_utility_matrix_equals_builtin_utility_exactly():
+    rng = np.random.default_rng(11)
+    alphabet = list("abcab  \tžů語") + ["the ", "cat "]
+    for _ in range(400):
+        k = int(rng.integers(1, 9))
+        texts = [
+            "".join(rng.choice(alphabet, size=int(rng.integers(0, 25)))) for _ in range(k)
+        ]
+        if k > 1 and rng.random() < 0.3:
+            texts[-1] = texts[0]
+        if rng.random() < 0.2:
+            texts[int(rng.integers(k))] = ""
+        values = utility_matrix_for_set(text_set(texts)).values
+        for j in range(k):
+            for m in range(k):
+                assert values[j, m] == builtin_utility(texts[j], texts[m]), (texts[j], texts[m])
+
+
+def test_utility_matrix_diagonal_is_one_for_whitespace_and_empty_texts():
+    values = utility_matrix_for_set(text_set(["", " \t", "a b", "ab", "žů"])).values
+    assert (np.diag(values) == 1.0).all()
+    assert values[0, 1] == values[1, 0] == 1.0
+    assert values[2, 3] == values[3, 2] == 1.0
+    assert values[0, 2] == values[2, 0] == 0.0
+
+
+def test_custom_utility_called_for_every_ordered_pair():
+    calls = []
+
+    def utility(hyp, ref):
+        calls.append((hyp, ref))
+        return 0.5
+
+    texts = ["x", "y", "z"]
+    matrix = utility_matrix_for_set(text_set(texts), utility=utility)
+    assert calls == [(a, b) for a in texts for b in texts]
+    assert (matrix.values == 0.5).all()
