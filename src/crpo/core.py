@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -39,6 +40,12 @@ class ValidationError(ValueError):
     """Raised when a record, score, or configuration violates its contract."""
 
 
+# Range checks compare with this bound instead of calling math.isfinite: a
+# comparison is false for NaN and infinities, and also for an int too large
+# for a float, where math.isfinite raises OverflowError.
+_FLOAT_MAX = sys.float_info.max
+
+
 def aggregate_reward(rewards: Mapping[str, float]) -> float:
     """Unweighted mean of the per-model reward scores for one candidate."""
     if not rewards:
@@ -46,7 +53,7 @@ def aggregate_reward(rewards: Mapping[str, float]) -> float:
     for name, value in rewards.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValidationError(f"reward out of range: {name}={value!r}")
-        if not math.isfinite(value) or not 0.0 <= value <= 1.0:
+        if not 0.0 <= value <= 1.0:
             raise ValidationError(f"reward out of range: {name}={value!r}")
     return math.fsum(rewards.values()) / len(rewards)
 
@@ -62,44 +69,33 @@ class Candidate:
 
     ``logprob`` is the summed token log-probability of ``text`` under the
     reference policy.  ``rewards`` maps reward-model names to scores in
-    [0, 1]; ``reward_agg`` caches their mean and is filled in automatically
-    when not supplied.  ``token_count`` is only needed for per-token
-    likelihood normalization.
+    [0, 1]; ``reward_agg`` caches their mean.  ``token_count`` is only needed
+    for per-token likelihood normalization.
     """
 
     id: str
     text: str
     logprob: float
     rewards: Mapping[str, float]
-    reward_agg: float | None = None
     token_count: int | None = None
+    reward_agg: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.id:
             raise ValidationError("candidate id must be a non-empty string")
         if not isinstance(self.logprob, (int, float)) or isinstance(self.logprob, bool):
             raise ValidationError(f"candidate {self.id!r}: logprob must be a number")
-        if not math.isfinite(self.logprob) or self.logprob > 0.0:
+        if not -_FLOAT_MAX <= self.logprob <= 0.0:
             raise ValidationError(
                 f"candidate {self.id!r}: logprob must be finite and <= 0, got {self.logprob!r}"
             )
-        agg = aggregate_reward(self.rewards)
-        if self.reward_agg is None:
-            object.__setattr__(self, "reward_agg", agg)
-        elif abs(self.reward_agg - agg) > 1e-12:
-            raise ValidationError(
-                f"candidate {self.id!r}: cached aggregate {self.reward_agg!r} "
-                f"disagrees with mean reward {agg!r}"
-            )
-        if self.token_count is not None:
-            if (
-                not isinstance(self.token_count, int)
-                or isinstance(self.token_count, bool)
-                or self.token_count < 1
-            ):
-                raise ValidationError(
-                    f"candidate {self.id!r}: token_count must be a positive integer"
-                )
+        object.__setattr__(self, "reward_agg", aggregate_reward(self.rewards))
+        if self.token_count is not None and (
+            not isinstance(self.token_count, int)
+            or isinstance(self.token_count, bool)
+            or not 1 <= self.token_count <= _FLOAT_MAX
+        ):
+            raise ValidationError(f"candidate {self.id!r}: token_count must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -110,7 +106,6 @@ class CandidateSet:
     source_text: str
     direction: tuple[str, str]
     candidates: tuple[Candidate, ...]
-    k: int | None = None
 
     def __post_init__(self) -> None:
         if not self.source_id:
@@ -134,13 +129,10 @@ class CandidateSet:
                 )
             index[cand.id] = cand
         object.__setattr__(self, "_index", index)
-        if self.k is None:
-            object.__setattr__(self, "k", len(self.candidates))
-        elif self.k != len(self.candidates):
-            raise ValidationError(
-                f"source {self.source_id!r}: recorded K={self.k} but "
-                f"{len(self.candidates)} candidates present"
-            )
+
+    @property
+    def k(self) -> int:
+        return len(self.candidates)
 
     def candidate(self, candidate_id: str) -> Candidate:
         try:
@@ -169,7 +161,7 @@ class PreferencePair:
             )
         if not self.method:
             raise ValidationError("pair method tag must be non-empty")
-        if not math.isfinite(self.score):
+        if not -_FLOAT_MAX <= self.score <= _FLOAT_MAX:
             raise ValidationError(
                 f"source {self.source_id!r}: non-finite pair score {self.score!r}"
             )

@@ -13,8 +13,10 @@ quality-estimation mode) after a ``{"_meta": {...}}`` provenance header::
      "score": ..., "extras": {...}}
     {"source_id": ..., "sft_target": ..., "method": "qe_best"}
 
-Either file may start with a ``{"_meta": {...}}`` header line.  Floats are
-written in Python's shortest round-trip representation, so emit followed by
+Either file may start with a ``{"_meta": {...}}`` header, and only its first
+record may hold ``_meta``.  Every reader decodes UTF-8, parses and type-checks
+through one path, so every malformed line is reported as ``file:line``.  Floats
+are written in Python's shortest round-trip representation, so emit followed by
 ingest is lossless, and identical inputs produce byte-identical outputs.
 """
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,41 +61,109 @@ def format_direction(direction: tuple[str, str]) -> str:
     return f"{direction[0]}-{direction[1]}"
 
 
-def _read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as handle:
+def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Numbered lines of a UTF-8 text file, split on newlines only (not on
+    U+2028 or U+0085, which ``json.dumps`` writes unescaped in ids).  Bad
+    bytes decode to lone surrogates, so the line that holds one is named."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
+            yield lineno, line
+
+
+def _json_object(line: str, path: str | Path, lineno: int) -> dict:
+    # ValueError is JSONDecodeError or an int of over 4300 digits.
+    try:
+        record = json.loads(line)
+    except (ValueError, RecursionError) as err:
+        raise ValidationError(f"{path}:{lineno}: invalid JSON: {err}") from None
+    if not isinstance(record, dict):
+        raise ValidationError(f"{path}:{lineno}: record must be a JSON object")
+    return record
+
+
+def _read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """``(line, header)``, then ``(line, record)`` for every other non-blank
+    line.  The header is the object of a ``{"_meta": {...}}`` first record,
+    or ``(0, {})`` without one; ``_meta`` anywhere else is an error."""
+    header_due = True
+    for lineno, line in _lines(path):
+        if line.isspace():
+            continue
+        record = _json_object(line, path, lineno)
+        if header_due:
+            header_due = False
+            if record.keys() == {"_meta"}:
+                yield lineno, _fields(record, _HEADER_FIELDS, path, lineno)[0]
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise ValidationError(f"{path}:{lineno}: invalid JSON: {err}") from None
-            if not isinstance(record, dict):
-                raise ValidationError(f"{path}:{lineno}: record must be a JSON object")
-            yield lineno, record
+            yield 0, {}
+        if "_meta" in record:
+            raise ValidationError(
+                f"{path}:{lineno}: a _meta header must be the first record "
+                "and hold no other field"
+            )
+        yield lineno, record
+    if header_due:
+        yield 0, {}
 
 
 def read_meta(path: str | Path) -> dict:
     """Header metadata of a JSONL file ({} when the file has none)."""
-    for _, record in _read_json_lines(path):
-        if "_meta" in record:
-            meta = record["_meta"]
-            if not isinstance(meta, dict):
-                raise ValidationError(f"{path}:1: _meta must be a JSON object")
-            return meta
-        break
-    return {}
+    return next(_read_json_lines(path))[1]
 
 
-def _require(record: dict, key: str, path: str | Path, lineno: int) -> object:
-    if key not in record or record[key] is None:
-        if key == "logprob":
-            raise ValidationError(
-                f"{path}:{lineno}: missing logprob "
-                "(CR scores require reference-policy likelihoods)"
-            )
-        raise ValidationError(f"{path}:{lineno}: missing field {key!r}")
-    return record[key]
+# Field tables: (key, accepted types, message when missing or null, message
+# when of another type).  A field with no missing message is optional.  No
+# field accepts a boolean, although bool is a subclass of int.  The values go
+# on positionally: the candidate table ends with Candidate's fields and the pair
+# table holds PreferencePair's, each in constructor order.
+_MISSING_LOGPROB = "missing logprob (CR scores require reference-policy likelihoods)"
+_HEADER_FIELDS = (("_meta", dict, "_meta must be a JSON object", "_meta must be a JSON object"),)
+_CANDIDATE_FIELDS = (
+    ("source_id", str, "missing field 'source_id'", "ids must be strings"),
+    ("source_text", str, "missing field 'source_text'", "texts must be strings"),
+    ("direction", str, "missing field 'direction'", "direction must be a string tag"),
+    ("candidate_id", str, "missing field 'candidate_id'", "ids must be strings"),
+    ("text", str, "missing field 'text'", "texts must be strings"),
+    ("logprob", (int, float), _MISSING_LOGPROB, "logprob must be a number"),
+    ("rewards", dict, "missing field 'rewards'", "rewards must be an object"),
+    ("token_count", int, None, "token_count must be a positive integer"),
+)
+_PAIR_FIELDS = (
+    ("source_id", str, "missing field 'source_id'", "ids must be strings"),
+    ("chosen_id", str, "missing field 'chosen_id'", "ids must be strings"),
+    ("rejected_id", str, "missing field 'rejected_id'", "ids must be strings"),
+    ("score", (int, float), "missing field 'score'", "score must be a number"),
+    ("method", str, "missing field 'method'", "method must be a string"),
+    ("extras", dict, None, "extras must be an object"),
+)
+_SFT_FIELDS = (
+    ("source_id", str, "missing field 'source_id'", "ids must be strings"),
+    ("sft_target", str, "missing field 'sft_target'", "ids must be strings"),
+)
+_MATRIX_HEADER_FIELDS = (
+    ("source_id", str, "block header needs source_id and ids", "source_id must be a string"),
+    ("ids", list, "block header needs source_id and ids", "ids must be a list of strings"),
+)
+
+
+def _fields(record: dict, fields: tuple, path: str | Path, lineno: int) -> list:
+    """The values of ``fields`` in ``record``, checked against the table;
+    an absent optional field reads as None."""
+    values = []
+    for key, kind, missing, wrong in fields:
+        value = record.get(key)
+        if isinstance(value, kind) and value is not True and value is not False:
+            values.append(value)
+        elif value is None and missing is None:
+            values.append(None)
+        else:
+            raise ValidationError(f"{path}:{lineno}: {wrong if value is not None else missing}")
+    return values
 
 
 def ingest_candidates(path: str | Path) -> list[CandidateSet]:
@@ -102,66 +173,36 @@ def ingest_candidates(path: str | Path) -> list[CandidateSet]:
     appearance order and candidates keep record order.  Every malformed
     record is reported with its line number.
     """
-    groups: dict[str, dict] = {}
-    for lineno, record in _read_json_lines(path):
-        if "_meta" in record:
-            continue
-        source_id = _require(record, "source_id", path, lineno)
-        source_text = _require(record, "source_text", path, lineno)
-        direction_tag = _require(record, "direction", path, lineno)
-        candidate_id = _require(record, "candidate_id", path, lineno)
-        text = _require(record, "text", path, lineno)
-        logprob = _require(record, "logprob", path, lineno)
-        rewards = _require(record, "rewards", path, lineno)
-        if not isinstance(source_id, str) or not isinstance(candidate_id, str):
-            raise ValidationError(f"{path}:{lineno}: ids must be strings")
-        if not isinstance(source_text, str) or not isinstance(text, str):
-            raise ValidationError(f"{path}:{lineno}: texts must be strings")
-        if not isinstance(direction_tag, str):
-            raise ValidationError(f"{path}:{lineno}: direction must be a string tag")
-        if not isinstance(rewards, dict):
-            raise ValidationError(f"{path}:{lineno}: rewards must be an object")
-        token_count = record.get("token_count")
+    # source_id -> (source_text, direction, candidates by id)
+    groups: dict[str, tuple[str, tuple[str, str], dict[str, Candidate]]] = {}
+    records = _read_json_lines(path)
+    next(records)  # the _meta header, which ingest does not use
+    for lineno, record in records:
+        source_id, source_text, direction_tag, *fields = _fields(
+            record, _CANDIDATE_FIELDS, path, lineno
+        )
         try:
             direction = parse_direction(direction_tag)
-            candidate = Candidate(
-                id=candidate_id,
-                text=text,
-                logprob=logprob,
-                rewards=rewards,
-                token_count=token_count,
-            )
+            candidate = Candidate(*fields)
         except ValidationError as err:
             raise ValidationError(f"{path}:{lineno}: {err}") from None
-        group = groups.setdefault(
-            source_id,
-            {
-                "source_text": source_text,
-                "direction": direction,
-                "candidates": [],
-                "seen": set(),
-            },
-        )
-        if group["source_text"] != source_text or group["direction"] != direction:
+        group = groups.get(source_id)
+        if group is None:
+            group = groups[source_id] = (source_text, direction, {})
+        elif group[0] != source_text or group[1] != direction:
             raise ValidationError(
                 f"{path}:{lineno}: source {source_id!r} has inconsistent "
                 "source_text or direction across records"
             )
-        if candidate_id in group["seen"]:
+        if candidate.id in group[2]:
             raise ValidationError(
-                f"{path}:{lineno}: duplicate candidate id {candidate_id!r} "
+                f"{path}:{lineno}: duplicate candidate id {candidate.id!r} "
                 f"for source {source_id!r}"
             )
-        group["seen"].add(candidate_id)
-        group["candidates"].append(candidate)
+        group[2][candidate.id] = candidate
     return [
-        CandidateSet(
-            source_id=source_id,
-            source_text=group["source_text"],
-            direction=group["direction"],
-            candidates=tuple(group["candidates"]),
-        )
-        for source_id, group in groups.items()
+        CandidateSet(source_id, source_text, direction, tuple(candidates.values()))
+        for source_id, (source_text, direction, candidates) in groups.items()
     ]
 
 
@@ -273,41 +314,17 @@ def emit_pairs(dataset: PreferenceDataset, path: str | Path) -> None:
 
 def load_pairs(path: str | Path) -> PreferenceDataset:
     """Read a pair file back into a PreferenceDataset."""
-    provenance: dict = {}
     pairs: list[PreferencePair] = []
     sft_targets: list[tuple[str, str]] = []
-    for lineno, record in _read_json_lines(path):
-        if "_meta" in record:
-            if not isinstance(record["_meta"], dict):
-                raise ValidationError(f"{path}:{lineno}: _meta must be a JSON object")
-            provenance = record["_meta"]
-            continue
+    records = _read_json_lines(path)
+    _, provenance = next(records)
+    for lineno, record in records:
         if "sft_target" in record:
-            source_id = _require(record, "source_id", path, lineno)
-            target = _require(record, "sft_target", path, lineno)
-            sft_targets.append((source_id, target))
+            sft_targets.append(tuple(_fields(record, _SFT_FIELDS, path, lineno)))
             continue
-        source_id = _require(record, "source_id", path, lineno)
-        chosen_id = _require(record, "chosen_id", path, lineno)
-        rejected_id = _require(record, "rejected_id", path, lineno)
-        method = _require(record, "method", path, lineno)
-        score = _require(record, "score", path, lineno)
-        if not isinstance(score, (int, float)) or isinstance(score, bool):
-            raise ValidationError(f"{path}:{lineno}: score must be a number")
-        extras = record.get("extras", {})
-        if not isinstance(extras, dict):
-            raise ValidationError(f"{path}:{lineno}: extras must be an object")
+        *fields, extras = _fields(record, _PAIR_FIELDS, path, lineno)
         try:
-            pairs.append(
-                PreferencePair(
-                    source_id=source_id,
-                    chosen_id=chosen_id,
-                    rejected_id=rejected_id,
-                    score=score,
-                    method=method,
-                    extras=extras,
-                )
-            )
+            pairs.append(PreferencePair(*fields, extras=extras or {}))
         except ValidationError as err:
             raise ValidationError(f"{path}:{lineno}: {err}") from None
     return PreferenceDataset(
@@ -364,6 +381,8 @@ def emit_stats(
     norm = SelectionConfig(logprob_norm=config.get("logprob_norm", "sum"))
     by_source = {cset.source_id: cset for cset in sets}
     all_logprobs = [effective_logprob(c, norm) for cset in sets for c in cset.candidates]
+    if not all_logprobs:
+        raise ValidationError("no candidates to summarize")
     lo, hi = min(all_logprobs), max(all_logprobs)
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
@@ -460,44 +479,29 @@ def save_utility_matrices(
 def load_utility_matrices(path: str | Path) -> dict[str, UtilityMatrix]:
     """Read utility-matrix blocks back into per-source matrices."""
     matrices: dict[str, UtilityMatrix] = {}
-    with open(path, encoding="utf-8") as handle:
-        # Not str.splitlines(): it also breaks a header whose ids hold U+2028
-        # or U+0085, which json.dumps writes unescaped.
-        lines = handle.readlines()
-    i = 0
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
+    lines = _lines(path)
+    for lineno, line in lines:
+        if line.isspace():
             continue
-        where = f"{path}:{i + 1}"
-        try:
-            header = json.loads(lines[i])
-        except json.JSONDecodeError as err:
-            raise ValidationError(f"{where}: invalid block header: {err}") from None
-        if not isinstance(header, dict) or "source_id" not in header or "ids" not in header:
-            raise ValidationError(f"{where}: block header needs source_id and ids")
-        source_id, ids = header["source_id"], header["ids"]
-        if not isinstance(source_id, str):
-            raise ValidationError(f"{where}: source_id must be a string")
-        if not isinstance(ids, list) or not all(isinstance(c, str) for c in ids):
-            raise ValidationError(f"{where}: ids must be a list of strings")
+        where = f"{path}:{lineno}"
+        header = _json_object(line, path, lineno)
+        source_id, ids = _fields(header, _MATRIX_HEADER_FIELDS, path, lineno)
         if source_id in matrices:
             raise ValidationError(f"{where}: duplicate matrix for source {source_id!r}")
         k = len(ids)
         rows = []
-        for lineno in range(i + 2, i + 2 + k):
-            if lineno > len(lines):
-                raise ValidationError(f"{where}: block for {source_id!r} is truncated")
-            parts = lines[lineno - 1].split()
+        for row_no, row in itertools.islice(lines, k):
+            parts = row.split()
             if len(parts) != k:
-                raise ValidationError(f"{path}:{lineno}: expected {k} values, got {len(parts)}")
+                raise ValidationError(f"{path}:{row_no}: expected {k} values, got {len(parts)}")
             try:
                 rows.append([float(p) for p in parts])
             except ValueError:
-                raise ValidationError(f"{path}:{lineno}: non-numeric matrix entry") from None
+                raise ValidationError(f"{path}:{row_no}: non-numeric matrix entry") from None
+        if len(rows) < k:
+            raise ValidationError(f"{where}: block for {source_id!r} is truncated")
         try:
             matrices[source_id] = UtilityMatrix(ids=tuple(ids), values=np.array(rows))
         except ValidationError as err:
             raise ValidationError(f"{where}: {err}") from None
-        i += 1 + k
     return matrices

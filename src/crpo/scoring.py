@@ -80,6 +80,8 @@ class UtilityMatrix:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", tuple(self.ids))
+        if not all(isinstance(c, str) for c in self.ids):
+            raise ValidationError("utility matrix ids must be strings")
         if len(set(self.ids)) != len(self.ids) or not self.ids:
             raise ValidationError("utility matrix ids must be non-empty and distinct")
         values = np.asarray(self.values, dtype=np.float64)

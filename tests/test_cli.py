@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from crpo.cli import main
+from crpo.core import PreferenceDataset
 from crpo.dataio import emit_pairs, load_pairs, load_utility_matrices
 
 HERE = Path(__file__).parent
@@ -218,16 +219,8 @@ class TestStatsCommand:
         assert "unknown candidate" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("score", ["high", True, [1.0]])
-    def test_non_numeric_score_is_a_validation_error(self, tmp_path, score, capsys):
+    def stats_on_pair_record(self, tmp_path, record, capsys):
         pairs = tmp_path / "pairs.jsonl"
-        record = {
-            "source_id": "s_alpha",
-            "chosen_id": "A",
-            "rejected_id": "B",
-            "method": "cr_plus",
-            "score": score,
-        }
         pairs.write_text(
             json.dumps({"_meta": {}}) + "\n" + json.dumps(record) + "\n", encoding="utf-8"
         )
@@ -242,6 +235,50 @@ class TestStatsCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert "pairs.jsonl:2:" in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("score", ["high", True, [1.0]])
+    def test_non_numeric_score_is_a_validation_error(self, tmp_path, score, capsys):
+        record = {
+            "source_id": "s_alpha",
+            "chosen_id": "A",
+            "rejected_id": "B",
+            "method": "cr_plus",
+            "score": score,
+        }
+        self.stats_on_pair_record(tmp_path, record, capsys)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"source_id": "s_alpha", "chosen_id": ["x"], "rejected_id": "B"},
+            {"source_id": ["x"], "chosen_id": "A", "rejected_id": "B"},
+            {"source_id": "s_alpha", "chosen_id": "A", "rejected_id": "B", "method": 5},
+            {"source_id": "s_alpha", "sft_target": ["a"]},
+            {"source_id": {"a": 1}, "sft_target": "A"},
+        ],
+    )
+    def test_non_string_pair_fields_are_validation_errors(self, tmp_path, record, capsys):
+        if "sft_target" not in record:
+            record = {"method": "cr_plus", "score": 1.0} | record
+        self.stats_on_pair_record(tmp_path, record, capsys)
+
+    def test_candidate_file_without_candidates_is_a_validation_error(self, tmp_path, capsys):
+        candidates = tmp_path / "cands.jsonl"
+        candidates.write_text(json.dumps({"_meta": {}}) + "\n", encoding="utf-8")
+        pairs = tmp_path / "pairs.jsonl"
+        emit_pairs(PreferenceDataset(pairs=()), pairs)
+        rc = main(
+            [
+                "stats",
+                "--pairs", str(pairs),
+                "--candidates", str(candidates),
+                "--out", str(tmp_path / "stats.json"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "no candidates" in err
         assert "internal error" not in err
 
     def test_per_token_pair_file_reports_per_token_logprobs(self, tmp_path):
@@ -351,6 +388,10 @@ class TestUtilityCommand:
             ({"source_id": "s_alpha", "ids": "AB"}, "ids must be a list of strings"),
             ({"source_id": "s_alpha", "ids": 5}, "ids must be a list of strings"),
             ({"source_id": ["x"], "ids": ["A", "B"]}, "source_id must be a string"),
+            (
+                {"source_id": "s_alpha", "ids": ["A", {"B": 1}]},
+                "utility matrix ids must be strings",
+            ),
         ],
     )
     def test_malformed_block_header_is_a_validation_error(
@@ -365,9 +406,51 @@ class TestUtilityCommand:
         assert "internal error" not in err
 
 
+def _with_line_2(source: Path, dest: Path, corruption: str, blank_first: bool = False) -> str:
+    lines = source.read_bytes().splitlines(keepends=True)
+    if blank_first:
+        lines.insert(0, b"\n")
+    if corruption == "0xff":
+        lines[1] = lines[1][:1] + b"\xff" + lines[1][1:]
+    else:
+        lines[1] = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+    dest.write_bytes(b"".join(lines))
+    return str(dest)
+
+
+@pytest.mark.parametrize("corruption", ["0xff", "deep"])
+@pytest.mark.parametrize(
+    "target", ["select --in", "stats --pairs", "stats --candidates", "select --utility-matrix"]
+)
+def test_malformed_line_is_a_validation_error(tmp_path, target, corruption, capsys):
+    bad = tmp_path / "bad.txt"
+    out = str(tmp_path / "out.json")
+    pairs, candidates = str(GOLDEN / "pairs_cr_plus.jsonl"), str(FIXTURE)
+    if target == "select --in":
+        argv = ["select", "--in", _with_line_2(FIXTURE, bad, corruption)]
+        argv += ["--out", out, "--method", "cr_plus"]
+    elif target == "select --utility-matrix":
+        matrices = _with_line_2(GOLDEN / "utility_small.txt", bad, corruption, blank_first=True)
+        argv = ["select", "--in", candidates, "--out", out, "--method", "mbr_bw"]
+        argv += ["--utility-matrix", matrices]
+    elif target == "stats --pairs":
+        pairs = _with_line_2(GOLDEN / "pairs_cr_plus.jsonl", bad, corruption)
+        argv = ["stats", "--pairs", pairs, "--candidates", candidates, "--out", out]
+    else:
+        candidates = _with_line_2(FIXTURE, bad, corruption)
+        argv = ["stats", "--pairs", pairs, "--candidates", candidates, "--out", out]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "bad.txt:2:" in err
+    assert "internal error" not in err
+
+
 def test_module_entry_point_prints_help():
+    # Run from src/ so the package under test is found without installing it.
     proc = subprocess.run(
         [sys.executable, "-m", "crpo.cli", "--help"],
+        cwd=HERE.parent / "src",
         capture_output=True,
         text=True,
         timeout=60,

@@ -62,12 +62,6 @@ class TestCandidate:
         cand = Candidate(id="x", text="t", logprob=-1.0, rewards={"a": 0.2, "b": 0.4})
         assert cand.reward_agg == pytest.approx(0.3)
 
-    def test_cached_aggregate_must_agree(self):
-        with pytest.raises(ValidationError, match="disagrees"):
-            Candidate(id="x", text="t", logprob=-1.0, rewards={"a": 0.2}, reward_agg=0.5)
-        # consistent cache is accepted
-        Candidate(id="x", text="t", logprob=-1.0, rewards={"a": 0.2}, reward_agg=0.2)
-
     def test_positive_logprob_rejected(self):
         with pytest.raises(ValidationError, match="logprob"):
             Candidate(id="x", text="t", logprob=0.5, rewards={"a": 0.2})
@@ -93,17 +87,6 @@ class TestCandidateSet:
     def test_k_is_recorded(self):
         cset = make_set([("A", 0.9, -1.0), ("B", 0.5, -2.0)])
         assert cset.k == 2
-
-    def test_recorded_k_must_match(self):
-        cand = Candidate(id="A", text="t", logprob=-1.0, rewards={"a": 0.5})
-        with pytest.raises(ValidationError, match="K=3"):
-            CandidateSet(
-                source_id="s",
-                source_text="x",
-                direction=("en", "de"),
-                candidates=(cand,),
-                k=3,
-            )
 
     def test_duplicate_ids_rejected(self):
         cand = Candidate(id="A", text="t", logprob=-1.0, rewards={"a": 0.5})

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,15 @@ from crpo.dataio import (
 from crpo.scoring import UtilityMatrix
 
 from conftest import make_set
+
+FIXTURE = Path(__file__).parent / "fixtures" / "candidates_small.jsonl"
+PAIR_RECORD = {
+    "source_id": "s1",
+    "chosen_id": "A",
+    "rejected_id": "B",
+    "method": "cr_plus",
+    "score": 1.0,
+}
 
 
 def write_lines(path, lines):
@@ -144,6 +154,56 @@ class TestIngestCandidates:
         path = tmp_path / "cands.jsonl"
         write_lines(path, [candidate_record(), "{not json"])
         with pytest.raises(ValidationError, match=r"cands\.jsonl:2: invalid JSON"):
+            ingest_candidates(path)
+
+    def test_non_utf8_byte_reports_line(self, tmp_path):
+        path = tmp_path / "cands.jsonl"
+        second = candidate_record(candidate_id="B").encode().replace(b"hypo", b"hy\xffpo")
+        path.write_bytes(candidate_record().encode() + b"\n" + second + b"\n")
+        with pytest.raises(ValidationError, match=r"cands\.jsonl:2: not valid UTF-8"):
+            ingest_candidates(path)
+
+    def test_deeply_nested_line_reports_line(self, tmp_path):
+        path = tmp_path / "cands.jsonl"
+        write_lines(path, [candidate_record(), "[" * 100_000 + "]" * 100_000])
+        with pytest.raises(ValidationError, match=r"cands\.jsonl:2: invalid JSON"):
+            ingest_candidates(path)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("logprob", -(10**400), "logprob must be finite"),
+            ("rewards", {"qe": 10**400}, "reward out of range"),
+            ("token_count", 10**400, "token_count must be a positive integer"),
+        ],
+        ids=["logprob", "rewards", "token_count"],
+    )
+    def test_ints_beyond_the_float_range_rejected(self, tmp_path, field, value, message):
+        path = tmp_path / "cands.jsonl"
+        write_lines(path, [candidate_record(**{field: value})])
+        with pytest.raises(ValidationError, match=rf"cands\.jsonl:1: .*{message}"):
+            ingest_candidates(path)
+
+    def test_int_with_too_many_digits_reports_line(self, tmp_path):
+        path = tmp_path / "cands.jsonl"
+        write_lines(path, [candidate_record(), '{"logprob": -' + "9" * 5000 + "}"])
+        with pytest.raises(ValidationError, match=r"cands\.jsonl:2: invalid JSON"):
+            ingest_candidates(path)
+
+    def test_stray_meta_key_in_a_record_rejected(self, tmp_path):
+        path = tmp_path / "cands.jsonl"
+        lines = FIXTURE.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[4])
+        record["_meta"] = {}
+        lines[4] = json.dumps(record)
+        write_lines(path, lines)
+        with pytest.raises(ValidationError, match=r"cands\.jsonl:5: a _meta header must be"):
+            ingest_candidates(path)
+
+    def test_meta_in_a_first_record_with_fields_rejected(self, tmp_path):
+        path = tmp_path / "cands.jsonl"
+        write_lines(path, [candidate_record(_meta={}), candidate_record(candidate_id="B")])
+        with pytest.raises(ValidationError, match=r"cands\.jsonl:1: a _meta header must be"):
             ingest_candidates(path)
 
     def test_non_object_line_rejected(self, tmp_path):
@@ -258,6 +318,12 @@ class TestEmitIngestRoundTrip:
         assert read_meta(path) == {"ref_policy": "ref-v1"}
         first = path.read_text(encoding="utf-8").splitlines()[0]
         assert json.loads(first) == {"_meta": {"ref_policy": "ref-v1"}}
+
+    def test_read_meta_reports_the_header_line(self, tmp_path):
+        path = tmp_path / "cands.jsonl"
+        write_lines(path, ["", json.dumps({"_meta": [1]}), candidate_record()])
+        with pytest.raises(ValidationError, match=r"cands\.jsonl:2: _meta must be a JSON object"):
+            read_meta(path)
 
     def test_read_meta_empty_without_header(self, tmp_path):
         path = tmp_path / "cands.jsonl"
@@ -404,6 +470,38 @@ class TestPairFiles:
         with pytest.raises(ValidationError, match=r"pairs\.jsonl:2"):
             load_pairs(path)
 
+    def test_second_meta_header_rejected(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        emit_pairs(self.sample_dataset(), path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"_meta": {"input_digest": "0" * 64}}) + "\n")
+        with pytest.raises(ValidationError, match=r"pairs\.jsonl:5: a _meta header must be"):
+            load_pairs(path)
+
+    @pytest.mark.parametrize(
+        "record,message",
+        [
+            (PAIR_RECORD | {"chosen_id": ["x"]}, "ids must be strings"),
+            (PAIR_RECORD | {"source_id": ["x"]}, "ids must be strings"),
+            (PAIR_RECORD | {"rejected_id": 5}, "ids must be strings"),
+            (PAIR_RECORD | {"method": 5}, "method must be a string"),
+            (PAIR_RECORD | {"score": 10**400}, "source 's1': non-finite pair score"),
+            ({"source_id": "s1", "sft_target": ["a"]}, "ids must be strings"),
+            ({"source_id": {"a": 1}, "sft_target": "A"}, "ids must be strings"),
+            ({"sft_target": "A"}, "missing field 'source_id'"),
+        ],
+    )
+    def test_load_checks_field_types(self, tmp_path, record, message):
+        path = tmp_path / "pairs.jsonl"
+        write_lines(path, [json.dumps({"_meta": {}}), json.dumps(record)])
+        with pytest.raises(ValidationError, match=rf"pairs\.jsonl:2: {message}"):
+            load_pairs(path)
+
+    def test_null_extras_read_as_absent(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        write_lines(path, [json.dumps(PAIR_RECORD | {"extras": None})])
+        assert load_pairs(path).pairs[0].extras == {}
+
     def test_load_rejects_bad_extras(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
         write_lines(
@@ -481,6 +579,10 @@ class TestStats:
         dataset, sets = self.fixtures()
         with pytest.raises(ValidationError, match="bins"):
             emit_stats(dataset, sets, bins=0)
+
+    def test_no_candidates_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="no candidates"):
+            emit_stats(PreferenceDataset(pairs=()), [])
 
     def test_degenerate_logprob_range_widens(self):
         sets = [make_set([("A", 0.9, -5.0), ("B", 0.1, -5.0)])]

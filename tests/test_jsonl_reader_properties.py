@@ -1,0 +1,117 @@
+"""Property tests of the candidate and pair JSONL readers.
+
+A valid file is corrupted (bytes flipped, lines truncated, field values
+swapped for arbitrary JSON, ``_meta`` lines added, lines nested too deep)
+and read back.  It either loads into well-typed records or is rejected with
+a ``ValidationError`` that names the file: no other exception may escape,
+since the CLI turns any other one into an ``internal error`` exit.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from crpo.core import ValidationError  # noqa: E402
+from crpo.dataio import ingest_candidates, load_pairs  # noqa: E402
+
+HERE = Path(__file__).parent
+FIXTURE = HERE / "fixtures" / "candidates_small.jsonl"
+CANDIDATES = FIXTURE.read_bytes()
+PAIRS = (HERE / "golden" / "pairs_cr_plus.jsonl").read_bytes()
+SFT_PAIRS = (HERE / "golden" / "pairs_qe_best.jsonl").read_bytes()
+
+# Surrogates cannot be written as UTF-8, so no file could hold them.
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+# Ints beyond the float range are valid JSON but no float field may hold one.
+HUGE_INTS = st.sampled_from([10**400, -(10**400)])
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | HUGE_INTS | st.floats() | TEXT
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@st.composite
+def corrupted(draw, original: bytes) -> bytes:
+    lines = original.splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["flip", "truncate", "swap", "meta", "deep"]))
+        if kind == "flip":
+            at = draw(st.integers(0, len(lines[i]) - 1))
+            byte = draw(st.sampled_from([0xFF, 0x80, 0xC3, 0x00, 0x0D]) | st.integers(0, 255))
+            lines[i] = lines[i][:at] + bytes([byte]) + lines[i][at + 1 :]
+        elif kind == "truncate":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i]) - 1))] + b"\n"
+        elif kind == "swap":
+            try:
+                record = json.loads(lines[i])
+            except (ValueError, RecursionError):
+                continue
+            if not isinstance(record, dict) or not record:
+                continue
+            key = draw(st.sampled_from(sorted(record)))
+            record[key] = draw(JSON_VALUES)
+            lines[i] = json.dumps(record, ensure_ascii=False).encode() + b"\n"
+        elif kind == "meta":
+            meta = json.dumps({"_meta": draw(JSON_VALUES)}).encode() + b"\n"
+            lines.insert(draw(st.integers(0, len(lines))), meta)
+        else:
+            lines[i] = DEEP + b"\n"
+    return b"".join(lines)
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("jsonl") / "data.jsonl"
+
+
+def _load_or_reject(read, path: Path, data: bytes):
+    path.write_bytes(data)
+    try:
+        return read(path)
+    except ValidationError as err:
+        assert "data.jsonl" in str(err)
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted(CANDIDATES))
+def test_corrupted_candidate_files_load_or_raise_validation_error(path, data):
+    sets = _load_or_reject(ingest_candidates, path, data)
+    for cset in sets or ():
+        assert isinstance(cset.source_id, str) and isinstance(cset.source_text, str)
+        for cand in cset.candidates:
+            assert isinstance(cand.id, str) and isinstance(cand.text, str)
+            assert math.isfinite(cand.logprob) and 0.0 <= cand.reward_agg <= 1.0
+            assert cand.token_count is None or isinstance(cand.token_count, int)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted(PAIRS) | corrupted(SFT_PAIRS))
+def test_corrupted_pair_files_load_or_raise_validation_error(path, data):
+    dataset = _load_or_reject(load_pairs, path, data)
+    if dataset is None:
+        return
+    assert isinstance(dataset.provenance, dict)
+    for pair in dataset.pairs:
+        for value in (pair.source_id, pair.chosen_id, pair.rejected_id, pair.method):
+            assert isinstance(value, str)
+        assert not isinstance(pair.score, bool) and math.isfinite(pair.score)
+        assert isinstance(pair.extras, dict)
+    for source_id, target in dataset.sft_targets:
+        assert isinstance(source_id, str) and isinstance(target, str)
+    # What `crpo stats` does next: every id must resolve or be rejected.
+    try:
+        dataset.validate_against(ingest_candidates(FIXTURE))
+    except ValidationError:
+        pass

@@ -151,6 +151,8 @@ class TestMbrUtilities:
             UtilityMatrix(ids=("A", "B"), values=np.array([[0.0, np.inf], [0.0, 0.0]]))
         with pytest.raises(ValidationError, match="distinct"):
             UtilityMatrix(ids=("A", "A"), values=np.zeros((2, 2)))
+        with pytest.raises(ValidationError, match="ids must be strings"):
+            UtilityMatrix(ids=("A", ["B"]), values=np.zeros((2, 2)))
 
 
 def oracle_chrf(hyp: str, ref: str, max_order: int = 6, beta: float = 2.0) -> float:
