@@ -179,13 +179,17 @@ class PreferenceDataset:
         object.__setattr__(self, "pairs", tuple(self.pairs))
         object.__setattr__(self, "sft_targets", tuple(tuple(t) for t in self.sft_targets))
 
-    def validate_against(self, sets: Sequence[CandidateSet]) -> None:
-        """Check that every id resolves and pair labels respect rewards.
+    def validate_against(
+        self, sets: Sequence[CandidateSet]
+    ) -> list[tuple[Candidate, Candidate]]:
+        """Check that every id resolves and pair labels respect rewards, and
+        return the (chosen, rejected) candidates of each pair, in order.
 
         Utility-ranked methods (MBR) are exempt from the reward-ordering
         check because their labels follow utility rank, not reward.
         """
         by_source = {cset.source_id: cset for cset in sets}
+        resolved = []
         for pair in self.pairs:
             if pair.source_id not in by_source:
                 raise ValidationError(f"pair references unknown source {pair.source_id!r}")
@@ -199,10 +203,12 @@ class PreferenceDataset:
                         f"{pair.chosen_id!r} has lower aggregate reward than "
                         f"rejected {pair.rejected_id!r}"
                     )
+            resolved.append((chosen, rejected))
         for source_id, candidate_id in self.sft_targets:
             if source_id not in by_source:
                 raise ValidationError(f"sft target references unknown source {source_id!r}")
             by_source[source_id].candidate(candidate_id)
+        return resolved
 
 
 @dataclass(frozen=True)

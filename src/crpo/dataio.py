@@ -374,12 +374,11 @@ def emit_stats(
     """
     if bins < 1:
         raise ValidationError(f"bins must be >= 1, got {bins}")
-    dataset.validate_against(sets)
+    resolved = dataset.validate_against(sets)
     config = dataset.provenance.get("config", {})
     if not isinstance(config, dict):
         raise ValidationError("pair file provenance config must be a JSON object")
     norm = SelectionConfig(logprob_norm=config.get("logprob_norm", "sum"))
-    by_source = {cset.source_id: cset for cset in sets}
     all_logprobs = [effective_logprob(c, norm) for cset in sets for c in cset.candidates]
     if not all_logprobs:
         raise ValidationError("no candidates to summarize")
@@ -390,10 +389,7 @@ def emit_stats(
     logprob_edges = np.linspace(lo, hi, bins + 1)
 
     populations: dict[str, dict[str, list]] = {}
-    for pair in dataset.pairs:
-        cset = by_source[pair.source_id]
-        chosen = cset.candidate(pair.chosen_id)
-        rejected = cset.candidate(pair.rejected_id)
+    for pair, (chosen, rejected) in zip(dataset.pairs, resolved):
         series = populations.setdefault(
             pair.method,
             {

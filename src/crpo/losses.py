@@ -212,6 +212,10 @@ def gradient_check(
 ) -> dict[str, float]:
     """Max relative error of the analytic gradient against central finite
     differences, per objective variant, over random tabular instances."""
+    if not isinstance(seed, int) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    if not isinstance(n_instances, int) or n_instances < 1:
+        raise ValidationError(f"instances must be a positive integer, got {n_instances!r}")
     rng = np.random.default_rng(seed)
     worst = {
         "dpo": 0.0,

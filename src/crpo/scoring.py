@@ -5,11 +5,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import Candidate, CandidateSet, ValidationError
+from .core import CandidateSet, ValidationError
 
 # Character n-gram settings of the built-in utility: orders 1..6 with recall
 # weighted twice as heavily as precision (beta = 2).
@@ -95,12 +95,6 @@ class UtilityMatrix:
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    def index(self, candidate_id: str) -> int:
-        try:
-            return self.ids.index(candidate_id)
-        except ValueError:
-            raise ValidationError(f"unknown candidate id {candidate_id!r}") from None
 
 
 def mbr_expected_utility(matrix: UtilityMatrix, j: int) -> float:
@@ -199,32 +193,23 @@ def builtin_utility(hypothesis: str, reference: str) -> float:
     return _fscore(_common_counts(hyp, ref), hyp.totals, ref.totals)
 
 
-def utility_matrix_for_set(
-    cset: CandidateSet,
-    utility: Callable[[str, str], float] | None = None,
-) -> UtilityMatrix:
-    """Pairwise utility matrix over one candidate set's texts.
+def utility_matrix_for_set(cset: CandidateSet) -> UtilityMatrix:
+    """Built-in utility matrix over one candidate set's texts.
 
-    With the built-in utility, each text's n-gram profile is built once and
-    each unordered pair's matches are counted once: U[j, m] and U[m, j] share
-    them and only swap precision and recall.  The diagonal is 1.0, which is
-    what the built-in utility gives any text against itself.  A custom
-    ``utility`` is called for every ordered pair (j, m), K^2 calls.
+    Each text's n-gram profile is built once and each unordered pair's
+    matches are counted once: U[j, m] and U[m, j] share them and only swap
+    precision and recall.  The diagonal is 1.0, which is what the built-in
+    utility gives any text against itself.  Other utilities enter selection
+    as a precomputed ``UtilityMatrix``.
     """
-    texts = [cand.text for cand in cset.candidates]
-    k = len(texts)
+    profiles = [_NgramProfile.of(cand.text) for cand in cset.candidates]
+    k = len(profiles)
     values = np.empty((k, k), dtype=np.float64)
-    if utility is None:
-        profiles = [_NgramProfile.of(text) for text in texts]
-        for j, hyp in enumerate(profiles):
-            values[j, j] = 1.0
-            for m in range(j + 1, k):
-                ref = profiles[m]
-                common = _common_counts(hyp, ref)
-                values[j, m] = _fscore(common, hyp.totals, ref.totals)
-                values[m, j] = _fscore(common, ref.totals, hyp.totals)
-    else:
-        for j in range(k):
-            for m in range(k):
-                values[j, m] = utility(texts[j], texts[m])
+    for j, hyp in enumerate(profiles):
+        values[j, j] = 1.0
+        for m in range(j + 1, k):
+            ref = profiles[m]
+            common = _common_counts(hyp, ref)
+            values[j, m] = _fscore(common, hyp.totals, ref.totals)
+            values[m, j] = _fscore(common, ref.totals, hyp.totals)
     return UtilityMatrix(ids=tuple(c.id for c in cset.candidates), values=values)

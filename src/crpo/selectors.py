@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -280,26 +280,22 @@ def select_rsdpo(cset: CandidateSet, config: SelectionConfig) -> SelectionOutcom
     return SelectionOutcome(pairs=tuple(pairs))
 
 
-def _mbr_scores(
-    pool: _Pool,
-    utility: UtilityMatrix | Callable[[str, str], float] | None,
-) -> np.ndarray:
-    """Expected utility of every candidate, aligned with ``pool.ordered``."""
-    if isinstance(utility, UtilityMatrix):
-        matrix = utility
-        if set(matrix.ids) != {c.id for c in pool.ordered}:
-            raise ValidationError(
-                f"source {pool.cset.source_id!r}: utility matrix ids do not match the set"
-            )
-    else:
-        matrix = utility_matrix_for_set(pool.cset, utility)
+def _mbr_scores(pool: _Pool, matrix: UtilityMatrix | None) -> np.ndarray:
+    """Expected utility of every candidate, aligned with ``pool.ordered``;
+    the built-in utility when no matrix is given."""
+    if matrix is None:
+        matrix = utility_matrix_for_set(pool.cset)
+    elif set(matrix.ids) != {c.id for c in pool.ordered}:
+        raise ValidationError(
+            f"source {pool.cset.source_id!r}: utility matrix ids do not match the set"
+        )
     score_by_id = dict(zip(matrix.ids, mbr_scores(matrix)))
     return np.array([score_by_id[c.id] for c in pool.ordered])
 
 
 def select_mbr(
     cset: CandidateSet,
-    utility: UtilityMatrix | Callable[[str, str], float] | None = None,
+    utility: UtilityMatrix | None = None,
     variant: str = "bw",
     config: SelectionConfig | None = None,
 ) -> SelectionOutcome:
@@ -309,7 +305,8 @@ def select_mbr(
     as pseudo-references.  ``bw`` pairs the top and bottom of the ranking;
     ``bmw`` additionally uses the middle candidate (rank ceil(K/2)) and
     emits (best, middle), (best, worst), (middle, worst).  Labels follow
-    the utility ranking, not the rewards.
+    the utility ranking, not the rewards.  ``utility`` is a precomputed
+    matrix over the set's ids; without one the built-in utility is used.
     """
     if variant not in ("bw", "bmw"):
         raise ValidationError(f"unknown MBR variant {variant!r}")
@@ -414,46 +411,34 @@ def per_source_rng(seed: int, source_id: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(source_id.encode("utf-8"))])
 
 
-def validate_outcome(outcome: SelectionOutcome, cset: CandidateSet) -> None:
-    """Check pair invariants against the set that produced them."""
-    dataset = PreferenceDataset(pairs=outcome.pairs)
-    dataset.validate_against([cset])
-    if outcome.sft_target is not None:
-        cset.candidate(outcome.sft_target)
-
-
 def run_selector(
     cset: CandidateSet,
     config: SelectionConfig,
-    rng: np.random.Generator | None = None,
-    utility: UtilityMatrix | Callable[[str, str], float] | None = None,
+    utility: UtilityMatrix | None = None,
 ) -> SelectionOutcome:
-    """Dispatch one candidate set to the selector named by ``config.method``."""
+    """Dispatch one candidate set to the selector named by ``config.method``;
+    ``rso`` draws from ``per_source_rng(config.seed, cset.source_id)``."""
     method = config.method
     if method in ("cr_plus", "cr_times"):
-        outcome = select_crpo(cset, config)
-    elif method == "rso":
-        if rng is None:
-            rng = per_source_rng(config.seed, cset.source_id)
-        outcome = select_rso(cset, config, rng)
-    elif method == "rs_dpo":
-        outcome = select_rsdpo(cset, config)
-    elif method in ("mbr_bw", "mbr_bmw"):
-        outcome = select_mbr(cset, utility, variant=method.removeprefix("mbr_"), config=config)
-    elif method == "qe_best":
-        outcome = select_qe_best(cset)
-    elif method == "top_scores":
-        outcome = select_top_scores(cset, min(config.rso_samples, len(cset.candidates)), config)
-    elif method == "minmax_r":
-        outcome = select_minmax_r(cset, config)
-    elif method == "minmax_p":
-        outcome = select_minmax_p(cset, config)
-    elif method == "minmax_po":
-        outcome = select_minmax_po(cset, config)
-    else:  # pragma: no cover - SelectionConfig already rejects unknown tags
-        raise ValidationError(f"unknown method {method!r}")
-    validate_outcome(outcome, cset)
-    return outcome
+        return select_crpo(cset, config)
+    if method == "rso":
+        return select_rso(cset, config, per_source_rng(config.seed, cset.source_id))
+    if method == "rs_dpo":
+        return select_rsdpo(cset, config)
+    if method in ("mbr_bw", "mbr_bmw"):
+        return select_mbr(cset, utility, variant=method.removeprefix("mbr_"), config=config)
+    if method == "qe_best":
+        return select_qe_best(cset)
+    if method == "top_scores":
+        return select_top_scores(cset, min(config.rso_samples, len(cset.candidates)), config)
+    if method == "minmax_r":
+        return select_minmax_r(cset, config)
+    if method == "minmax_p":
+        return select_minmax_p(cset, config)
+    if method == "minmax_po":
+        return select_minmax_po(cset, config)
+    # SelectionConfig already rejects unknown tags.
+    raise ValidationError(f"unknown method {method!r}")  # pragma: no cover
 
 
 def select_dataset(

@@ -18,6 +18,7 @@ from .core import (
     METHODS,
     Candidate,
     CandidateSet,
+    PreferenceDataset,
     PreferencePair,
     SelectionConfig,
     ValidationError,
@@ -135,6 +136,8 @@ def make_world(
         )
     if not math.isfinite(logit_scale) or logit_scale <= 0:
         raise ValidationError(f"logit_scale must be finite and > 0, got {logit_scale!r}")
+    if not isinstance(seed, int) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     rewards = rng.uniform(size=(n_sources, n_outputs))
     noise = rng.standard_normal((n_sources, n_outputs))
@@ -235,17 +238,14 @@ def resolve_pairs(
     world: ToyWorld, pairs: Sequence[PreferencePair], sets: Sequence[CandidateSet]
 ) -> list[tuple[int, int, int]]:
     """Map preference pairs back to (source row, winner column, loser column)."""
-    by_source = {cset.source_id: cset for cset in sets}
+    candidates = PreferenceDataset(pairs).validate_against(sets)
     resolved = []
-    for pair in pairs:
-        if pair.source_id not in by_source:
-            raise ValidationError(f"pair references unknown source {pair.source_id!r}")
-        cset = by_source[pair.source_id]
+    for pair, (chosen, rejected) in zip(pairs, candidates):
         s = source_index(pair.source_id)
         if not 0 <= s < world.n_sources:
             raise ValidationError(f"source row {s} out of range for the world")
-        w = output_index(cset.candidate(pair.chosen_id).text)
-        l = output_index(cset.candidate(pair.rejected_id).text)
+        w = output_index(chosen.text)
+        l = output_index(rejected.text)
         if not (0 <= w < world.n_outputs and 0 <= l < world.n_outputs):
             raise ValidationError("output index out of range for the world")
         resolved.append((s, w, l))
@@ -320,13 +320,10 @@ def random_pair_outcome(
 
 @dataclass(frozen=True)
 class CompareConfig:
-    """Sampling, selection, and training knobs of the comparison harness."""
+    """Selection and loss knobs of the comparison harness; sampling and
+    training use the defaults of ``sample_candidates`` and ``train_dpo``."""
 
     k_candidates: int = 16
-    temperature: float = 0.9
-    top_p: float = 0.9
-    lr: float = 0.3
-    steps: int = 80
     loss: LossConfig = field(default_factory=LossConfig)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
 
@@ -355,9 +352,6 @@ class ComparisonReport:
 
     def gains_for(self, method: str) -> tuple[float, ...]:
         return self.gains[self.methods.index(method)]
-
-    def mean_for(self, method: str) -> float:
-        return self.means[self.methods.index(method)]
 
     def to_dict(self) -> dict:
         return {
@@ -422,8 +416,6 @@ def run_comparison(
                 world,
                 s,
                 k=cfg.k_candidates,
-                temperature=cfg.temperature,
-                top_p=cfg.top_p,
                 rng=np.random.default_rng([world.seed, seed, s]),
             )
             for s in range(world.n_sources)
@@ -443,9 +435,7 @@ def run_comparison(
                 method_flags.append("no_pairs")
                 continue
             resolved = resolve_pairs(world, pairs, sets)
-            result = train_dpo(
-                world, resolved, lr=cfg.lr, steps=cfg.steps, config=cfg.loss
-            )
+            result = train_dpo(world, resolved, config=cfg.loss)
             method_gains.append(expected_reward(result.policy, world) - base_reward)
             method_flags.append(None)
         gains.append(tuple(method_gains))

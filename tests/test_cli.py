@@ -322,6 +322,32 @@ class TestLossesCommand:
         for name in ("dpo", "dpo+sft", "cpo", "cpo+sft"):
             assert f"{name}: max relative error" in out
 
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_no_instances_is_a_validation_error(self, instances, capsys):
+        rc = main(["losses", "check-grad", "--instances", instances])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "error: instances must be a positive integer" in captured.err
+        assert "passed" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["losses", "check-grad", "--seed", "-1", "--instances", "1"],
+        ["toy", "compare", "--methods", "cr_plus", "--seeds", "1", "--sources", "2",
+         "--outputs", "3", "--k", "2", "--world-seed", "-1"],
+    ],
+    ids=["check-grad", "toy-compare"],
+)
+def test_negative_seed_is_a_validation_error(argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    rc = main(argv + (["--out", str(out)] if argv[0] == "toy" else []))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: seed must be a non-negative integer")
+    assert not out.exists()
+
 
 class TestToyCommand:
     ARGS = [

@@ -138,6 +138,22 @@ class TestPreferenceDataset:
         with pytest.raises(ValidationError, match="lower aggregate reward"):
             PreferenceDataset(pairs=(bad,)).validate_against([cset])
 
+    def test_returns_the_resolved_candidates_in_pair_order(self):
+        first = make_set([("A", 0.9, -1.0), ("B", 0.5, -2.0)])
+        second = make_set([("A", 0.2, -3.0), ("C", 0.7, -4.0)], source_id="s2")
+        pairs = (
+            PreferencePair(source_id="s2", chosen_id="C", rejected_id="A", score=0.5,
+                           method="minmax_r"),
+            PreferencePair(source_id="s1", chosen_id="A", rejected_id="B", score=0.4,
+                           method="minmax_r"),
+        )
+        resolved = PreferenceDataset(pairs=pairs).validate_against([first, second])
+        assert resolved == [
+            (second.candidate("C"), second.candidate("A")),
+            (first.candidate("A"), first.candidate("B")),
+        ]
+        assert PreferenceDataset(pairs=()).validate_against([first]) == []
+
     def test_utility_ranked_methods_exempt(self):
         cset = make_set([("A", 0.9, -1.0), ("B", 0.5, -2.0)])
         pair = PreferencePair(

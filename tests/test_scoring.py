@@ -267,16 +267,3 @@ def test_utility_matrix_diagonal_is_one_for_whitespace_and_empty_texts():
     assert values[0, 1] == values[1, 0] == 1.0
     assert values[2, 3] == values[3, 2] == 1.0
     assert values[0, 2] == values[2, 0] == 0.0
-
-
-def test_custom_utility_called_for_every_ordered_pair():
-    calls = []
-
-    def utility(hyp, ref):
-        calls.append((hyp, ref))
-        return 0.5
-
-    texts = ["x", "y", "z"]
-    matrix = utility_matrix_for_set(text_set(texts), utility=utility)
-    assert calls == [(a, b) for a in texts for b in texts]
-    assert (matrix.values == 0.5).all()

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from crpo.core import (
+    GATE_MODES,
+    METHODS,
     Candidate,
     CandidateSet,
+    PreferenceDataset,
     PreferencePair,
     SelectionConfig,
     ValidationError,
@@ -32,7 +36,6 @@ from crpo.selectors import (
     select_rsdpo,
     select_rso,
     select_top_scores,
-    validate_outcome,
 )
 
 from conftest import make_set, random_set
@@ -410,10 +413,11 @@ class TestMbr:
             ]
         )
         matrix = UtilityMatrix(ids=("A", "B", "C"), values=values)
-        pair = only_pair(select_mbr(cset, matrix, variant="bw"))
+        outcome = select_mbr(cset, matrix, variant="bw")
+        pair = only_pair(outcome)
         assert (pair.chosen_id, pair.rejected_id) == ("B", "A")
         # and the shared validator accepts the reward inversion for MBR
-        validate_outcome(select_mbr(cset, matrix, variant="bw"), cset)
+        PreferenceDataset(pairs=outcome.pairs).validate_against([cset])
 
     @pytest.mark.parametrize("k", [3, 4, 5, 9, 16])
     def test_matches_brute_force_ranking(self, k):
@@ -600,20 +604,33 @@ class TestRunSelector:
         wide = run_selector(cset, config(method="top_scores", rso_samples=64))
         assert (wide.pairs[0].chosen_id, wide.pairs[0].rejected_id) == ("A", "D")
 
-    def test_validate_outcome_rejects_foreign_ids(self, worked_example):
-        bogus = SelectionOutcome(
-            pairs=(
-                PreferencePair(
-                    source_id="s1",
-                    chosen_id="A",
-                    rejected_id="Z",
-                    score=1.0,
-                    method="minmax_r",
-                ),
-            )
-        )
-        with pytest.raises(ValidationError):
-            validate_outcome(bogus, worked_example)
+    def test_every_outcome_validates_against_its_own_set(self):
+        """What a selector returns needs no second check: over random pools
+        whose records are not in id order, every method's pairs resolve to
+        the pool's own distinct candidates, are labeled by reward (utility
+        rank for MBR) and carry the configured tag."""
+        configs = [config(method=method) for method in METHODS] + [
+            config(method="cr_plus", gate_mode=gate, epsilon=1.0) for gate in GATE_MODES
+        ]
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            k = int(rng.integers(3, 17))
+            cset = random_set(rng, k=k)
+            order = rng.permutation(k)
+            if (order == np.arange(k)).all():
+                order = order[::-1]
+            cset = replace(cset, candidates=tuple(cset.candidates[i] for i in order))
+            for cfg in configs:
+                outcome = run_selector(cset, cfg)
+                kinds = (bool(outcome.pairs), outcome.sft_target is not None,
+                         outcome.skipped_reason is not None)
+                assert sum(kinds) == 1, (cfg, outcome)
+                sft = () if outcome.sft_target is None else ((cset.source_id, outcome.sft_target),)
+                PreferenceDataset(outcome.pairs, sft).validate_against([cset])
+                for pair in outcome.pairs:
+                    assert pair.source_id == cset.source_id
+                    assert pair.chosen_id != pair.rejected_id
+                    assert pair.method == cfg.method
 
 
 class TestPerSourceRng:

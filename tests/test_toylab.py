@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import scipy.stats
 
 from crpo.core import SelectionConfig, ValidationError
 from crpo.losses import LossConfig, log_softmax
+from crpo.selectors import select_minmax_r
 from crpo.toylab import (
     COMPARE_METHODS,
     CompareConfig,
@@ -81,6 +83,8 @@ class TestWorldConstruction:
             make_world(reward_logit_corr=1.5)
         with pytest.raises(ValidationError, match="logit_scale"):
             make_world(logit_scale=0.0)
+        with pytest.raises(ValidationError, match="seed"):
+            make_world(seed=-1)
 
     def test_world_validation(self):
         with pytest.raises(ValidationError, match="2-D shape"):
@@ -323,6 +327,14 @@ class TestResolvePairs:
         pairs = select_minmax_r(cset).pairs
         with pytest.raises(ValidationError, match="out of range"):
             resolve_pairs(world, pairs, [cset])
+
+    def test_reward_inverted_pair_rejected(self):
+        world = make_world(n_sources=1, n_outputs=6, seed=12)
+        cset = sample_candidates(world, 0, k=8, rng=np.random.default_rng(99))
+        (pair,) = select_minmax_r(cset).pairs
+        inverted = replace(pair, chosen_id=pair.rejected_id, rejected_id=pair.chosen_id)
+        with pytest.raises(ValidationError, match="lower aggregate reward"):
+            resolve_pairs(world, [inverted], [cset])
 
     def test_non_toy_texts_rejected(self):
         world = make_world(n_sources=2, n_outputs=3)
