@@ -1,73 +1,3 @@
 """Confidence-reward preference data selection toolkit."""
 
-from .core import (
-    DEFAULT_ETA,
-    GATE_MODES,
-    INTO_EN,
-    LOGPROB_NORMS,
-    METHODS,
-    OUT_OF_EN,
-    Candidate,
-    CandidateSet,
-    PreferenceDataset,
-    PreferencePair,
-    SelectionConfig,
-    ValidationError,
-    aggregate_reward,
-    direction_class,
-    effective_logprob,
-)
-from .losses import (
-    LossConfig,
-    PairLogits,
-    batch_loss_and_grad,
-    cpo_loss,
-    delta_loss,
-    dpo_loss,
-    gamma_loss,
-    gradient_check,
-    sft_term,
-    softplus,
-)
-from .scoring import (
-    PairScoreInput,
-    UtilityMatrix,
-    builtin_utility,
-    cr_plus,
-    cr_times,
-    mbr_expected_utility,
-    mbr_scores,
-    reward_gap,
-    utility_matrix_for_set,
-)
-from .selectors import (
-    SelectionOutcome,
-    run_selector,
-    select_crpo,
-    select_dataset,
-    select_mbr,
-    select_minmax_p,
-    select_minmax_po,
-    select_minmax_r,
-    select_qe_best,
-    select_rsdpo,
-    select_rso,
-    select_top_scores,
-)
-from .toylab import (
-    CompareConfig,
-    ComparisonReport,
-    ToyPolicy,
-    ToyWorld,
-    exact_optimal_policy,
-    expected_reward,
-    make_world,
-    nucleus_probs,
-    run_comparison,
-    sample_candidates,
-    train_dpo,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]
-
 __version__ = "0.1.0"

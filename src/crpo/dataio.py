@@ -1,4 +1,4 @@
-"""JSON-Lines ingestion, emission, merging, and summary statistics.
+"""JSON-Lines ingestion, emission, and summary statistics.
 
 Candidate files hold one JSON object per candidate::
 
@@ -42,6 +42,11 @@ from .core import (
     effective_logprob,
 )
 from .scoring import UtilityMatrix
+
+# Largest histogram resolution of ``emit_stats``.  Each method's report holds
+# four histograms of this many counts, so the bound keeps a size taken from the
+# command line from exhausting memory.
+MAX_BINS = 100_000
 
 
 def digest_file(path: str | Path) -> str:
@@ -109,11 +114,6 @@ def _read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
         yield lineno, record
     if header_due:
         yield 0, {}
-
-
-def read_meta(path: str | Path) -> dict:
-    """Header metadata of a JSONL file ({} when the file has none)."""
-    return next(_read_json_lines(path))[1]
 
 
 # Field tables: (key, accepted types, message when missing or null, message
@@ -206,15 +206,9 @@ def ingest_candidates(path: str | Path) -> list[CandidateSet]:
     ]
 
 
-def emit_candidates(
-    sets: Sequence[CandidateSet],
-    path: str | Path,
-    meta: Mapping[str, object] | None = None,
-) -> None:
+def emit_candidates(sets: Sequence[CandidateSet], path: str | Path) -> None:
     """Write candidate sets back to JSONL (inverse of ``ingest_candidates``)."""
     with open(path, "w", encoding="utf-8") as handle:
-        if meta:
-            handle.write(json.dumps({"_meta": dict(meta)}, ensure_ascii=False) + "\n")
         for cset in sets:
             for cand in cset.candidates:
                 record = {
@@ -229,62 +223,6 @@ def emit_candidates(
                 if cand.token_count is not None:
                     record["token_count"] = cand.token_count
                 handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-
-def merge_candidate_sources(
-    primary: Sequence[CandidateSet], extra: Sequence[CandidateSet]
-) -> list[CandidateSet]:
-    """Union extra candidate pools into the per-source primary sets.
-
-    Sources that appear only in ``extra`` are appended after the primary
-    sets.  Candidate id collisions within a source are an error.
-    """
-    merged: dict[str, CandidateSet] = {cset.source_id: cset for cset in primary}
-    if len(merged) != len(primary):
-        raise ValidationError("duplicate source_id among primary sets")
-    order = [cset.source_id for cset in primary]
-    for cset in extra:
-        if cset.source_id not in merged:
-            merged[cset.source_id] = cset
-            order.append(cset.source_id)
-            continue
-        base = merged[cset.source_id]
-        if base.source_text != cset.source_text or base.direction != cset.direction:
-            raise ValidationError(
-                f"source {cset.source_id!r}: extra pool has inconsistent "
-                "source_text or direction"
-            )
-        base_ids = {c.id for c in base.candidates}
-        for cand in cset.candidates:
-            if cand.id in base_ids:
-                raise ValidationError(
-                    f"source {cset.source_id!r}: candidate id collision {cand.id!r}"
-                )
-        merged[cset.source_id] = CandidateSet(
-            source_id=base.source_id,
-            source_text=base.source_text,
-            direction=base.direction,
-            candidates=base.candidates + cset.candidates,
-        )
-    return [merged[source_id] for source_id in order]
-
-
-def merge_candidate_files(
-    primary_path: str | Path, extra_path: str | Path
-) -> list[CandidateSet]:
-    """File-level merge that also checks the declared reference policies match."""
-    primary_meta = read_meta(primary_path)
-    extra_meta = read_meta(extra_path)
-    ref_a = primary_meta.get("ref_policy")
-    ref_b = extra_meta.get("ref_policy")
-    if ref_a is not None and ref_b is not None and ref_a != ref_b:
-        raise ValidationError(
-            f"reference policies differ: {ref_a!r} vs {ref_b!r}; "
-            "CR scores require likelihoods under one policy"
-        )
-    return merge_candidate_sources(
-        ingest_candidates(primary_path), ingest_candidates(extra_path)
-    )
 
 
 def emit_pairs(dataset: PreferenceDataset, path: str | Path) -> None:
@@ -372,8 +310,8 @@ def emit_stats(
     Log-likelihoods are normalized as the selector normalized them: by the
     ``logprob_norm`` of the dataset's provenance config (``sum`` if absent).
     """
-    if bins < 1:
-        raise ValidationError(f"bins must be >= 1, got {bins}")
+    if not 1 <= bins <= MAX_BINS:
+        raise ValidationError(f"bins must lie in [1, {MAX_BINS}], got {bins}")
     resolved = dataset.validate_against(sets)
     config = dataset.provenance.get("config", {})
     if not isinstance(config, dict):

@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import ValidationError
 
-GAMMA_MODES = ("sign", "identity")
 LOSS_KINDS = ("dpo", "cpo")
 
 
@@ -71,32 +70,6 @@ def cpo_loss(logp_theta_w: float, logp_theta_l: float, beta: float = 0.1) -> flo
     if not (math.isfinite(logp_theta_w) and math.isfinite(logp_theta_l)):
         raise ValidationError("non-finite policy log-likelihood")
     return softplus(-beta * (logp_theta_w - logp_theta_l))
-
-
-def gamma_weight(gap: float, mode: str) -> float:
-    """Reward weighting of the generalized pairwise loss."""
-    if mode == "sign":
-        return 1.0 if gap > 0 else -1.0
-    if mode == "identity":
-        return gap
-    raise ValidationError(f"unknown gamma mode {mode!r}; valid modes: {', '.join(GAMMA_MODES)}")
-
-
-def gamma_loss(
-    r_w: float, r_l: float, logp_w: float, logp_l: float, mode: str = "identity"
-) -> float:
-    """Generalized reward-weighted pairwise loss gamma(r_w - r_l) * (logp_w - logp_l).
-
-    With the sign weighting and r_w > r_l this is the beta=1 margin of the
-    reference-free loss; with the identity weighting its negation is the
-    multiplicative confidence-reward score.
-    """
-    for name, value in (("r_w", r_w), ("r_l", r_l)):
-        if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-            raise ValidationError(f"reward out of range: {name}={value!r}")
-    if not (math.isfinite(logp_w) and math.isfinite(logp_l)):
-        raise ValidationError("non-finite log-likelihood")
-    return gamma_weight(r_w - r_l, mode) * (logp_w - logp_l)
 
 
 def sft_term(logp_theta_w: float) -> float:

@@ -1,4 +1,4 @@
-"""Pair scoring: confidence-reward scores, reward gaps, and MBR utilities."""
+"""Pair scoring: confidence-reward scores and MBR utilities."""
 
 from __future__ import annotations
 
@@ -39,14 +39,6 @@ class PairScoreInput:
             value = getattr(self, name)
             if value > 0.0:
                 raise ValidationError(f"log-likelihood must be <= 0: {name}={value!r}")
-
-
-def reward_gap(r_w: float, r_l: float) -> float:
-    """Difference of aggregate rewards, winner minus loser."""
-    for name, value in (("r_w", r_w), ("r_l", r_l)):
-        if not math.isfinite(value) or not 0.0 <= value <= 1.0:
-            raise ValidationError(f"reward out of range: {name}={value!r}")
-    return r_w - r_l
 
 
 def cr_plus(pair: PairScoreInput, k_trust: float) -> float:
@@ -95,17 +87,6 @@ class UtilityMatrix:
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-
-def mbr_expected_utility(matrix: UtilityMatrix, j: int) -> float:
-    """Mean utility of candidate j against every other candidate as reference."""
-    k = len(matrix.ids)
-    if k < 2:
-        raise ValidationError("expected utility needs at least 2 candidates")
-    if not 0 <= j < k:
-        raise ValidationError(f"candidate index {j} out of range for K={k}")
-    row = matrix.values[j]
-    return float((row.sum() - row[j]) / (k - 1))
 
 
 def mbr_scores(matrix: UtilityMatrix) -> np.ndarray:

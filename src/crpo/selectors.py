@@ -96,6 +96,15 @@ class _Pool:
             extras=extras,
         )
 
+    def by_reward(self, a: int, b: int, method: str) -> PreferencePair | None:
+        """Candidates ``a`` and ``b`` paired with the higher reward chosen and
+        scored by the reward gap, or None when their rewards are equal."""
+        gap = self.ordered[a].reward_agg - self.ordered[b].reward_agg
+        if gap == 0.0:
+            return None
+        chosen, rejected = (a, b) if gap > 0.0 else (b, a)
+        return self.pair(chosen, rejected, abs(gap), method)
+
     def select(
         self,
         method: str,
@@ -142,12 +151,12 @@ def select_crpo(cset: CandidateSet, config: SelectionConfig) -> SelectionOutcome
         raise ValidationError(f"select_crpo cannot run method {config.method!r}")
     _require_k(cset, 2)
     pool = _Pool.of(cset, config)
-    reward_gap = pool.reward[pool.best] - pool.reward
+    gap = pool.reward[pool.best] - pool.reward
     logp_gap = pool.logp - pool.logp[pool.best]
     if config.method == "cr_plus":
-        scores = config.k_trust * reward_gap + logp_gap
+        scores = config.k_trust * gap + logp_gap
     else:
-        scores = reward_gap * logp_gap
+        scores = gap * logp_gap
     return pool.select(
         config.method, scores, "no positive CR score", _likelihood_gate(pool, config)
     )
@@ -239,13 +248,8 @@ def select_rso(
     sample = rso_subsample(probs, config.rso_samples, rng)
     perm = rng.permutation(len(sample.picks))
     shuffled = [sample.picks[i] for i in perm]
-    pairs = []
-    for first, second in zip(shuffled[::2], shuffled[1::2]):
-        gap = pool.ordered[first].reward_agg - pool.ordered[second].reward_agg
-        if gap == 0.0:
-            continue
-        chosen, rejected = (first, second) if gap > 0.0 else (second, first)
-        pairs.append(pool.pair(chosen, rejected, abs(gap), "rso"))
+    pairs = [pool.by_reward(a, b, "rso") for a, b in zip(shuffled[::2], shuffled[1::2])]
+    pairs = [pair for pair in pairs if pair is not None]
     if not pairs:
         return SelectionOutcome(skipped_reason="no pair with a positive reward gap")
     return SelectionOutcome(pairs=tuple(pairs))
@@ -266,14 +270,9 @@ def select_rsdpo(cset: CandidateSet, config: SelectionConfig) -> SelectionOutcom
         )
     eta = config.eta[klass]
     pool = _Pool.of(cset, config)
-    pairs = []
-    for i in range(len(pool.ordered)):
-        for j in range(i + 1, len(pool.ordered)):
-            gap = pool.ordered[i].reward_agg - pool.ordered[j].reward_agg
-            if abs(gap) <= eta:
-                continue
-            chosen, rejected = (i, j) if gap > 0.0 else (j, i)
-            pairs.append(pool.pair(chosen, rejected, abs(gap), "rs_dpo"))
+    # eta > 0, so every kept pair has a non-zero gap and ``by_reward`` a pair.
+    wide = np.abs(pool.reward[:, None] - pool.reward[None, :]) > eta
+    pairs = [pool.by_reward(i, j, "rs_dpo") for i, j in zip(*np.nonzero(np.triu(wide, 1)))]
     pairs.sort(key=lambda p: (p.chosen_id, p.rejected_id))
     if not pairs:
         return SelectionOutcome(skipped_reason="no reward gap above eta")
@@ -399,11 +398,10 @@ def select_minmax_po(cset: CandidateSet, config: SelectionConfig) -> SelectionOu
     most, least = int(np.argmax(pool.logp)), int(np.argmin(pool.logp))
     if most == least:
         return SelectionOutcome(skipped_reason="degenerate likelihood range")
-    gap = pool.ordered[most].reward_agg - pool.ordered[least].reward_agg
-    if gap == 0.0:
+    pair = pool.by_reward(most, least, "minmax_po")
+    if pair is None:
         return SelectionOutcome(skipped_reason="zero reward gap")
-    chosen, rejected = (most, least) if gap > 0.0 else (least, most)
-    return SelectionOutcome(pairs=(pool.pair(chosen, rejected, abs(gap), "minmax_po"),))
+    return SelectionOutcome(pairs=(pair,))
 
 
 def per_source_rng(seed: int, source_id: str) -> np.random.Generator:

@@ -30,6 +30,11 @@ from .selectors import SelectionOutcome, run_selector
 # random-pair control baseline.
 COMPARE_METHODS = METHODS + ("random_pair",)
 
+# Largest world table (sources x outputs) ``make_world`` builds.  Training
+# copies the table every step, so the bound keeps sizes taken from the command
+# line from exhausting memory; it is about a hundred times the benchmark world.
+MAX_WORLD_CELLS = 1_000_000
+
 
 def source_label(index: int) -> str:
     return f"s{index:04d}"
@@ -130,6 +135,11 @@ def make_world(
     """
     if n_sources < 1 or n_outputs < 2:
         raise ValidationError("world needs n_sources >= 1 and n_outputs >= 2")
+    if n_sources * n_outputs > MAX_WORLD_CELLS:
+        raise ValidationError(
+            f"world of {n_sources} sources x {n_outputs} outputs exceeds "
+            f"{MAX_WORLD_CELLS} cells"
+        )
     if not 0.0 <= reward_logit_corr <= 1.0:
         raise ValidationError(
             f"reward_logit_corr must lie in [0, 1], got {reward_logit_corr!r}"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -70,9 +72,9 @@ class TestSelectGoldens:
         assert rewritten.read_bytes() == golden.read_bytes()
 
     def test_provenance_records_the_input_digest(self):
-        from crpo.dataio import digest_file, read_meta
+        from crpo.dataio import digest_file
 
-        meta = read_meta(GOLDEN / "pairs_cr_plus.jsonl")
+        meta = load_pairs(GOLDEN / "pairs_cr_plus.jsonl").provenance
         assert meta["input_digest"] == digest_file(FIXTURE)
         assert meta["config"]["method"] == "cr_plus"
         assert meta["n_sources"] == 3
@@ -483,3 +485,43 @@ def test_module_entry_point_prints_help():
     )
     assert proc.returncode == 0
     assert "select" in proc.stdout
+
+
+def _limit_address_space():
+    # 1 GiB holds the interpreter and numpy, but not an array sized by an
+    # unchecked flag: such an allocation fails here instead of exhausting the
+    # machine.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (
+            ["stats", "--pairs", str(GOLDEN / "pairs_cr_plus.jsonl"),
+             "--candidates", str(FIXTURE), "--bins", "100000000"],
+            "bins",
+        ),
+        (
+            ["toy", "compare", "--methods", "cr_plus", "--seeds", "1",
+             "--sources", "2", "--outputs", "100000000", "--k", "2"],
+            "outputs",
+        ),
+    ],
+    ids=["stats --bins", "toy compare --outputs"],
+)
+def test_oversized_flag_is_rejected_before_allocating(tmp_path, argv, flag):
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "crpo.cli", *argv, "--out", str(out)],
+        cwd=HERE.parent / "src",
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        preexec_fn=_limit_address_space,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert flag in proc.stderr
+    assert not out.exists()

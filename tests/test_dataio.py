@@ -26,10 +26,7 @@ from crpo.dataio import (
     ingest_candidates,
     load_pairs,
     load_utility_matrices,
-    merge_candidate_files,
-    merge_candidate_sources,
     parse_direction,
-    read_meta,
     save_stats,
     save_stats_csv,
     save_utility_matrices,
@@ -312,86 +309,17 @@ class TestEmitIngestRoundTrip:
         assert back.candidate("A").logprob == lp
         assert back.candidate("A").rewards["qe"] == 1 / 3
 
-    def test_meta_header_round_trip(self, tmp_path):
-        path = tmp_path / "cands.jsonl"
-        emit_candidates(self.sample_sets(), path, meta={"ref_policy": "ref-v1"})
-        assert read_meta(path) == {"ref_policy": "ref-v1"}
-        first = path.read_text(encoding="utf-8").splitlines()[0]
-        assert json.loads(first) == {"_meta": {"ref_policy": "ref-v1"}}
-
-    def test_read_meta_reports_the_header_line(self, tmp_path):
+    @pytest.mark.parametrize("load", [ingest_candidates, load_pairs])
+    def test_malformed_header_reports_its_line(self, tmp_path, load):
         path = tmp_path / "cands.jsonl"
         write_lines(path, ["", json.dumps({"_meta": [1]}), candidate_record()])
         with pytest.raises(ValidationError, match=r"cands\.jsonl:2: _meta must be a JSON object"):
-            read_meta(path)
+            load(path)
 
-    def test_read_meta_empty_without_header(self, tmp_path):
-        path = tmp_path / "cands.jsonl"
-        emit_candidates(self.sample_sets(), path)
-        assert read_meta(path) == {}
-
-
-class TestMergeCandidates:
-    def test_appends_new_sources_in_order(self):
-        primary = [make_set([("A", 0.9, -1.0), ("B", 0.1, -2.0)], source_id="s1")]
-        extra = [make_set([("A", 0.5, -3.0), ("B", 0.4, -4.0)], source_id="s9")]
-        merged = merge_candidate_sources(primary, extra)
-        assert [s.source_id for s in merged] == ["s1", "s9"]
-
-    def test_unions_candidate_pools(self):
-        primary = [make_set([("A", 0.9, -1.0), ("B", 0.1, -2.0)], source_id="s1")]
-        extra = [make_set([("C", 0.5, -3.0), ("D", 0.4, -4.0)], source_id="s1")]
-        merged = merge_candidate_sources(primary, extra)
-        assert [c.id for c in merged[0].candidates] == ["A", "B", "C", "D"]
-
-    def test_id_collision_rejected(self):
-        primary = [make_set([("A", 0.9, -1.0), ("B", 0.1, -2.0)], source_id="s1")]
-        extra = [make_set([("B", 0.5, -3.0), ("C", 0.4, -4.0)], source_id="s1")]
-        with pytest.raises(ValidationError, match="candidate id collision 'B'"):
-            merge_candidate_sources(primary, extra)
-
-    def test_inconsistent_metadata_rejected(self):
-        primary = [make_set([("A", 0.9, -1.0), ("B", 0.1, -2.0)], source_id="s1")]
-        extra = [
-            make_set(
-                [("C", 0.5, -3.0), ("D", 0.4, -4.0)],
-                source_id="s1",
-                direction=("de", "en"),
-            )
-        ]
-        with pytest.raises(ValidationError, match="inconsistent"):
-            merge_candidate_sources(primary, extra)
-
-    def test_duplicate_primary_sources_rejected(self):
-        cset = make_set([("A", 0.9, -1.0), ("B", 0.1, -2.0)])
-        with pytest.raises(ValidationError, match="duplicate source_id"):
-            merge_candidate_sources([cset, cset], [])
-
-    def test_file_merge_checks_reference_policy(self, tmp_path):
-        primary, extra = tmp_path / "p.jsonl", tmp_path / "e.jsonl"
-        emit_candidates(
-            [make_set([("A", 0.9, -1.0), ("B", 0.1, -2.0)])],
-            primary,
-            meta={"ref_policy": "ref-v1"},
-        )
-        emit_candidates(
-            [make_set([("C", 0.5, -3.0), ("D", 0.2, -4.0)])],
-            extra,
-            meta={"ref_policy": "ref-v2"},
-        )
-        with pytest.raises(ValidationError, match="reference policies differ"):
-            merge_candidate_files(primary, extra)
-
-    def test_file_merge_allows_matching_or_absent_policy(self, tmp_path):
-        primary, extra = tmp_path / "p.jsonl", tmp_path / "e.jsonl"
-        emit_candidates(
-            [make_set([("A", 0.9, -1.0), ("B", 0.1, -2.0)])],
-            primary,
-            meta={"ref_policy": "ref-v1"},
-        )
-        emit_candidates([make_set([("C", 0.5, -3.0), ("D", 0.2, -4.0)])], extra)
-        merged = merge_candidate_files(primary, extra)
-        assert [c.id for c in merged[0].candidates] == ["A", "B", "C", "D"]
+    def test_pair_file_without_header_has_empty_provenance(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        write_lines(path, [json.dumps(PAIR_RECORD)])
+        assert load_pairs(path).provenance == {}
 
 
 class TestPairFiles:

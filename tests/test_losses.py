@@ -15,14 +15,12 @@ from crpo.losses import (
     cpo_loss,
     delta_loss,
     dpo_loss,
-    gamma_loss,
-    gamma_weight,
     gradient_check,
     log_softmax,
     sft_term,
     softplus,
 )
-from crpo.scoring import PairScoreInput, cr_plus, cr_times
+from crpo.scoring import PairScoreInput, cr_plus
 
 LOG_TWO = 0.6931471805599453
 
@@ -111,39 +109,6 @@ class TestCpoLoss:
             cpo_loss(-1.0, -2.0, beta=0.0)
         with pytest.raises(ValidationError, match="non-finite"):
             cpo_loss(float("nan"), -2.0)
-
-
-class TestGamma:
-    def test_sign_mode(self):
-        assert gamma_weight(0.3, "sign") == 1.0
-        assert gamma_weight(-0.3, "sign") == -1.0
-        assert gamma_weight(0.0, "sign") == -1.0  # zero gap is not a win
-
-    def test_identity_mode(self):
-        assert gamma_weight(0.25, "identity") == 0.25
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValidationError, match="gamma mode"):
-            gamma_weight(0.1, "step")
-
-    def test_sign_loss_is_the_raw_margin(self):
-        assert gamma_loss(0.9, 0.3, -10.0, -4.0, mode="sign") == pytest.approx(-6.0)
-        assert gamma_loss(0.3, 0.9, -10.0, -4.0, mode="sign") == pytest.approx(6.0)
-
-    def test_identity_loss_negates_multiplicative_score(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            r = rng.uniform(size=2)
-            lp = (-rng.uniform(0.1, 40.0, size=2)).tolist()
-            via_loss = -gamma_loss(r[0], r[1], lp[0], lp[1], mode="identity")
-            via_score = cr_times(
-                PairScoreInput(r_w=r[0], r_l=r[1], logp_w=lp[0], logp_l=lp[1])
-            )
-            assert via_loss == pytest.approx(via_score, abs=1e-12)
-
-    def test_reward_range_checked(self):
-        with pytest.raises(ValidationError, match="reward out of range"):
-            gamma_loss(1.2, 0.1, -1.0, -2.0)
 
 
 class TestSftTerm:
@@ -249,6 +214,35 @@ class TestBatchLossAndGrad:
         loss, grad = batch_loss_and_grad(logits, logits, [(0, 0, 1)], cfg)
         assert loss == pytest.approx(2 * LOG_TWO, abs=1e-14)
         np.testing.assert_allclose(grad, [[-0.55, 0.55]], atol=1e-15)
+
+    @pytest.mark.parametrize("sft_weight", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", ["dpo", "cpo"])
+    def test_loss_is_the_mean_of_the_scalar_losses(self, kind, sft_weight):
+        """Over random tables and pair lists, the batch loss equals the mean
+        over pairs of the scalar pairwise loss plus the weighted SFT term."""
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            n_sources, n_outputs = int(rng.integers(1, 5)), int(rng.integers(2, 9))
+            logits = rng.standard_normal((n_sources, n_outputs)) * 3
+            ref = rng.standard_normal((n_sources, n_outputs)) * 3
+            beta = float(rng.uniform(0.05, 2.0))
+            pairs = [
+                (int(rng.integers(n_sources)), *rng.choice(n_outputs, 2, replace=False).tolist())
+                for _ in range(int(rng.integers(1, 9)))
+            ]
+            cfg = LossConfig(kind=kind, beta=beta, sft_weight=sft_weight)
+            loss, _ = batch_loss_and_grad(logits, ref, pairs, cfg)
+            logp, ref_logp = log_softmax(logits), log_softmax(ref)
+            total = 0.0
+            for s, w, l in pairs:
+                if kind == "dpo":
+                    total += dpo_loss(
+                        PairLogits(logp[s, w], logp[s, l], ref_logp[s, w], ref_logp[s, l], beta)
+                    )
+                else:
+                    total += cpo_loss(logp[s, w], logp[s, l], beta)
+                total += sft_weight * sft_term(logp[s, w])
+            assert loss == pytest.approx(total / len(pairs), rel=1e-12)
 
     def test_mean_over_pairs(self):
         rng = np.random.default_rng(6)

@@ -1,4 +1,4 @@
-"""Scoring contracts: CR scores, reward gaps, MBR utilities, text utility."""
+"""Scoring contracts: CR scores, MBR utilities, text utility."""
 
 from __future__ import annotations
 
@@ -11,9 +11,7 @@ from crpo.scoring import (
     builtin_utility,
     cr_plus,
     cr_times,
-    mbr_expected_utility,
     mbr_scores,
-    reward_gap,
     utility_matrix_for_set,
 )
 from crpo.core import Candidate, CandidateSet, ValidationError
@@ -92,16 +90,6 @@ class TestCrTimes:
             assert forward == pytest.approx(backward, abs=1e-12)
 
 
-class TestRewardGap:
-    def test_examples(self):
-        assert reward_gap(0.9, 0.2) == pytest.approx(0.7)
-        assert reward_gap(0.2, 0.9) == pytest.approx(-0.7)
-
-    def test_range_checked(self):
-        with pytest.raises(ValidationError, match="reward out of range"):
-            reward_gap(1.1, 0.0)
-
-
 class TestMbrUtilities:
     def test_worked_example(self):
         matrix = UtilityMatrix(
@@ -114,7 +102,7 @@ class TestMbrUtilities:
                 ]
             ),
         )
-        assert mbr_expected_utility(matrix, 0) == pytest.approx(0.6)
+        np.testing.assert_allclose(mbr_scores(matrix), [0.6, 0.65, 0.45])
 
     def test_self_utility_excluded(self):
         # a huge diagonal must not affect the scores
@@ -136,13 +124,11 @@ class TestMbrUtilities:
                         total += values[j][m]
                 expected.append(total / (k - 1))
             np.testing.assert_allclose(mbr_scores(matrix), expected, atol=1e-12)
-            for j in range(k):
-                assert mbr_expected_utility(matrix, j) == pytest.approx(expected[j])
 
     def test_single_candidate_rejected(self):
         matrix = UtilityMatrix(ids=("A",), values=np.array([[1.0]]))
         with pytest.raises(ValidationError, match="at least 2"):
-            mbr_expected_utility(matrix, 0)
+            mbr_scores(matrix)
 
     def test_matrix_validation(self):
         with pytest.raises(ValidationError, match="must be 2x2"):
