@@ -12,6 +12,7 @@ import sys
 from typing import Sequence
 
 from .core import (
+    DEFAULT_ETA,
     GATE_MODES,
     INTO_EN,
     LOGPROB_NORMS,
@@ -35,7 +36,7 @@ from .dataio import (
 from .losses import gradient_check
 from .scoring import utility_matrix_for_set
 from .selectors import select_dataset
-from .toylab import CompareConfig, make_world, run_comparison
+from .toylab import MAX_COMPARE_CANDIDATES, make_world, run_comparison
 
 GRADIENT_TOLERANCE = 1e-4
 
@@ -48,21 +49,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = SelectionConfig()
     select = sub.add_parser("select", help="run one selector over a candidate file")
     select.add_argument("--in", dest="input", required=True, help="candidate JSONL file")
     select.add_argument("--out", required=True, help="pair JSONL file to write")
     select.add_argument("--method", required=True, choices=METHODS)
-    select.add_argument("--k-trust", type=float, default=50.0)
-    select.add_argument("--beta", type=float, default=0.1)
-    select.add_argument("--eta-out", type=float, default=0.6,
+    select.add_argument("--k-trust", type=float, default=defaults.k_trust)
+    select.add_argument("--beta", type=float, default=defaults.beta)
+    select.add_argument("--eta-out", type=float, default=DEFAULT_ETA[OUT_OF_EN],
                         help="reward-gap threshold for out-of-English directions")
-    select.add_argument("--eta-in", type=float, default=0.5,
+    select.add_argument("--eta-in", type=float, default=DEFAULT_ETA[INTO_EN],
                         help="reward-gap threshold for into-English directions")
-    select.add_argument("--gate", choices=GATE_MODES, default="off")
-    select.add_argument("--epsilon", type=float, default=0.0)
-    select.add_argument("--rso-samples", type=int, default=8)
-    select.add_argument("--seed", type=int, default=0)
-    select.add_argument("--logprob-norm", choices=LOGPROB_NORMS, default="sum")
+    select.add_argument("--gate", choices=GATE_MODES, default=defaults.gate_mode)
+    select.add_argument("--epsilon", type=float, default=defaults.epsilon)
+    select.add_argument("--rso-samples", type=int, default=defaults.rso_samples)
+    select.add_argument("--seed", type=int, default=defaults.seed)
+    select.add_argument("--logprob-norm", choices=LOGPROB_NORMS, default=defaults.logprob_norm)
     select.add_argument("--utility-matrix", default=None,
                         help="precomputed utility matrices for the MBR methods")
 
@@ -173,14 +175,19 @@ def _cmd_toy_compare(args: argparse.Namespace) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if args.seeds < 1:
         raise ValidationError("--seeds must be >= 1")
+    n_candidates = args.seeds * args.sources * args.k
+    if n_candidates > MAX_COMPARE_CANDIDATES:
+        raise ValidationError(
+            f"--seeds x --sources x --k asks for {n_candidates} candidates, "
+            f"more than {MAX_COMPARE_CANDIDATES}"
+        )
     world = make_world(
         n_sources=args.sources,
         n_outputs=args.outputs,
         seed=args.world_seed,
         reward_logit_corr=args.corr,
     )
-    config = CompareConfig(k_candidates=args.k)
-    report = run_comparison(world, methods, list(range(args.seeds)), config)
+    report = run_comparison(world, methods, list(range(args.seeds)), k=args.k)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report.to_dict(), handle, ensure_ascii=False, indent=2)
         handle.write("\n")

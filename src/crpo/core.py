@@ -30,6 +30,12 @@ OUT_OF_EN = "out_of_en"
 INTO_EN = "into_en"
 DEFAULT_ETA = {OUT_OF_EN: 0.6, INTO_EN: 0.5}
 
+# Largest ``rso_samples``.  RSO keeps that many picks per source and may make
+# 64 times as many draws, so the bound keeps a size taken from the command line
+# from exhausting memory or time; it is 64 times the benchmark's pool size K=16
+# (picks beyond K only repeat candidates).
+MAX_RSO_SAMPLES = 1024
+
 # Selectors that rank candidates by expected utility rather than by reward.
 # Their pairs are labeled by utility rank, so the chosen-reward >=
 # rejected-reward check does not apply to them.
@@ -251,8 +257,11 @@ class SelectionConfig:
             )
         if not math.isfinite(self.epsilon) or self.epsilon < 0:
             raise ValidationError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
-        if not isinstance(self.rso_samples, int) or self.rso_samples < 2:
-            raise ValidationError(f"rso_samples must be an integer >= 2, got {self.rso_samples!r}")
+        if not isinstance(self.rso_samples, int) or not 2 <= self.rso_samples <= MAX_RSO_SAMPLES:
+            raise ValidationError(
+                f"rso_samples must be an integer in [2, {MAX_RSO_SAMPLES}], "
+                f"got {self.rso_samples!r}"
+            )
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.logprob_norm not in LOGPROB_NORMS:

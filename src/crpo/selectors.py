@@ -1,12 +1,15 @@
 """Comparator selectors: turn one candidate set into preference pairs.
 
-Every selector is deterministic given the candidate set, the configuration,
-and (where sampling is involved) the seeded generator.  Argmax/argmin ties
-always break toward the lexicographically smallest candidate id.
+``run_selector`` is the one entry point: ``SelectionConfig.method`` names the
+selector, and the config carries every knob it reads.  Every selector is
+deterministic given the candidate set and the configuration; ``rso`` seeds
+its generator from (config.seed, source_id).  Argmax/argmin ties always
+break toward the lexicographically smallest candidate id.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import zlib
 from dataclasses import dataclass
@@ -42,14 +45,6 @@ class SelectionOutcome:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pairs", tuple(self.pairs))
-
-
-def _require_k(cset: CandidateSet, minimum: int) -> None:
-    if len(cset.candidates) < minimum:
-        raise ValidationError(
-            f"source {cset.source_id!r}: selector needs at least {minimum} "
-            f"candidates, got {len(cset.candidates)}"
-        )
 
 
 @dataclass(frozen=True)
@@ -137,7 +132,7 @@ def _likelihood_gate(pool: _Pool, config: SelectionConfig) -> np.ndarray | None:
     return likelihood - likelihood[pool.best] + config.epsilon > 0.0
 
 
-def select_crpo(cset: CandidateSet, config: SelectionConfig) -> SelectionOutcome:
+def _crpo(pool: _Pool, config: SelectionConfig, _utility: object) -> SelectionOutcome:
     """Confidence-reward selection: highest-reward candidate versus the
     gated competitor with the largest positive CR score.
 
@@ -147,10 +142,6 @@ def select_crpo(cset: CandidateSet, config: SelectionConfig) -> SelectionOutcome
     are evaluated with the same float operations as ``scoring.cr_plus`` and
     ``scoring.cr_times``, so they match those references exactly.
     """
-    if config.method not in ("cr_plus", "cr_times"):
-        raise ValidationError(f"select_crpo cannot run method {config.method!r}")
-    _require_k(cset, 2)
-    pool = _Pool.of(cset, config)
     gap = pool.reward[pool.best] - pool.reward
     logp_gap = pool.logp - pool.logp[pool.best]
     if config.method == "cr_plus":
@@ -232,18 +223,16 @@ def rso_subsample(
     )
 
 
-def select_rso(
-    cset: CandidateSet, config: SelectionConfig, rng: np.random.Generator
-) -> SelectionOutcome:
+def _rso(pool: _Pool, config: SelectionConfig, _utility: object) -> SelectionOutcome:
     """Statistical rejection sampling followed by random adjacent pairing.
 
     Subsamples ``rso_samples`` candidates with acceptance probability
     exp((r - r_max) / beta), shuffles them, and pairs consecutive entries,
     labeling the higher-reward member of each pair as chosen.  Pairs with a
-    zero reward gap are dropped.
+    zero reward gap are dropped.  Draws come from
+    ``per_source_rng(config.seed, source_id)``.
     """
-    _require_k(cset, 2)
-    pool = _Pool.of(cset, config)
+    rng = per_source_rng(config.seed, pool.cset.source_id)
     probs = rso_acceptance_probs(pool.reward, config.beta)
     sample = rso_subsample(probs, config.rso_samples, rng)
     perm = rng.permutation(len(sample.picks))
@@ -255,21 +244,19 @@ def select_rso(
     return SelectionOutcome(pairs=tuple(pairs))
 
 
-def select_rsdpo(cset: CandidateSet, config: SelectionConfig) -> SelectionOutcome:
+def _rsdpo(pool: _Pool, config: SelectionConfig, _utility: object) -> SelectionOutcome:
     """Keep every candidate pair whose aggregate-reward gap exceeds eta.
 
     eta is resolved from the set's translation direction (into English or
     out of it).  The higher-reward member of each kept pair is chosen, and
     pairs are emitted ordered by (chosen id, rejected id).
     """
-    _require_k(cset, 2)
-    klass = direction_class(cset.direction)
+    klass = direction_class(pool.cset.direction)
     if klass not in config.eta:
         raise ValidationError(
-            f"source {cset.source_id!r}: no eta threshold for direction class {klass!r}"
+            f"source {pool.cset.source_id!r}: no eta threshold for direction class {klass!r}"
         )
     eta = config.eta[klass]
-    pool = _Pool.of(cset, config)
     # eta > 0, so every kept pair has a non-zero gap and ``by_reward`` a pair.
     wide = np.abs(pool.reward[:, None] - pool.reward[None, :]) > eta
     pairs = [pool.by_reward(i, j, "rs_dpo") for i, j in zip(*np.nonzero(np.triu(wide, 1)))]
@@ -292,26 +279,18 @@ def _mbr_scores(pool: _Pool, matrix: UtilityMatrix | None) -> np.ndarray:
     return np.array([score_by_id[c.id] for c in pool.ordered])
 
 
-def select_mbr(
-    cset: CandidateSet,
-    utility: UtilityMatrix | None = None,
-    variant: str = "bw",
-    config: SelectionConfig | None = None,
-) -> SelectionOutcome:
+def _mbr(pool: _Pool, config: SelectionConfig, utility: UtilityMatrix | None) -> SelectionOutcome:
     """Minimum-Bayes-risk pairing: best-vs-worst or best/middle/worst.
 
     Candidates are ranked by expected utility against the other candidates
-    as pseudo-references.  ``bw`` pairs the top and bottom of the ranking;
-    ``bmw`` additionally uses the middle candidate (rank ceil(K/2)) and
-    emits (best, middle), (best, worst), (middle, worst).  Labels follow
-    the utility ranking, not the rewards.  ``utility`` is a precomputed
-    matrix over the set's ids; without one the built-in utility is used.
+    as pseudo-references.  ``mbr_bw`` pairs the top and bottom of the
+    ranking; ``mbr_bmw`` additionally uses the middle candidate (rank
+    ceil(K/2)) and emits (best, middle), (best, worst), (middle, worst).
+    Labels follow the utility ranking, not the rewards.  ``utility`` is a
+    precomputed matrix over the set's ids; without one the built-in utility
+    is used.
     """
-    if variant not in ("bw", "bmw"):
-        raise ValidationError(f"unknown MBR variant {variant!r}")
-    method = f"mbr_{variant}"
-    _require_k(cset, 2 if variant == "bw" else 3)
-    pool = _Pool.of(cset, config if config is not None else SelectionConfig(method=method))
+    method = config.method
     score = _mbr_scores(pool, utility)
     ranked = [int(j) for j in np.argsort(-score, kind="stable")]
 
@@ -328,7 +307,7 @@ def select_mbr(
         )
 
     best, worst = ranked[0], ranked[-1]
-    if variant == "bw":
+    if method == "mbr_bw":
         return SelectionOutcome(pairs=(mbr_pair(best, worst),))
     middle = ranked[math.ceil(len(ranked) / 2) - 1]
     return SelectionOutcome(
@@ -340,61 +319,35 @@ def select_mbr(
     )
 
 
-def select_qe_best(cset: CandidateSet) -> SelectionOutcome:
-    """Quality-estimation fine-tuning mode: no pairs, just the best candidate."""
-    pool = _Pool.of(cset, SelectionConfig(method="qe_best"))
-    return SelectionOutcome(sft_target=pool.ordered[pool.best].id)
-
-
-def _reward_extremes(pool: _Pool, method: str, n: int) -> SelectionOutcome:
+def _reward_extremes(pool: _Pool, config: SelectionConfig, _utility: object) -> SelectionOutcome:
     """Reward argmax versus the reward argmin among the n highest-reward
-    candidates, smallest id on ties.
+    candidates, smallest id on ties: n is K for ``minmax_r`` and
+    min(rso_samples, K) for ``top_scores``.
 
     The argmin is taken on the rewards, not on the gaps: two distinct low
     rewards can round to the same gap below the best one.
     """
+    n = len(pool.ordered)
+    if config.method == "top_scores":
+        n = min(config.rso_samples, n)
     kept = np.argsort(-pool.reward, kind="stable")[:n]
     worst = np.zeros(len(pool.ordered), dtype=bool)
     worst[kept[np.argmin(pool.reward[kept])]] = True
-    return pool.select(method, pool.reward[pool.best] - pool.reward, "zero reward gap", worst)
+    return pool.select(
+        config.method, pool.reward[pool.best] - pool.reward, "zero reward gap", worst
+    )
 
 
-def select_top_scores(
-    cset: CandidateSet, n: int, config: SelectionConfig | None = None
-) -> SelectionOutcome:
-    """Keep the n highest-reward candidates and pair the extremes among them."""
-    if not 2 <= n <= len(cset.candidates):
-        raise ValidationError(
-            f"source {cset.source_id!r}: top-scores subset size {n} must lie "
-            f"in [2, {len(cset.candidates)}]"
-        )
-    pool = _Pool.of(cset, config if config is not None else SelectionConfig(method="top_scores"))
-    return _reward_extremes(pool, "top_scores", n)
-
-
-def select_minmax_r(
-    cset: CandidateSet, config: SelectionConfig | None = None
-) -> SelectionOutcome:
-    """Pair the maximum-reward candidate with the minimum-reward one."""
-    _require_k(cset, 2)
-    pool = _Pool.of(cset, config if config is not None else SelectionConfig(method="minmax_r"))
-    return _reward_extremes(pool, "minmax_r", len(pool.ordered))
-
-
-def select_minmax_p(cset: CandidateSet, config: SelectionConfig) -> SelectionOutcome:
+def _minmax_p(pool: _Pool, config: SelectionConfig, _utility: object) -> SelectionOutcome:
     """Reward-free variant: best-reward candidate versus the competitor the
     reference policy is most (strictly more) confident in."""
-    _require_k(cset, 2)
-    pool = _Pool.of(cset, config)
     return pool.select(
         "minmax_p", pool.logp - pool.logp[pool.best], "no positive confidence gap"
     )
 
 
-def select_minmax_po(cset: CandidateSet, config: SelectionConfig) -> SelectionOutcome:
+def _minmax_po(pool: _Pool, config: SelectionConfig, _utility: object) -> SelectionOutcome:
     """Pair the most and least likely candidates, chosen by higher reward."""
-    _require_k(cset, 2)
-    pool = _Pool.of(cset, config)
     most, least = int(np.argmax(pool.logp)), int(np.argmin(pool.logp))
     if most == least:
         return SelectionOutcome(skipped_reason="degenerate likelihood range")
@@ -409,34 +362,46 @@ def per_source_rng(seed: int, source_id: str) -> np.random.Generator:
     return np.random.default_rng([seed, zlib.crc32(source_id.encode("utf-8"))])
 
 
+# Every pair method: the fewest candidates it needs, and the selector that
+# turns one pool into its outcome.  ``qe_best`` is not here: it reads no
+# log-likelihood, so ``run_selector`` answers it without building a pool.
+_SELECTORS = {
+    "cr_plus": (2, _crpo),
+    "cr_times": (2, _crpo),
+    "rso": (2, _rso),
+    "rs_dpo": (2, _rsdpo),
+    "mbr_bw": (2, _mbr),
+    "mbr_bmw": (3, _mbr),
+    "top_scores": (2, _reward_extremes),
+    "minmax_r": (2, _reward_extremes),
+    "minmax_p": (2, _minmax_p),
+    "minmax_po": (2, _minmax_po),
+}
+
+
 def run_selector(
     cset: CandidateSet,
     config: SelectionConfig,
     utility: UtilityMatrix | None = None,
 ) -> SelectionOutcome:
-    """Dispatch one candidate set to the selector named by ``config.method``;
-    ``rso`` draws from ``per_source_rng(config.seed, cset.source_id)``."""
-    method = config.method
-    if method in ("cr_plus", "cr_times"):
-        return select_crpo(cset, config)
-    if method == "rso":
-        return select_rso(cset, config, per_source_rng(config.seed, cset.source_id))
-    if method == "rs_dpo":
-        return select_rsdpo(cset, config)
-    if method in ("mbr_bw", "mbr_bmw"):
-        return select_mbr(cset, utility, variant=method.removeprefix("mbr_"), config=config)
-    if method == "qe_best":
-        return select_qe_best(cset)
-    if method == "top_scores":
-        return select_top_scores(cset, min(config.rso_samples, len(cset.candidates)), config)
-    if method == "minmax_r":
-        return select_minmax_r(cset, config)
-    if method == "minmax_p":
-        return select_minmax_p(cset, config)
-    if method == "minmax_po":
-        return select_minmax_po(cset, config)
-    # SelectionConfig already rejects unknown tags.
-    raise ValidationError(f"unknown method {method!r}")  # pragma: no cover
+    """Run the selector named by ``config.method`` on one candidate set.
+
+    This is the one entry point to every selector.  ``utility`` is a
+    precomputed utility matrix for the MBR methods; the others ignore it.
+    ``qe_best`` returns the reward argmax (smallest id on ties) as an SFT
+    target and needs no log-likelihood, so it runs on any set, whatever
+    ``config.logprob_norm`` is.
+    """
+    if config.method == "qe_best":
+        best = min(cset.candidates, key=lambda c: (-c.reward_agg, c.id))
+        return SelectionOutcome(sft_target=best.id)
+    min_k, select = _SELECTORS[config.method]
+    if len(cset.candidates) < min_k:
+        raise ValidationError(
+            f"source {cset.source_id!r}: selector needs at least {min_k} "
+            f"candidates, got {len(cset.candidates)}"
+        )
+    return select(_Pool.of(cset, config), config, utility)
 
 
 def select_dataset(
@@ -468,17 +433,7 @@ def select_dataset(
         if outcome.skipped_reason is not None:
             skipped += 1
     provenance: dict[str, object] = {
-        "config": {
-            "method": config.method,
-            "k_trust": config.k_trust,
-            "beta": config.beta,
-            "eta": dict(config.eta),
-            "gate_mode": config.gate_mode,
-            "epsilon": config.epsilon,
-            "rso_samples": config.rso_samples,
-            "seed": config.seed,
-            "logprob_norm": config.logprob_norm,
-        },
+        "config": dataclasses.asdict(config),
         "n_sources": len(sets),
         "n_skipped": skipped,
     }

@@ -9,7 +9,7 @@ Candidate sampling, selection, and DPO training mirror the real pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,6 +34,12 @@ COMPARE_METHODS = METHODS + ("random_pair",)
 # copies the table every step, so the bound keeps sizes taken from the command
 # line from exhausting memory; it is about a hundred times the benchmark world.
 MAX_WORLD_CELLS = 1_000_000
+
+# Largest number of candidates a comparison samples (seeds x sources x K).
+# Each one is a ``Candidate`` object of about 0.6 KB, and all of them are kept
+# until every method has trained, so the bound keeps sizes taken from the
+# command line from exhausting memory; it is about forty times the benchmark's.
+MAX_COMPARE_CANDIDATES = 1_000_000
 
 
 def source_label(index: int) -> str:
@@ -275,21 +281,19 @@ def train_dpo(
     pairs: Sequence[tuple[int, int, int]],
     lr: float = 0.3,
     steps: int = 80,
-    config: LossConfig | None = None,
-    init: ToyPolicy | None = None,
 ) -> TrainResult:
-    """Full-batch gradient descent on the configured preference objective.
+    """Full-batch gradient descent on the default ``LossConfig`` objective.
 
-    Training starts from the reference policy unless ``init`` is given.
-    The loss is recorded before each update; divergence (non-finite loss or
-    logits) raises with the offending step index.
+    Training starts from the reference policy.  The loss is recorded before
+    each update; divergence (non-finite loss or logits) raises with the
+    offending step index.
     """
     if not math.isfinite(lr) or lr <= 0:
         raise ValidationError(f"lr must be finite and > 0, got {lr!r}")
     if not isinstance(steps, int) or steps < 0:
         raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
-    cfg = config if config is not None else LossConfig()
-    logits = (init.logits if init is not None else world.ref_logits).copy()
+    cfg = LossConfig()
+    logits = world.ref_logits.copy()
     losses = []
     for step in range(steps):
         try:
@@ -329,20 +333,6 @@ def random_pair_outcome(
 
 
 @dataclass(frozen=True)
-class CompareConfig:
-    """Selection and loss knobs of the comparison harness; sampling and
-    training use the defaults of ``sample_candidates`` and ``train_dpo``."""
-
-    k_candidates: int = 16
-    loss: LossConfig = field(default_factory=LossConfig)
-    selection: SelectionConfig = field(default_factory=SelectionConfig)
-
-    def __post_init__(self) -> None:
-        if self.k_candidates < 2:
-            raise ValidationError("comparison needs k_candidates >= 2")
-
-
-@dataclass(frozen=True)
 class ComparisonReport:
     """Per-method expected-reward gains over shared seeds.
 
@@ -376,11 +366,7 @@ class ComparisonReport:
 
 
 def _outcomes_for_method(
-    method: str,
-    sets: Sequence[CandidateSet],
-    world: ToyWorld,
-    seed: int,
-    config: CompareConfig,
+    method: str, sets: Sequence[CandidateSet], world: ToyWorld, seed: int
 ) -> list[SelectionOutcome]:
     if method == "random_pair":
         return [
@@ -389,22 +375,24 @@ def _outcomes_for_method(
             )
             for idx, cset in enumerate(sets)
         ]
-    cfg = replace(config.selection, method=method, seed=seed)
-    return [run_selector(cset, cfg) for cset in sets]
+    config = SelectionConfig(method=method, seed=seed)
+    return [run_selector(cset, config) for cset in sets]
 
 
 def run_comparison(
     world: ToyWorld,
     methods: Sequence[str],
     seeds: Sequence[int],
-    config: CompareConfig | None = None,
+    k: int = 16,
 ) -> ComparisonReport:
     """Compare selection methods by the expected-reward gain they train.
 
-    For every (method, seed): sample shared candidate sets, select pairs,
-    train from the reference policy, and record the gain of the trained
-    policy over the reference.  Methods that produce zero pairs on every
-    source are recorded with gain 0 and a "no_pairs" flag, not an error.
+    For every (method, seed): sample ``k`` shared candidates per source,
+    select pairs with the default ``SelectionConfig``, train from the
+    reference policy with the defaults of ``train_dpo``, and record the gain
+    of the trained policy over the reference.  Methods that produce zero
+    pairs on every source are recorded with gain 0 and a "no_pairs" flag,
+    not an error.
     """
     if not methods:
         raise ValidationError("no methods to compare")
@@ -415,7 +403,8 @@ def run_comparison(
             )
     if not seeds:
         raise ValidationError("no seeds to compare on")
-    cfg = config if config is not None else CompareConfig()
+    if k < 2:
+        raise ValidationError(f"comparison needs k >= 2, got {k}")
     base = ToyPolicy(world.ref_logits)
     base_reward = expected_reward(base, world)
 
@@ -425,7 +414,7 @@ def run_comparison(
             sample_candidates(
                 world,
                 s,
-                k=cfg.k_candidates,
+                k=k,
                 rng=np.random.default_rng([world.seed, seed, s]),
             )
             for s in range(world.n_sources)
@@ -438,14 +427,14 @@ def run_comparison(
         method_flags = []
         for seed in seeds:
             sets = sets_by_seed[seed]
-            outcomes = _outcomes_for_method(method, sets, world, seed, cfg)
+            outcomes = _outcomes_for_method(method, sets, world, seed)
             pairs = [pair for outcome in outcomes for pair in outcome.pairs]
             if not pairs:
                 method_gains.append(0.0)
                 method_flags.append("no_pairs")
                 continue
             resolved = resolve_pairs(world, pairs, sets)
-            result = train_dpo(world, resolved, config=cfg.loss)
+            result = train_dpo(world, resolved)
             method_gains.append(expected_reward(result.policy, world) - base_reward)
             method_flags.append(None)
         gains.append(tuple(method_gains))

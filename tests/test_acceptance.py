@@ -24,13 +24,7 @@ from crpo.dataio import (
 )
 from crpo.losses import gradient_check, log_softmax
 from crpo.scoring import PairScoreInput, UtilityMatrix, cr_plus, cr_times, mbr_scores
-from crpo.selectors import (
-    rso_acceptance_probs,
-    rso_subsample,
-    select_crpo,
-    select_mbr,
-    select_rsdpo,
-)
+from crpo.selectors import rso_acceptance_probs, rso_subsample, run_selector
 from crpo.toylab import make_world, run_comparison, sample_candidates
 
 from conftest import random_set
@@ -90,7 +84,7 @@ def test_criterion_1_selector_brute_force_equivalence(capsys):
     selected = 0
     for cset in sets:
         for cfg in configs:
-            outcome = select_crpo(cset, cfg)
+            outcome = run_selector(cset, cfg)
             expected = brute_force_crpo(cset, cfg)
             if expected is None:
                 if outcome.skipped_reason != "no positive CR score":
@@ -215,12 +209,12 @@ def test_criterion_5_mbr_brute_force(capsys):
                 worst, max(abs(scores[cid] - expected[cid]) for cid in ids)
             )
             ranked = sorted(ids, key=lambda cid: (-expected[cid], cid))
-            bw = select_mbr(cset, matrix, variant="bw").pairs
+            bw = run_selector(cset, SelectionConfig(method="mbr_bw"), matrix).pairs
             if [(p.chosen_id, p.rejected_id) for p in bw] != [(ranked[0], ranked[-1])]:
                 structural_failures += 1
             if k >= 3:
                 middle = ranked[math.ceil(k / 2) - 1]
-                bmw = select_mbr(cset, matrix, variant="bmw").pairs
+                bmw = run_selector(cset, SelectionConfig(method="mbr_bmw"), matrix).pairs
                 want = [
                     (ranked[0], middle),
                     (ranked[0], ranked[-1]),
@@ -283,8 +277,8 @@ def test_criterion_7_rejected_likelihood_signature(capsys):
                 world, s, k=16, temperature=8.0, top_p=1.0,
                 rng=np.random.default_rng([wseed, 99, s]),
             )
-            a = select_crpo(cset, crpo_cfg)
-            b = select_rsdpo(cset, rsdpo_cfg)
+            a = run_selector(cset, crpo_cfg)
+            b = run_selector(cset, rsdpo_cfg)
             if not a.pairs or not b.pairs:
                 continue
             lp_a = np.mean([cset.candidate(p.rejected_id).logprob for p in a.pairs])
@@ -316,7 +310,7 @@ def test_criterion_8_reward_gap_threshold_behavior(capsys):
             )
             pairs = {
                 (p.chosen_id, p.rejected_id)
-                for p in select_rsdpo(cset, cfg).pairs
+                for p in run_selector(cset, cfg).pairs
             }
             if previous is not None and not pairs <= previous:
                 monotone_failures += 1
@@ -328,7 +322,7 @@ def test_criterion_8_reward_gap_threshold_behavior(capsys):
     accepted = {
         (source_id, p.chosen_id, p.rejected_id)
         for source_id, cset in sets.items()
-        for p in select_rsdpo(cset, cfg).pairs
+        for p in run_selector(cset, cfg).pairs
     }
     expected = {
         ("s_alpha", "A", "C"),          # out of English, gap 0.7 > 0.6

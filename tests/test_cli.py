@@ -110,6 +110,14 @@ class TestSelectErrors:
         assert rc == 2
         assert "token" in capsys.readouterr().err.lower()
 
+    def test_qe_best_needs_no_token_counts(self, tmp_path, capsys):
+        # qe_best reads rewards only, so per-token normalization of a file
+        # without token counts does not stop it
+        out = tmp_path / "out.jsonl"
+        assert run_select(out, "qe_best", ["--logprob-norm", "per_token"]) == 0
+        assert len(load_pairs(out).sft_targets) == 3
+        assert "wrote 0 pairs, 3 sft targets" in capsys.readouterr().out
+
     def test_partial_utility_matrix_file_rejected(self, tmp_path, capsys):
         matrices = tmp_path / "util.txt"
         full = (GOLDEN / "utility_small.txt").read_text(encoding="utf-8")
@@ -372,6 +380,21 @@ class TestToyCommand:
         out = capsys.readouterr().out
         assert "cr_plus: mean gain" in out
 
+    def test_reference_run_matches_golden(self, tmp_path, capsys):
+        # Gains are compared to 1e-9, not as bytes: numpy's SIMD exp and log
+        # may differ in the last bit between CPUs.
+        out = tmp_path / "report.json"
+        argv = ["toy", "compare", "--methods", "cr_plus,rso,minmax_r,random_pair,mbr_bmw",
+                "--seeds", "4", "--sources", "40", "--outputs", "16", "--k", "12",
+                "--world-seed", "7", "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        golden = json.loads((GOLDEN / "toy_compare_small.json").read_text(encoding="utf-8"))
+        for key in ("methods", "seeds", "flags"):
+            assert report[key] == golden[key]
+        for gains, expected in zip(report["gains"], golden["gains"], strict=True):
+            assert gains == pytest.approx(expected, rel=0, abs=1e-9)
+
     def test_unknown_method_rejected(self, tmp_path, capsys):
         rc = main(
             [
@@ -507,8 +530,18 @@ def _limit_address_space():
              "--sources", "2", "--outputs", "100000000", "--k", "2"],
             "outputs",
         ),
+        (
+            ["select", "--in", str(FIXTURE), "--method", "rso",
+             "--rso-samples", "1000000000000"],
+            "rso_samples",
+        ),
+        (
+            ["toy", "compare", "--methods", "cr_plus", "--seeds", "1000000000",
+             "--sources", "2", "--outputs", "3", "--k", "2"],
+            "--seeds",
+        ),
     ],
-    ids=["stats --bins", "toy compare --outputs"],
+    ids=["stats --bins", "toy compare --outputs", "select --rso-samples", "toy compare --seeds"],
 )
 def test_oversized_flag_is_rejected_before_allocating(tmp_path, argv, flag):
     out = tmp_path / "out.json"

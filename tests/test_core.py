@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crpo.core import (
+    MAX_RSO_SAMPLES,
     Candidate,
     CandidateSet,
     PreferenceDataset,
@@ -203,6 +204,7 @@ class TestSelectionConfig:
             {"rso_samples": 1},
             {"seed": -3},
             {"logprob_norm": "mean"},
+            {"rso_samples": MAX_RSO_SAMPLES + 1},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -26,16 +26,7 @@ from crpo.selectors import (
     rso_acceptance_probs,
     rso_subsample,
     run_selector,
-    select_crpo,
     select_dataset,
-    select_mbr,
-    select_minmax_p,
-    select_minmax_po,
-    select_minmax_r,
-    select_qe_best,
-    select_rsdpo,
-    select_rso,
-    select_top_scores,
 )
 
 from conftest import make_set, random_set
@@ -70,7 +61,7 @@ class TestWorkedExamples:
     """
 
     def test_cr_plus(self, worked_example):
-        pair = only_pair(select_crpo(worked_example, config(method="cr_plus")))
+        pair = only_pair(run_selector(worked_example, config(method="cr_plus")))
         assert (pair.chosen_id, pair.rejected_id) == ("A", "B")
         assert pair.score == pytest.approx(50.0)  # 50*0.4 + 30, beats C's 15
         assert pair.method == "cr_plus"
@@ -78,20 +69,20 @@ class TestWorkedExamples:
         assert pair.extras["confidence_gap"] == pytest.approx(30.0)
 
     def test_cr_times(self, worked_example):
-        pair = only_pair(select_crpo(worked_example, config(method="cr_times")))
+        pair = only_pair(run_selector(worked_example, config(method="cr_times")))
         assert (pair.chosen_id, pair.rejected_id) == ("A", "B")
         assert pair.score == pytest.approx(12.0)  # 0.4*30; C scores 0.7*-20
 
     def test_rs_dpo_out_of_english(self, worked_example):
         # en->de resolves eta=0.6: only the A/C gap (0.7) clears it
-        outcome = select_rsdpo(worked_example, config(method="rs_dpo"))
+        outcome = run_selector(worked_example, config(method="rs_dpo"))
         pair = only_pair(outcome)
         assert (pair.chosen_id, pair.rejected_id) == ("A", "C")
         assert pair.score == pytest.approx(0.7)
 
     def test_mbr_bw_with_matrix(self, worked_example):
         # expected utilities: A 0.6, B 0.65, C 0.45 -> best B, worst C
-        outcome = select_mbr(worked_example, WORKED_MATRIX, variant="bw")
+        outcome = run_selector(worked_example, config(method="mbr_bw"), WORKED_MATRIX)
         pair = only_pair(outcome)
         assert (pair.chosen_id, pair.rejected_id) == ("B", "C")
         assert pair.score == pytest.approx(0.2)
@@ -101,43 +92,43 @@ class TestWorkedExamples:
     def test_mbr_bw_default_utility_ties_break_by_id(self, worked_example):
         # the placeholder texts differ only in the final character, so all
         # pairwise utilities coincide and the ranking falls back to ids
-        pair = only_pair(select_mbr(worked_example, variant="bw"))
+        pair = only_pair(run_selector(worked_example, config(method="mbr_bw")))
         assert (pair.chosen_id, pair.rejected_id) == ("A", "C")
         assert pair.score == pytest.approx(0.0)
 
     def test_mbr_bmw_with_matrix(self, worked_example):
         # ranking B > A > C; middle is rank ceil(3/2) = 2 -> A
-        outcome = select_mbr(worked_example, WORKED_MATRIX, variant="bmw")
+        outcome = run_selector(worked_example, config(method="mbr_bmw"), WORKED_MATRIX)
         labels = [(p.chosen_id, p.rejected_id) for p in outcome.pairs]
         assert labels == [("B", "A"), ("B", "C"), ("A", "C")]
         assert all(p.method == "mbr_bmw" for p in outcome.pairs)
 
     def test_qe_best(self, worked_example):
-        outcome = select_qe_best(worked_example)
+        outcome = run_selector(worked_example, config(method="qe_best"))
         assert outcome.sft_target == "A"
         assert outcome.pairs == ()
 
     def test_top_scores(self, worked_example):
-        pair = only_pair(select_top_scores(worked_example, 2))
+        pair = only_pair(run_selector(worked_example, config(method="top_scores", rso_samples=2)))
         assert (pair.chosen_id, pair.rejected_id) == ("A", "B")
         assert pair.score == pytest.approx(0.4)
-        wide = only_pair(select_top_scores(worked_example, 3))
+        wide = only_pair(run_selector(worked_example, config(method="top_scores", rso_samples=3)))
         assert (wide.chosen_id, wide.rejected_id) == ("A", "C")
 
     def test_minmax_r(self, worked_example):
-        pair = only_pair(select_minmax_r(worked_example))
+        pair = only_pair(run_selector(worked_example, config(method="minmax_r")))
         assert (pair.chosen_id, pair.rejected_id) == ("A", "C")
         assert pair.score == pytest.approx(0.7)
 
     def test_minmax_p(self, worked_example):
         # only B is strictly more likely than the reward argmax A
-        pair = only_pair(select_minmax_p(worked_example, config(method="minmax_p")))
+        pair = only_pair(run_selector(worked_example, config(method="minmax_p")))
         assert (pair.chosen_id, pair.rejected_id) == ("A", "B")
         assert pair.score == pytest.approx(30.0)
 
     def test_minmax_po(self, worked_example):
         # extremes of likelihood are B (-10) and C (-60); B has more reward
-        pair = only_pair(select_minmax_po(worked_example, config(method="minmax_po")))
+        pair = only_pair(run_selector(worked_example, config(method="minmax_po")))
         assert (pair.chosen_id, pair.rejected_id) == ("B", "C")
         assert pair.score == pytest.approx(0.3)
 
@@ -147,18 +138,18 @@ class TestLikelihoodGate:
         return make_set([("A", 0.9, -10.0), ("B", 0.1, -12.0), ("C", 0.5, -5.0)])
 
     def test_gate_off_keeps_best_score(self):
-        pair = only_pair(select_crpo(self.make(), config(gate_mode="off")))
+        pair = only_pair(run_selector(self.make(), config(gate_mode="off")))
         assert pair.rejected_id == "B"  # 50*0.8 - 2 = 38 beats C's 25
         assert pair.score == pytest.approx(38.0)
 
     def test_log_space_gate_drops_less_likely_competitors(self):
-        pair = only_pair(select_crpo(self.make(), config(gate_mode="log_space")))
+        pair = only_pair(run_selector(self.make(), config(gate_mode="log_space")))
         assert pair.rejected_id == "C"  # B sits below A's likelihood
         assert pair.score == pytest.approx(25.0)
 
     def test_log_space_epsilon_relaxes_the_gate(self):
         pair = only_pair(
-            select_crpo(self.make(), config(gate_mode="log_space", epsilon=2.5))
+            run_selector(self.make(), config(gate_mode="log_space", epsilon=2.5))
         )
         assert pair.rejected_id == "B"  # -12 + 10 + 2.5 > 0 passes again
 
@@ -166,14 +157,14 @@ class TestLikelihoodGate:
         cset = make_set([("A", 0.9, -1.0), ("B", 0.8, -2.0)])
         # prob gap exp(-2) - exp(-1) = -0.2325; epsilon 0.25 clears it,
         # while the same epsilon in log space (-1 + 0.25) would not
-        passed = select_crpo(cset, config(gate_mode="probability", epsilon=0.25))
+        passed = run_selector(cset, config(gate_mode="probability", epsilon=0.25))
         assert only_pair(passed).rejected_id == "B"
-        blocked = select_crpo(cset, config(gate_mode="log_space", epsilon=0.25))
+        blocked = run_selector(cset, config(gate_mode="log_space", epsilon=0.25))
         assert blocked.skipped_reason == "no positive CR score"
 
     def test_all_gated_out_reports_skip(self):
         cset = make_set([("A", 0.9, -5.0), ("B", 0.5, -20.0)])
-        outcome = select_crpo(cset, config(gate_mode="log_space"))
+        outcome = run_selector(cset, config(gate_mode="log_space"))
         assert outcome.pairs == ()
         assert outcome.skipped_reason == "no positive CR score"
 
@@ -182,32 +173,28 @@ class TestCrpoSelection:
     def test_no_positive_score_skips(self):
         # 50*0.8 - 45 = -5: the only competitor scores negative
         cset = make_set([("A", 0.9, -5.0), ("B", 0.1, -50.0)])
-        outcome = select_crpo(cset, config())
+        outcome = run_selector(cset, config())
         assert outcome.skipped_reason == "no positive CR score"
 
     def test_zero_score_is_not_positive(self):
         # equal rewards and equal logprobs give exactly 0, which must skip
         cset = make_set([("A", 0.5, -10.0), ("B", 0.5, -10.0)])
-        assert select_crpo(cset, config()).skipped_reason == "no positive CR score"
+        assert run_selector(cset, config()).skipped_reason == "no positive CR score"
 
     def test_chosen_reward_tie_breaks_to_lowest_id(self):
         cset = make_set([("B", 0.9, -10.0), ("A", 0.9, -20.0), ("C", 0.1, -5.0)])
-        pair = only_pair(select_crpo(cset, config()))
+        pair = only_pair(run_selector(cset, config()))
         assert pair.chosen_id == "A"
 
     def test_score_tie_breaks_to_lowest_id(self):
         cset = make_set([("A", 0.9, -30.0), ("B", 0.5, -10.0), ("C", 0.5, -10.0)])
-        pair = only_pair(select_crpo(cset, config()))
+        pair = only_pair(run_selector(cset, config()))
         assert pair.rejected_id == "B"
-
-    def test_rejects_foreign_method(self, worked_example):
-        with pytest.raises(ValidationError, match="cannot run"):
-            select_crpo(worked_example, config(method="minmax_r"))
 
     def test_needs_two_candidates(self):
         cset = make_set([("A", 0.9, -5.0)])
         with pytest.raises(ValidationError, match="at least 2"):
-            select_crpo(cset, config())
+            run_selector(cset, config())
 
     @pytest.mark.parametrize("method", ["cr_plus", "cr_times"])
     @pytest.mark.parametrize("gate_mode", ["off", "log_space", "probability"])
@@ -217,7 +204,7 @@ class TestCrpoSelection:
         skips = 0
         for _ in range(300):
             cset = random_set(rng)
-            outcome = select_crpo(cset, cfg)
+            outcome = run_selector(cset, cfg)
             expected = self.brute_force(cset, cfg)
             if expected is None:
                 assert outcome.skipped_reason == "no positive CR score"
@@ -313,28 +300,29 @@ class TestRso:
 
     def test_select_rso_pairs_have_positive_gap(self, worked_example):
         cfg = config(method="rso", beta=5.0)  # flat acceptance, real mixing
-        outcome = select_rso(worked_example, cfg, np.random.default_rng(0))
+        outcome = run_selector(worked_example, cfg)
         assert outcome.pairs, "flat acceptance should yield at least one pair"
         for pair in outcome.pairs:
             assert pair.method == "rso"
             assert pair.score > 0.0
 
     def test_select_rso_deterministic_given_rng(self, worked_example):
+        # the generator is seeded from (config.seed, source_id)
         cfg = config(method="rso", beta=1.0)
-        a = select_rso(worked_example, cfg, np.random.default_rng(7))
-        b = select_rso(worked_example, cfg, np.random.default_rng(7))
+        a = run_selector(worked_example, cfg)
+        b = run_selector(worked_example, cfg)
         assert a == b
 
     def test_select_rso_all_ties_skips(self):
         cset = make_set([("A", 0.5, -1.0), ("B", 0.5, -2.0), ("C", 0.5, -3.0)])
-        outcome = select_rso(cset, config(method="rso"), np.random.default_rng(0))
+        outcome = run_selector(cset, config(method="rso"))
         assert outcome.skipped_reason == "no pair with a positive reward gap"
 
     def test_sharp_acceptance_concentrates_on_reward_argmax(self, worked_example):
         # beta 0.1 collapses acceptance onto A, so adjacent pairs nearly
         # always tie on A-vs-A and the source is skipped
         cfg = config(method="rso", beta=0.1)
-        outcome = select_rso(worked_example, cfg, np.random.default_rng(0))
+        outcome = run_selector(worked_example, cfg)
         assert outcome.skipped_reason == "no pair with a positive reward gap"
 
 
@@ -342,9 +330,9 @@ class TestRsDpo:
     def test_eta_is_strict(self):
         cset = make_set([("A", 1.0, -1.0), ("B", 0.5, -2.0)])
         cfg = config(method="rs_dpo", eta={"out_of_en": 0.5, "into_en": 0.5})
-        assert select_rsdpo(cset, cfg).skipped_reason == "no reward gap above eta"
+        assert run_selector(cset, cfg).skipped_reason == "no reward gap above eta"
         looser = config(method="rs_dpo", eta={"out_of_en": 0.49, "into_en": 0.49})
-        assert len(select_rsdpo(cset, looser).pairs) == 1
+        assert len(run_selector(cset, looser).pairs) == 1
 
     def test_direction_resolves_eta(self):
         # a 0.55 gap passes the into-English threshold (0.5) only
@@ -352,21 +340,21 @@ class TestRsDpo:
         out_of_en = make_set(triples, direction=("en", "de"))
         into_en = make_set(triples, direction=("de", "en"))
         cfg = config(method="rs_dpo")
-        assert select_rsdpo(out_of_en, cfg).skipped_reason is not None
-        pair = only_pair(select_rsdpo(into_en, cfg))
+        assert run_selector(out_of_en, cfg).skipped_reason is not None
+        pair = only_pair(run_selector(into_en, cfg))
         assert (pair.chosen_id, pair.rejected_id) == ("A", "B")
 
     def test_missing_direction_class_rejected(self, worked_example):
         cfg = config(method="rs_dpo", eta={"into_en": 0.5})
         with pytest.raises(ValidationError, match="no eta threshold"):
-            select_rsdpo(worked_example, cfg)
+            run_selector(worked_example, cfg)
 
     def test_keeps_every_qualifying_pair_in_sorted_order(self):
         cset = make_set(
             [("A", 0.9, -1.0), ("B", 0.1, -2.0), ("C", 0.55, -3.0), ("D", 0.3, -4.0)]
         )
         cfg = config(method="rs_dpo", eta={"out_of_en": 0.2, "into_en": 0.2})
-        outcome = select_rsdpo(cset, cfg)
+        outcome = run_selector(cset, cfg)
         labels = [(p.chosen_id, p.rejected_id) for p in outcome.pairs]
         # qualifying gaps: A-B 0.8, A-C 0.35, A-D 0.6, C-B 0.45, C-D 0.25
         assert labels == [("A", "B"), ("A", "C"), ("A", "D"), ("C", "B"), ("C", "D")]
@@ -380,7 +368,7 @@ class TestRsDpo:
             previous = None
             for eta in (0.05, 0.2, 0.4, 0.6, 0.8):
                 cfg = config(method="rs_dpo", eta={"out_of_en": eta, "into_en": eta})
-                outcome = select_rsdpo(cset, cfg)
+                outcome = run_selector(cset, cfg)
                 current = {(p.chosen_id, p.rejected_id) for p in outcome.pairs}
                 if previous is not None:
                     assert current <= previous
@@ -391,16 +379,12 @@ class TestMbr:
     def test_matrix_id_mismatch_rejected(self, worked_example):
         wrong = UtilityMatrix(ids=("A", "B", "X"), values=np.eye(3))
         with pytest.raises(ValidationError, match="do not match"):
-            select_mbr(worked_example, wrong)
-
-    def test_unknown_variant_rejected(self, worked_example):
-        with pytest.raises(ValidationError, match="variant"):
-            select_mbr(worked_example, WORKED_MATRIX, variant="bmx")
+            run_selector(worked_example, config(method="mbr_bw"), wrong)
 
     def test_bmw_needs_three_candidates(self):
         cset = make_set([("A", 0.9, -1.0), ("B", 0.1, -2.0)])
         with pytest.raises(ValidationError, match="at least 3"):
-            select_mbr(cset, variant="bmw")
+            run_selector(cset, config(method="mbr_bmw"))
 
     def test_labels_follow_utility_not_reward(self):
         # the matrix makes the lowest-reward candidate the consensus best
@@ -413,7 +397,7 @@ class TestMbr:
             ]
         )
         matrix = UtilityMatrix(ids=("A", "B", "C"), values=values)
-        outcome = select_mbr(cset, matrix, variant="bw")
+        outcome = run_selector(cset, config(method="mbr_bw"), matrix)
         pair = only_pair(outcome)
         assert (pair.chosen_id, pair.rejected_id) == ("B", "A")
         # and the shared validator accepts the reward inversion for MBR
@@ -434,9 +418,9 @@ class TestMbr:
             import math
 
             middle = ranked[math.ceil(k / 2) - 1]
-            bw = only_pair(select_mbr(cset, matrix, variant="bw"))
+            bw = only_pair(run_selector(cset, config(method="mbr_bw"), matrix))
             assert (bw.chosen_id, bw.rejected_id) == (ranked[0], ranked[-1])
-            bmw = select_mbr(cset, matrix, variant="bmw")
+            bmw = run_selector(cset, config(method="mbr_bmw"), matrix)
             labels = [(p.chosen_id, p.rejected_id) for p in bmw.pairs]
             assert labels == [
                 (ranked[0], middle),
@@ -446,19 +430,13 @@ class TestMbr:
 
 
 class TestRemainingSelectors:
-    def test_top_scores_bounds_checked(self, worked_example):
-        with pytest.raises(ValidationError, match="must lie"):
-            select_top_scores(worked_example, 1)
-        with pytest.raises(ValidationError, match="must lie"):
-            select_top_scores(worked_example, 4)
-
     def test_top_scores_equals_minmax_r_at_full_width(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
             cset = random_set(rng)
             k = len(cset.candidates)
-            wide = select_top_scores(cset, k)
-            extreme = select_minmax_r(cset)
+            wide = run_selector(cset, config(method="top_scores", rso_samples=k))
+            extreme = run_selector(cset, config(method="minmax_r"))
             assert wide.skipped_reason == extreme.skipped_reason
             if wide.pairs:
                 assert (wide.pairs[0].chosen_id, wide.pairs[0].rejected_id) == (
@@ -468,13 +446,14 @@ class TestRemainingSelectors:
 
     def test_top_scores_zero_gap_skips(self):
         cset = make_set([("A", 0.5, -1.0), ("B", 0.5, -2.0), ("C", 0.1, -3.0)])
-        assert select_top_scores(cset, 2).skipped_reason == "zero reward gap"
+        outcome = run_selector(cset, config(method="top_scores", rso_samples=2))
+        assert outcome.skipped_reason == "zero reward gap"
 
     def test_minmax_r_tie_breaks(self):
         cset = make_set(
             [("B", 0.9, -1.0), ("A", 0.9, -2.0), ("D", 0.1, -3.0), ("C", 0.1, -4.0)]
         )
-        pair = only_pair(select_minmax_r(cset))
+        pair = only_pair(run_selector(cset, config(method="minmax_r")))
         assert (pair.chosen_id, pair.rejected_id) == ("A", "C")
 
     def test_minmax_r_rejects_the_reward_argmin_when_gaps_round_equal(self):
@@ -482,31 +461,31 @@ class TestRemainingSelectors:
         near = math.nextafter(low, 1.0)
         assert 0.9 - low == 0.9 - near
         cset = make_set([("A", 0.9, -1.0), ("B", near, -2.0), ("C", low, -3.0)])
-        for outcome in (select_minmax_r(cset), select_top_scores(cset, 3)):
-            assert only_pair(outcome).rejected_id == "C"
+        for cfg in (config(method="minmax_r"), config(method="top_scores", rso_samples=3)):
+            assert only_pair(run_selector(cset, cfg)).rejected_id == "C"
 
     def test_minmax_r_all_tied_skips(self):
         cset = make_set([("A", 0.4, -1.0), ("B", 0.4, -2.0)])
-        assert select_minmax_r(cset).skipped_reason == "zero reward gap"
+        assert run_selector(cset, config(method="minmax_r")).skipped_reason == "zero reward gap"
 
     def test_minmax_p_skips_when_argmax_is_most_likely(self):
         cset = make_set([("A", 0.9, -1.0), ("B", 0.5, -2.0)])
-        outcome = select_minmax_p(cset, config(method="minmax_p"))
+        outcome = run_selector(cset, config(method="minmax_p"))
         assert outcome.skipped_reason == "no positive confidence gap"
 
     def test_minmax_po_degenerate_likelihoods_skip(self):
         cset = make_set([("A", 0.9, -2.0), ("B", 0.5, -2.0)])
-        outcome = select_minmax_po(cset, config(method="minmax_po"))
+        outcome = run_selector(cset, config(method="minmax_po"))
         assert outcome.skipped_reason == "degenerate likelihood range"
 
     def test_minmax_po_zero_reward_gap_skips(self):
         cset = make_set([("A", 0.5, -1.0), ("B", 0.5, -9.0)])
-        outcome = select_minmax_po(cset, config(method="minmax_po"))
+        outcome = run_selector(cset, config(method="minmax_po"))
         assert outcome.skipped_reason == "zero reward gap"
 
     def test_minmax_po_chooses_by_reward(self):
         cset = make_set([("A", 0.2, -1.0), ("B", 0.8, -9.0), ("C", 0.5, -4.0)])
-        pair = only_pair(select_minmax_po(cset, config(method="minmax_po")))
+        pair = only_pair(run_selector(cset, config(method="minmax_po")))
         # extremes are A (most likely) and B (least); B wins on reward
         assert (pair.chosen_id, pair.rejected_id) == ("B", "A")
         assert pair.score == pytest.approx(0.6)
@@ -546,12 +525,12 @@ def test_baselines_match_brute_force():
         cset = random_set(rng, tie_probability=0.5)
         k = len(cset.candidates)
         runs = [
-            ("qe_best", None, select_qe_best(cset)),
-            ("minmax_p", None, select_minmax_p(cset, config(method="minmax_p"))),
-            ("minmax_r", None, select_minmax_r(cset)),
+            ("qe_best", None, run_selector(cset, config(method="qe_best"))),
+            ("minmax_p", None, run_selector(cset, config(method="minmax_p"))),
+            ("minmax_r", None, run_selector(cset, config(method="minmax_r"))),
         ]
         runs += [
-            ("top_scores", n, select_top_scores(cset, n))
+            ("top_scores", n, run_selector(cset, config(method="top_scores", rso_samples=n)))
             for n in sorted({2, 3, (k + 1) // 2, k})
             if 2 <= n <= k
         ]
@@ -593,6 +572,16 @@ class TestRunSelector:
             assert pair.method == method
         if method == "qe_best":
             assert outcome.sft_target == "A"
+
+    def test_one_candidate_pool(self):
+        cset = make_set([("A", 0.9, -5.0)])
+        assert run_selector(cset, config(method="qe_best")).sft_target == "A"
+        for method in METHODS:
+            if method != "qe_best":
+                need = 3 if method == "mbr_bmw" else 2
+                message = f"needs at least {need} candidates, got 1"
+                with pytest.raises(ValidationError, match=message):
+                    run_selector(cset, config(method=method))
 
     def test_top_scores_width_tracks_rso_samples(self):
         cset = make_set(
@@ -710,8 +699,8 @@ def test_cr_selection_rejects_more_likely_candidates_than_reward_extremes():
     wins = losses = 0
     for _ in range(150):
         cset = random_set(rng, k=12, tie_probability=0.0)
-        cr = select_crpo(cset, cfg)
-        extreme = select_minmax_r(cset)
+        cr = run_selector(cset, cfg)
+        extreme = run_selector(cset, config(method="minmax_r"))
         if not cr.pairs or not extreme.pairs:
             continue
         lp = {c.id: c.logprob for c in cset.candidates}
