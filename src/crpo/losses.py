@@ -124,30 +124,39 @@ class LossConfig:
 
 def batch_loss_and_grad(
     logits: np.ndarray,
-    ref_logits: np.ndarray,
+    ref_logp: np.ndarray,
     pairs: Sequence[tuple[int, int, int]],
     config: LossConfig,
 ) -> tuple[float, np.ndarray]:
     """Mean objective and its exact gradient w.r.t. the policy logit table.
 
-    ``pairs`` holds (source row, winner column, loser column) index triples.
+    ``ref_logp`` is the reference policy's log-probability table
+    (``log_softmax`` of its logits), the same shape as ``logits``; only the
+    DPO margin reads it.  ``pairs`` holds (source row, winner column, loser
+    column) index triples, as a sequence or an integer array of shape (n, 3).
     The pairwise term only moves the winner and loser logits of each row;
     the SFT term additionally pulls the whole row toward the winner.  An
     empty batch yields loss 0 and a zero gradient.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    ref_logits = np.asarray(ref_logits, dtype=np.float64)
-    if logits.shape != ref_logits.shape or logits.ndim != 2:
+    ref_logp = np.asarray(ref_logp, dtype=np.float64)
+    if logits.shape != ref_logp.shape or logits.ndim != 2:
         raise ValidationError(
             f"policy and reference tables must share a 2-D shape, "
-            f"got {logits.shape} and {ref_logits.shape}"
+            f"got {logits.shape} and {ref_logp.shape}"
         )
-    grad = np.zeros_like(logits)
     if len(pairs) == 0:
-        return 0.0, grad
-    idx = np.asarray(pairs, dtype=np.int64)
-    if idx.ndim != 2 or idx.shape[1] != 3:
+        return 0.0, np.zeros_like(logits)
+    # An integer dtype is required, not cast to: a cast would train (0.7, 1, 2)
+    # as (0, 1, 2).  An int64 array passes through without a copy.
+    try:
+        idx = np.asarray(pairs)
+    except ValueError:  # ragged rows
+        idx = np.empty(0)
+    if idx.ndim != 2 or idx.shape[1] != 3 or idx.dtype.kind not in "iu":
         raise ValidationError("pairs must be (source, winner, loser) index triples")
+    idx = idx.astype(np.int64, copy=False)
+    n = len(idx)
     n_sources, n_outputs = logits.shape
     s, w, l = idx[:, 0], idx[:, 1], idx[:, 2]
     if (
@@ -159,21 +168,32 @@ def batch_loss_and_grad(
     logp = log_softmax(logits)
     theta_w, theta_l = logp[s, w], logp[s, l]
     if config.kind == "dpo":
-        ref_logp = log_softmax(ref_logits)
         margin = (theta_w - ref_logp[s, w]) - (theta_l - ref_logp[s, l])
     else:
         margin = theta_w - theta_l
     z = config.beta * margin
     losses = np.logaddexp(0.0, -z)
     dloss_dz = -_sigmoid(-z)
-    np.add.at(grad, (s, w), dloss_dz * config.beta)
-    np.add.at(grad, (s, l), -dloss_dz * config.beta)
+    # One scatter into the flattened table.  bincount adds the weights in
+    # input order, so concatenating winner, loser, SFT row and SFT winner
+    # terms in that order sums each cell exactly as sequential np.add.at
+    # calls would, bit for bit.
+    row = s * n_outputs
+    cells = [row + w, row + l]
+    weights = [dloss_dz * config.beta, -dloss_dz * config.beta]
     if config.sft_weight > 0:
         losses = losses + config.sft_weight * (-theta_w)
         probs = np.exp(logp)
-        np.add.at(grad, s, config.sft_weight * probs[s])
-        np.add.at(grad, (s, w), -config.sft_weight)
-    n = len(pairs)
+        cells += [(row[:, None] + np.arange(n_outputs)).ravel(), row + w]
+        weights += [
+            (config.sft_weight * probs[s]).ravel(),
+            np.full(n, -config.sft_weight),
+        ]
+    grad = np.bincount(
+        np.concatenate(cells),
+        weights=np.concatenate(weights),
+        minlength=n_sources * n_outputs,
+    ).reshape(n_sources, n_outputs)
     loss = float(losses.sum() / n)
     if not math.isfinite(loss):
         raise ValidationError("non-finite loss")
@@ -200,7 +220,7 @@ def gradient_check(
         n_sources = int(rng.integers(1, 4))
         n_outputs = int(rng.integers(3, 9))
         logits = rng.standard_normal((n_sources, n_outputs))
-        ref_logits = rng.standard_normal((n_sources, n_outputs))
+        ref_logp = log_softmax(rng.standard_normal((n_sources, n_outputs)))
         n_pairs = int(rng.integers(1, 7))
         pairs = []
         for _ in range(n_pairs):
@@ -213,15 +233,15 @@ def gradient_check(
             ("cpo", LossConfig(kind="cpo", sft_weight=0.0)),
             ("cpo+sft", LossConfig(kind="cpo", sft_weight=1.0)),
         ):
-            _, grad = batch_loss_and_grad(logits, ref_logits, pairs, config)
+            _, grad = batch_loss_and_grad(logits, ref_logp, pairs, config)
             fd = np.zeros_like(grad)
             for i in range(n_sources):
                 for j in range(n_outputs):
                     bumped = logits.copy()
                     bumped[i, j] += h
-                    up, _ = batch_loss_and_grad(bumped, ref_logits, pairs, config)
+                    up, _ = batch_loss_and_grad(bumped, ref_logp, pairs, config)
                     bumped[i, j] -= 2 * h
-                    down, _ = batch_loss_and_grad(bumped, ref_logits, pairs, config)
+                    down, _ = batch_loss_and_grad(bumped, ref_logp, pairs, config)
                     fd[i, j] = (up - down) / (2 * h)
             rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)
             worst[name] = max(worst[name], float(rel.max()))

@@ -36,9 +36,10 @@ COMPARE_METHODS = METHODS + ("random_pair",)
 MAX_WORLD_CELLS = 1_000_000
 
 # Largest number of candidates a comparison samples (seeds x sources x K).
-# Each one is a ``Candidate`` object of about 0.6 KB, and all of them are kept
-# until every method has trained, so the bound keeps sizes taken from the
-# command line from exhausting memory; it is about forty times the benchmark's.
+# Each one is a ``Candidate`` object of about 0.6 KB.  Only one seed's
+# candidates are kept at a time, but the bound also caps the sampling and
+# selection work that sizes taken from the command line can ask for; it is
+# about forty times the benchmark's.
 MAX_COMPARE_CANDIDATES = 1_000_000
 
 
@@ -293,11 +294,13 @@ def train_dpo(
     if not isinstance(steps, int) or steps < 0:
         raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
     cfg = LossConfig()
+    ref_logp = log_softmax(world.ref_logits)
+    idx = np.asarray(pairs)
     logits = world.ref_logits.copy()
     losses = []
     for step in range(steps):
         try:
-            loss, grad = batch_loss_and_grad(logits, world.ref_logits, pairs, cfg)
+            loss, grad = batch_loss_and_grad(logits, ref_logp, idx, cfg)
         except ValidationError as err:
             raise ValidationError(f"training diverged at step {step}: {err}") from None
         losses.append(loss)
@@ -379,6 +382,29 @@ def _outcomes_for_method(
     return [run_selector(cset, config) for cset in sets]
 
 
+def _seed_gains(
+    world: ToyWorld, methods: Sequence[str], seed: int, k: int, base_reward: float
+) -> list[tuple[float, str | None]]:
+    """(gain, flag) of each method trained on one seed's shared candidates."""
+    sets = [
+        sample_candidates(
+            world, s, k=k, rng=np.random.default_rng([world.seed, seed, s])
+        )
+        for s in range(world.n_sources)
+    ]
+    results: list[tuple[float, str | None]] = []
+    for method in methods:
+        outcomes = _outcomes_for_method(method, sets, world, seed)
+        pairs = [pair for outcome in outcomes for pair in outcome.pairs]
+        if not pairs:
+            results.append((0.0, "no_pairs"))
+            continue
+        resolved = resolve_pairs(world, pairs, sets)
+        result = train_dpo(world, resolved)
+        results.append((expected_reward(result.policy, world) - base_reward, None))
+    return results
+
+
 def run_comparison(
     world: ToyWorld,
     methods: Sequence[str],
@@ -408,37 +434,11 @@ def run_comparison(
     base = ToyPolicy(world.ref_logits)
     base_reward = expected_reward(base, world)
 
-    sets_by_seed: dict[int, list[CandidateSet]] = {}
-    for seed in seeds:
-        sets_by_seed[seed] = [
-            sample_candidates(
-                world,
-                s,
-                k=k,
-                rng=np.random.default_rng([world.seed, seed, s]),
-            )
-            for s in range(world.n_sources)
-        ]
-
-    gains: list[tuple[float, ...]] = []
-    flags: list[tuple[str | None, ...]] = []
-    for method in methods:
-        method_gains = []
-        method_flags = []
-        for seed in seeds:
-            sets = sets_by_seed[seed]
-            outcomes = _outcomes_for_method(method, sets, world, seed)
-            pairs = [pair for outcome in outcomes for pair in outcome.pairs]
-            if not pairs:
-                method_gains.append(0.0)
-                method_flags.append("no_pairs")
-                continue
-            resolved = resolve_pairs(world, pairs, sets)
-            result = train_dpo(world, resolved)
-            method_gains.append(expected_reward(result.policy, world) - base_reward)
-            method_flags.append(None)
-        gains.append(tuple(method_gains))
-        flags.append(tuple(method_flags))
+    # Seed-major runs, so one seed's candidate sets are alive at a time;
+    # transposed back to method-major gains and flags.
+    runs = [_seed_gains(world, methods, seed, k, base_reward) for seed in seeds]
+    gains = [tuple(gain for gain, _ in column) for column in zip(*runs)]
+    flags = [tuple(flag for _, flag in column) for column in zip(*runs)]
 
     means = tuple(float(np.mean(g)) for g in gains)
     stderrs = tuple(

@@ -11,6 +11,7 @@ from crpo.core import ValidationError
 from crpo.losses import (
     LossConfig,
     PairLogits,
+    _sigmoid,
     batch_loss_and_grad,
     cpo_loss,
     delta_loss,
@@ -197,21 +198,21 @@ class TestLossConfig:
 class TestBatchLossAndGrad:
     def test_empty_batch(self):
         logits = np.zeros((2, 3))
-        loss, grad = batch_loss_and_grad(logits, logits, [], LossConfig())
+        loss, grad = batch_loss_and_grad(logits, log_softmax(logits), [], LossConfig())
         assert loss == 0.0
         np.testing.assert_array_equal(grad, np.zeros((2, 3)))
 
     def test_hand_computed_symmetric_case(self):
         logits = np.zeros((1, 2))
         cfg = LossConfig(kind="dpo", beta=0.1, sft_weight=0.0)
-        loss, grad = batch_loss_and_grad(logits, logits, [(0, 0, 1)], cfg)
+        loss, grad = batch_loss_and_grad(logits, log_softmax(logits), [(0, 0, 1)], cfg)
         assert loss == pytest.approx(LOG_TWO, abs=1e-15)
         np.testing.assert_allclose(grad, [[-0.05, 0.05]], atol=1e-15)
 
     def test_hand_computed_with_sft(self):
         logits = np.zeros((1, 2))
         cfg = LossConfig(kind="dpo", beta=0.1, sft_weight=1.0)
-        loss, grad = batch_loss_and_grad(logits, logits, [(0, 0, 1)], cfg)
+        loss, grad = batch_loss_and_grad(logits, log_softmax(logits), [(0, 0, 1)], cfg)
         assert loss == pytest.approx(2 * LOG_TWO, abs=1e-14)
         np.testing.assert_allclose(grad, [[-0.55, 0.55]], atol=1e-15)
 
@@ -231,8 +232,8 @@ class TestBatchLossAndGrad:
                 for _ in range(int(rng.integers(1, 9)))
             ]
             cfg = LossConfig(kind=kind, beta=beta, sft_weight=sft_weight)
-            loss, _ = batch_loss_and_grad(logits, ref, pairs, cfg)
             logp, ref_logp = log_softmax(logits), log_softmax(ref)
+            loss, _ = batch_loss_and_grad(logits, ref_logp, pairs, cfg)
             total = 0.0
             for s, w, l in pairs:
                 if kind == "dpo":
@@ -247,7 +248,7 @@ class TestBatchLossAndGrad:
     def test_mean_over_pairs(self):
         rng = np.random.default_rng(6)
         logits = rng.standard_normal((2, 4))
-        ref = rng.standard_normal((2, 4))
+        ref = log_softmax(rng.standard_normal((2, 4)))
         cfg = LossConfig()
         loss_a, grad_a = batch_loss_and_grad(logits, ref, [(0, 1, 2)], cfg)
         loss_b, grad_b = batch_loss_and_grad(logits, ref, [(1, 0, 3)], cfg)
@@ -260,7 +261,7 @@ class TestBatchLossAndGrad:
     def test_duplicate_pairs_accumulate(self):
         rng = np.random.default_rng(7)
         logits = rng.standard_normal((1, 3))
-        ref = rng.standard_normal((1, 3))
+        ref = log_softmax(rng.standard_normal((1, 3)))
         cfg = LossConfig()
         loss_one, grad_one = batch_loss_and_grad(logits, ref, [(0, 0, 1)], cfg)
         loss_two, grad_two = batch_loss_and_grad(
@@ -275,25 +276,67 @@ class TestBatchLossAndGrad:
         cfg = LossConfig(kind="cpo")
         pairs = [(0, 1, 2), (1, 3, 0)]
         loss_a, grad_a = batch_loss_and_grad(
-            logits, rng.standard_normal((2, 4)), pairs, cfg
+            logits, log_softmax(rng.standard_normal((2, 4))), pairs, cfg
         )
         loss_b, grad_b = batch_loss_and_grad(
-            logits, rng.standard_normal((2, 4)) * 50, pairs, cfg
+            logits, log_softmax(rng.standard_normal((2, 4)) * 50), pairs, cfg
         )
         assert loss_a == loss_b
         np.testing.assert_array_equal(grad_a, grad_b)
 
     def test_index_and_shape_validation(self):
         logits = np.zeros((2, 3))
+        ref = log_softmax(logits)
         cfg = LossConfig()
         with pytest.raises(ValidationError, match="2-D shape"):
-            batch_loss_and_grad(logits, np.zeros((2, 4)), [(0, 0, 1)], cfg)
+            batch_loss_and_grad(logits, log_softmax(np.zeros((2, 4))), [(0, 0, 1)], cfg)
         with pytest.raises(ValidationError, match="index triples"):
-            batch_loss_and_grad(logits, logits, [(0, 1)], cfg)
+            batch_loss_and_grad(logits, ref, [(0, 1)], cfg)
+        for bad in ([(0.7, 1, 2)], [(0, float("nan"), 2)], [(0, 1), (0, 1, 2)]):
+            with pytest.raises(ValidationError, match="index triples"):
+                batch_loss_and_grad(logits, ref, bad, cfg)
         with pytest.raises(ValidationError, match="out of range"):
-            batch_loss_and_grad(logits, logits, [(0, 0, 3)], cfg)
+            batch_loss_and_grad(logits, ref, [(0, 0, 3)], cfg)
         with pytest.raises(ValidationError, match="out of range"):
-            batch_loss_and_grad(logits, logits, [(2, 0, 1)], cfg)
+            batch_loss_and_grad(logits, ref, [(2, 0, 1)], cfg)
+
+    @pytest.mark.parametrize("sft_weight", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", ["dpo", "cpo"])
+    def test_gradient_matches_sequential_scatter_bit_for_bit(self, kind, sft_weight):
+        """The single bincount scatter sums every cell in the same order as
+        one np.add.at call per term (winner, loser, SFT row, SFT winner)."""
+        rng = np.random.default_rng(10)
+        for _ in range(300):
+            n_sources, n_outputs = int(rng.integers(1, 5)), int(rng.integers(2, 9))
+            logits = rng.standard_normal((n_sources, n_outputs)) * 3
+            ref_logp = log_softmax(rng.standard_normal((n_sources, n_outputs)) * 3)
+            beta = float(rng.uniform(0.05, 2.0))
+            pairs = [
+                (int(rng.integers(n_sources)), *rng.choice(n_outputs, 2, replace=False).tolist())
+                for _ in range(int(rng.integers(1, 9)))
+            ]
+            pairs += pairs[: int(rng.integers(0, 3))]  # duplicate pairs
+            cfg = LossConfig(kind=kind, beta=beta, sft_weight=sft_weight)
+            loss, grad = batch_loss_and_grad(logits, ref_logp, pairs, cfg)
+
+            s, w, l = np.asarray(pairs, dtype=np.int64).T
+            logp = log_softmax(logits)
+            if kind == "dpo":
+                margin = (logp[s, w] - ref_logp[s, w]) - (logp[s, l] - ref_logp[s, l])
+            else:
+                margin = logp[s, w] - logp[s, l]
+            z = beta * margin
+            losses = np.logaddexp(0.0, -z)
+            dloss_dz = -_sigmoid(-z)
+            expected = np.zeros_like(logits)
+            np.add.at(expected, (s, w), dloss_dz * beta)
+            np.add.at(expected, (s, l), -dloss_dz * beta)
+            if sft_weight > 0:
+                losses = losses + sft_weight * (-logp[s, w])
+                np.add.at(expected, s, sft_weight * np.exp(logp)[s])
+                np.add.at(expected, (s, w), -sft_weight)
+            np.testing.assert_array_equal(grad, expected / len(pairs))
+            assert loss == float(losses.sum() / len(pairs))
 
     def test_matches_finite_differences(self):
         worst = gradient_check(seed=0, n_instances=10)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -386,6 +387,19 @@ class TestTrainDpo:
         with pytest.raises(ValidationError, match="steps"):
             train_dpo(world, pairs, steps=-1)
 
+    def test_divergence_names_the_step(self):
+        # The reference puts almost all mass on the loser, so the first update
+        # moves both logits by about 1.05 * lr: inf at the largest finite lr.
+        world = ToyWorld(
+            reward_table=np.array([[1.0, 0.0]]), ref_logits=np.array([[-5.0, 5.0]])
+        )
+        with np.errstate(over="ignore"), pytest.raises(
+            ValidationError, match="training diverged at step 0$"
+        ):
+            train_dpo(world, [(0, 0, 1)], lr=sys.float_info.max)
+        with pytest.raises(ValidationError, match="diverged at step 0: pair index out of range"):
+            train_dpo(world, [(0, 0, 2)])
+
 
 class TestRandomPairOutcome:
     def test_deterministic_and_labeled_by_reward(self):
@@ -445,6 +459,18 @@ class TestRunComparison:
         report = run_comparison(world, ("cr_plus", "cr_plus"), seeds=(0, 1))
         assert report.gains[0] == report.gains[1]
         assert report.win_rates["cr_plus"]["cr_plus"] == pytest.approx(0.5)
+
+    def test_methods_do_not_interact(self):
+        world = self.small_world()
+        seeds = (0, 1, 2)
+        alone = {
+            m: run_comparison(world, (m,), seeds).gains[0]
+            for m in ("cr_plus", "rso", "random_pair")
+        }
+        for methods in (("cr_plus", "rso", "random_pair"), ("random_pair", "rso", "cr_plus")):
+            report = run_comparison(world, methods, seeds)
+            for m in methods:
+                assert report.gains_for(m) == alone[m]
 
     def test_qe_best_trains_nothing(self):
         world = self.small_world()
