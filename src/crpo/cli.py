@@ -67,6 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument("--logprob-norm", choices=LOGPROB_NORMS, default=defaults.logprob_norm)
     select.add_argument("--utility-matrix", default=None,
                         help="precomputed utility matrices for the MBR methods")
+    select.set_defaults(run=_cmd_select)
 
     stats = sub.add_parser("stats", help="summarize a pair file against its candidates")
     stats.add_argument("--pairs", required=True)
@@ -74,12 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--out", required=True)
     stats.add_argument("--bins", type=int, default=20)
     stats.add_argument("--csv", default=None, help="also write flat histogram rows")
+    stats.set_defaults(run=_cmd_stats)
 
     losses = sub.add_parser("losses", help="loss diagnostics")
     losses_sub = losses.add_subparsers(dest="losses_command", required=True)
     check = losses_sub.add_parser("check-grad", help="finite-difference gradient check")
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--instances", type=int, default=100)
+    check.set_defaults(run=_cmd_check_grad)
 
     toy = sub.add_parser("toy", help="toy-world experiments")
     toy_sub = toy.add_subparsers(dest="toy_command", required=True)
@@ -95,12 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--world-seed", type=int, default=0)
     compare.add_argument("--corr", type=float, default=0.5,
                          help="reward/logit mixing coefficient of the world")
+    compare.set_defaults(run=_cmd_toy_compare)
 
     utility = sub.add_parser("utility", help="utility-matrix tools")
     utility_sub = utility.add_subparsers(dest="utility_command", required=True)
     matrix = utility_sub.add_parser("matrix", help="compute built-in utility matrices")
     matrix.add_argument("--in", dest="input", required=True)
     matrix.add_argument("--out", required=True)
+    matrix.set_defaults(run=_cmd_utility_matrix)
 
     return parser
 
@@ -151,8 +156,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.csv is not None:
         save_stats_csv(report, args.csv)
     print(
-        f"summarized {report.n_pairs} pairs and {report.n_sft_targets} sft targets "
-        f"over {len(report.methods)} methods -> {args.out}"
+        f"summarized {report['n_pairs']} pairs and {report['n_sft_targets']} sft targets "
+        f"over {len(report['methods'])} methods -> {args.out}"
     )
     return 0
 
@@ -205,30 +210,15 @@ def _cmd_utility_matrix(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "select":
-            return _cmd_select(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        if args.command == "losses":
-            return _cmd_check_grad(args)
-        if args.command == "toy":
-            return _cmd_toy_compare(args)
-        if args.command == "utility":
-            return _cmd_utility_matrix(args)
-        parser.error(f"unknown command {args.command!r}")
-    except ValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+        return args.run(args)
+    except (ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # internal failure
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

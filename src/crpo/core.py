@@ -136,10 +136,6 @@ class CandidateSet:
             index[cand.id] = cand
         object.__setattr__(self, "_index", index)
 
-    @property
-    def k(self) -> int:
-        return len(self.candidates)
-
     def candidate(self, candidate_id: str) -> Candidate:
         try:
             return self._index[candidate_id]

@@ -26,9 +26,8 @@ import csv
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -270,45 +269,28 @@ def load_pairs(path: str | Path) -> PreferenceDataset:
     )
 
 
-@dataclass(frozen=True)
-class StatsReport:
-    """Histograms and means of pair populations, grouped by method.
-
-    All methods share the same bin edges (rewards on [0, 1], log-likelihoods
-    on the candidate population's range) so their histograms are directly
-    comparable.  ``scatter`` lists (reward gap, logprob gap) per pair, both
-    oriented chosen minus rejected.
-    """
-
-    bins: int
-    reward_edges: tuple[float, ...]
-    logprob_edges: tuple[float, ...]
-    methods: Mapping[str, Mapping[str, object]]
-    n_pairs: int
-    n_sft_targets: int
-
-    def to_dict(self) -> dict:
-        return {
-            "bins": self.bins,
-            "reward_edges": list(self.reward_edges),
-            "logprob_edges": list(self.logprob_edges),
-            "methods": {name: dict(stats) for name, stats in self.methods.items()},
-            "n_pairs": self.n_pairs,
-            "n_sft_targets": self.n_sft_targets,
-        }
-
-
-def _mean_or_none(values: Sequence[float]) -> float | None:
-    return float(np.mean(values)) if values else None
+# The four histogram series of a stats report, each with the report key of the
+# edges it is binned on.
+_STATS_SERIES = (
+    ("chosen_reward", "reward_edges"),
+    ("rejected_reward", "reward_edges"),
+    ("chosen_logprob", "logprob_edges"),
+    ("rejected_logprob", "logprob_edges"),
+)
 
 
 def emit_stats(
     dataset: PreferenceDataset, sets: Sequence[CandidateSet], bins: int = 20
-) -> StatsReport:
-    """Summarize chosen/rejected reward and log-likelihood populations.
+) -> dict:
+    """Histograms and means of chosen/rejected reward and log-likelihood
+    populations, grouped by method: the report that ``save_stats`` writes.
 
-    Log-likelihoods are normalized as the selector normalized them: by the
-    ``logprob_norm`` of the dataset's provenance config (``sum`` if absent).
+    All methods share the same bin edges (rewards on [0, 1], log-likelihoods
+    on the candidate population's range) so their histograms are directly
+    comparable.  ``scatter`` lists (reward gap, logprob gap) per pair, both
+    oriented chosen minus rejected.  Log-likelihoods are normalized as the
+    selector normalized them: by the ``logprob_norm`` of the dataset's
+    provenance config (``sum`` if absent).
     """
     if not 1 <= bins <= MAX_BINS:
         raise ValidationError(f"bins must lie in [1, {MAX_BINS}], got {bins}")
@@ -323,77 +305,56 @@ def emit_stats(
     lo, hi = min(all_logprobs), max(all_logprobs)
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    reward_edges = np.linspace(0.0, 1.0, bins + 1)
-    logprob_edges = np.linspace(lo, hi, bins + 1)
+    report = {
+        "bins": bins,
+        "reward_edges": np.linspace(0.0, 1.0, bins + 1).tolist(),
+        "logprob_edges": np.linspace(lo, hi, bins + 1).tolist(),
+        "methods": {},
+        "n_pairs": len(dataset.pairs),
+        "n_sft_targets": len(dataset.sft_targets),
+    }
 
-    populations: dict[str, dict[str, list]] = {}
-    for pair, (chosen, rejected) in zip(dataset.pairs, resolved):
-        series = populations.setdefault(
-            pair.method,
-            {
-                "chosen_reward": [],
-                "rejected_reward": [],
-                "chosen_logprob": [],
-                "rejected_logprob": [],
-                "scatter": [],
-            },
-        )
-        series["chosen_reward"].append(chosen.reward_agg)
-        series["rejected_reward"].append(rejected.reward_agg)
-        chosen_logprob = effective_logprob(chosen, norm)
-        rejected_logprob = effective_logprob(rejected, norm)
-        series["chosen_logprob"].append(chosen_logprob)
-        series["rejected_logprob"].append(rejected_logprob)
-        series["scatter"].append(
-            (chosen.reward_agg - rejected.reward_agg, chosen_logprob - rejected_logprob)
-        )
-
-    methods: dict[str, dict[str, object]] = {}
-    for method in sorted(populations):
-        series = populations[method]
-        stats: dict[str, object] = {"n_pairs": len(series["scatter"])}
-        for name, edges in (
-            ("chosen_reward", reward_edges),
-            ("rejected_reward", reward_edges),
-            ("chosen_logprob", logprob_edges),
-            ("rejected_logprob", logprob_edges),
-        ):
-            counts, _ = np.histogram(series[name], bins=edges)
-            stats[f"{name}_hist"] = [int(c) for c in counts]
-            stats[f"{name}_mean"] = _mean_or_none(series[name])
-        stats["scatter"] = [[float(a), float(b)] for a, b in series["scatter"]]
-        methods[method] = stats
-
-    return StatsReport(
-        bins=bins,
-        reward_edges=tuple(float(e) for e in reward_edges),
-        logprob_edges=tuple(float(e) for e in logprob_edges),
-        methods=methods,
-        n_pairs=len(dataset.pairs),
-        n_sft_targets=len(dataset.sft_targets),
-    )
+    groups: dict[str, list[tuple[Candidate, Candidate]]] = {}
+    for pair, candidates in zip(dataset.pairs, resolved):
+        groups.setdefault(pair.method, []).append(candidates)
+    for method in sorted(groups):
+        chosen, rejected = zip(*groups[method])
+        series = {
+            "chosen_reward": [c.reward_agg for c in chosen],
+            "rejected_reward": [c.reward_agg for c in rejected],
+            "chosen_logprob": [effective_logprob(c, norm) for c in chosen],
+            "rejected_logprob": [effective_logprob(c, norm) for c in rejected],
+        }
+        stats: dict[str, object] = {"n_pairs": len(chosen)}
+        for name, edges_key in _STATS_SERIES:
+            counts, _ = np.histogram(series[name], bins=report[edges_key])
+            stats[f"{name}_hist"] = counts.tolist()
+            stats[f"{name}_mean"] = float(np.mean(series[name]))
+        stats["scatter"] = [
+            [c.reward_agg - r.reward_agg, c_logprob - r_logprob]
+            for c, r, c_logprob, r_logprob in zip(
+                chosen, rejected, series["chosen_logprob"], series["rejected_logprob"]
+            )
+        ]
+        report["methods"][method] = stats
+    return report
 
 
-def save_stats(report: StatsReport, path: str | Path) -> None:
+def save_stats(report: dict, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report.to_dict(), handle, ensure_ascii=False, indent=2)
+        json.dump(report, handle, ensure_ascii=False, indent=2)
         handle.write("\n")
 
 
-def save_stats_csv(report: StatsReport, path: str | Path) -> None:
+def save_stats_csv(report: dict, path: str | Path) -> None:
     """Flat histogram rows: method, series, bin bounds, count."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["method", "series", "bin_lo", "bin_hi", "count"])
-        for method, stats in report.methods.items():
-            for series, edges in (
-                ("chosen_reward", report.reward_edges),
-                ("rejected_reward", report.reward_edges),
-                ("chosen_logprob", report.logprob_edges),
-                ("rejected_logprob", report.logprob_edges),
-            ):
-                counts = stats[f"{series}_hist"]
-                for i, count in enumerate(counts):
+        for method, stats in report["methods"].items():
+            for series, edges_key in _STATS_SERIES:
+                edges = report[edges_key]
+                for i, count in enumerate(stats[f"{series}_hist"]):
                     writer.writerow([method, series, edges[i], edges[i + 1], count])
 
 

@@ -192,7 +192,8 @@ def sample_candidates(
     k: int = 64,
     temperature: float = 0.9,
     top_p: float = 0.9,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> CandidateSet:
     """Draw K candidates from the temperature-scaled, nucleus-truncated
     reference distribution of one source.
@@ -206,8 +207,6 @@ def sample_candidates(
         raise ValidationError(f"k must be >= 1, got {k}")
     if not math.isfinite(temperature) or temperature <= 0:
         raise ValidationError(f"temperature must be finite and > 0, got {temperature!r}")
-    if rng is None:
-        rng = np.random.default_rng([world.seed, source])
     row = world.ref_logits[source]
     scaled = row / temperature
     shifted = scaled - scaled.max()
@@ -287,7 +286,8 @@ def train_dpo(
 
     Training starts from the reference policy.  The loss is recorded before
     each update; divergence (non-finite loss or logits) raises with the
-    offending step index.
+    offending step index.  An error on the reference logits themselves (a
+    pair index out of range, say) is an input error and raises unchanged.
     """
     if not math.isfinite(lr) or lr <= 0:
         raise ValidationError(f"lr must be finite and > 0, got {lr!r}")
@@ -302,6 +302,8 @@ def train_dpo(
         try:
             loss, grad = batch_loss_and_grad(logits, ref_logp, idx, cfg)
         except ValidationError as err:
+            if step == 0:
+                raise
             raise ValidationError(f"training diverged at step {step}: {err}") from None
         losses.append(loss)
         logits = logits - lr * grad
@@ -368,43 +370,6 @@ class ComparisonReport:
         }
 
 
-def _outcomes_for_method(
-    method: str, sets: Sequence[CandidateSet], world: ToyWorld, seed: int
-) -> list[SelectionOutcome]:
-    if method == "random_pair":
-        return [
-            random_pair_outcome(
-                cset, np.random.default_rng([world.seed, seed, idx, 1])
-            )
-            for idx, cset in enumerate(sets)
-        ]
-    config = SelectionConfig(method=method, seed=seed)
-    return [run_selector(cset, config) for cset in sets]
-
-
-def _seed_gains(
-    world: ToyWorld, methods: Sequence[str], seed: int, k: int, base_reward: float
-) -> list[tuple[float, str | None]]:
-    """(gain, flag) of each method trained on one seed's shared candidates."""
-    sets = [
-        sample_candidates(
-            world, s, k=k, rng=np.random.default_rng([world.seed, seed, s])
-        )
-        for s in range(world.n_sources)
-    ]
-    results: list[tuple[float, str | None]] = []
-    for method in methods:
-        outcomes = _outcomes_for_method(method, sets, world, seed)
-        pairs = [pair for outcome in outcomes for pair in outcome.pairs]
-        if not pairs:
-            results.append((0.0, "no_pairs"))
-            continue
-        resolved = resolve_pairs(world, pairs, sets)
-        result = train_dpo(world, resolved)
-        results.append((expected_reward(result.policy, world) - base_reward, None))
-    return results
-
-
 def run_comparison(
     world: ToyWorld,
     methods: Sequence[str],
@@ -434,11 +399,38 @@ def run_comparison(
     base = ToyPolicy(world.ref_logits)
     base_reward = expected_reward(base, world)
 
-    # Seed-major runs, so one seed's candidate sets are alive at a time;
-    # transposed back to method-major gains and flags.
-    runs = [_seed_gains(world, methods, seed, k, base_reward) for seed in seeds]
-    gains = [tuple(gain for gain, _ in column) for column in zip(*runs)]
-    flags = [tuple(flag for _, flag in column) for column in zip(*runs)]
+    # Gains and flags are parallel to ``methods``.
+    gains: list[list[float]] = [[] for _ in methods]
+    flags: list[list[str | None]] = [[] for _ in methods]
+    for seed in seeds:
+        sets = [
+            sample_candidates(
+                world, s, k=k, rng=np.random.default_rng([world.seed, seed, s])
+            )
+            for s in range(world.n_sources)
+        ]
+        for method, method_gains, method_flags in zip(methods, gains, flags):
+            if method == "random_pair":
+                outcomes = [
+                    random_pair_outcome(
+                        cset, np.random.default_rng([world.seed, seed, s, 1])
+                    )
+                    for s, cset in enumerate(sets)
+                ]
+            else:
+                config = SelectionConfig(method=method, seed=seed)
+                outcomes = [run_selector(cset, config) for cset in sets]
+            pairs = [pair for outcome in outcomes for pair in outcome.pairs]
+            if pairs:
+                result = train_dpo(world, resolve_pairs(world, pairs, sets))
+                method_gains.append(expected_reward(result.policy, world) - base_reward)
+                method_flags.append(None)
+            else:
+                method_gains.append(0.0)
+                method_flags.append("no_pairs")
+        # Free this seed's candidates and pairs before the next seed samples,
+        # so the comparison's peak memory holds one seed's sets.
+        del sets, outcomes, pairs
 
     means = tuple(float(np.mean(g)) for g in gains)
     stderrs = tuple(
@@ -458,9 +450,9 @@ def run_comparison(
     return ComparisonReport(
         methods=tuple(methods),
         seeds=tuple(int(s) for s in seeds),
-        gains=tuple(gains),
+        gains=tuple(tuple(g) for g in gains),
         means=means,
         stderrs=stderrs,
         win_rates=win_rates,
-        flags=tuple(flags),
+        flags=tuple(tuple(f) for f in flags),
     )

@@ -155,7 +155,7 @@ class TestSelectErrors:
 
 class TestStatsCommand:
     def test_matches_golden_bytes(self, tmp_path):
-        out = tmp_path / "stats.json"
+        out, csv_out = tmp_path / "stats.json", tmp_path / "stats.csv"
         rc = main(
             [
                 "stats",
@@ -163,10 +163,12 @@ class TestStatsCommand:
                 "--candidates", str(FIXTURE),
                 "--out", str(out),
                 "--bins", "6",
+                "--csv", str(csv_out),
             ]
         )
         assert rc == 0
         assert out.read_bytes() == (GOLDEN / "stats_cr_plus.json").read_bytes()
+        assert csv_out.read_bytes() == (GOLDEN / "stats_cr_plus.csv").read_bytes()
 
     def test_csv_sidecar(self, tmp_path):
         out, csv_out = tmp_path / "stats.json", tmp_path / "stats.csv"

@@ -85,10 +85,6 @@ class TestCandidate:
 
 
 class TestCandidateSet:
-    def test_k_is_recorded(self):
-        cset = make_set([("A", 0.9, -1.0), ("B", 0.5, -2.0)])
-        assert cset.k == 2
-
     def test_duplicate_ids_rejected(self):
         cand = Candidate(id="A", text="t", logprob=-1.0, rewards={"a": 0.5})
         with pytest.raises(ValidationError, match="duplicate candidate id"):

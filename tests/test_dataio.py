@@ -468,18 +468,18 @@ class TestStats:
     def test_report_contents(self):
         dataset, sets = self.fixtures()
         report = emit_stats(dataset, sets, bins=4)
-        assert report.bins == 4
-        assert report.n_pairs == 2
-        assert report.n_sft_targets == 1
-        assert report.reward_edges[0] == 0.0 and report.reward_edges[-1] == 1.0
-        assert report.logprob_edges[0] == -60.0 and report.logprob_edges[-1] == -10.0
-        assert set(report.methods) == {"cr_plus", "minmax_r"}
-        cr = report.methods["cr_plus"]
+        assert report["bins"] == 4
+        assert report["n_pairs"] == 2
+        assert report["n_sft_targets"] == 1
+        assert report["reward_edges"][0] == 0.0 and report["reward_edges"][-1] == 1.0
+        assert report["logprob_edges"][0] == -60.0 and report["logprob_edges"][-1] == -10.0
+        assert set(report["methods"]) == {"cr_plus", "minmax_r"}
+        cr = report["methods"]["cr_plus"]
         assert cr["n_pairs"] == 1
         assert cr["chosen_reward_mean"] == pytest.approx(0.9)
         assert cr["rejected_logprob_mean"] == pytest.approx(-10.0)
         assert cr["scatter"] == [[pytest.approx(0.4), pytest.approx(-30.0)]]
-        mm = report.methods["minmax_r"]
+        mm = report["methods"]["minmax_r"]
         assert mm["scatter"] == [[pytest.approx(0.7), pytest.approx(20.0)]]
         assert sum(cr["chosen_reward_hist"]) == 1
         assert len(cr["chosen_reward_hist"]) == 4
@@ -487,7 +487,7 @@ class TestStats:
     def test_histograms_share_edges_across_methods(self):
         dataset, sets = self.fixtures()
         report = emit_stats(dataset, sets, bins=10)
-        for stats in report.methods.values():
+        for stats in report["methods"].values():
             for series in ("chosen_reward", "rejected_reward"):
                 assert len(stats[f"{series}_hist"]) == 10
 
@@ -522,15 +522,15 @@ class TestStats:
             )
         )
         report = emit_stats(dataset, sets, bins=2)
-        assert report.logprob_edges[0] == -5.5
-        assert report.logprob_edges[-1] == -4.5
+        assert report["logprob_edges"][0] == -5.5
+        assert report["logprob_edges"][-1] == -4.5
 
     def test_save_stats_json_round_trip(self, tmp_path):
         dataset, sets = self.fixtures()
         report = emit_stats(dataset, sets, bins=4)
         path = tmp_path / "stats.json"
         save_stats(report, path)
-        assert json.loads(path.read_text(encoding="utf-8")) == report.to_dict()
+        assert json.loads(path.read_text(encoding="utf-8")) == report
         assert path.read_text(encoding="utf-8").endswith("\n")
 
     def test_save_stats_csv_layout(self, tmp_path):
@@ -544,7 +544,7 @@ class TestStats:
         # 2 methods x 4 series x 4 bins
         assert len(rows) == 1 + 2 * 4 * 4
         total = sum(int(r[4]) for r in rows[1:] if r[1] == "chosen_reward")
-        assert total == report.n_pairs
+        assert total == report["n_pairs"]
 
 
 class TestUtilityMatrixFiles:
