@@ -194,9 +194,9 @@ def _cmd_toy_compare(args: argparse.Namespace) -> int:
     )
     report = run_comparison(world, methods, list(range(args.seeds)), k=args.k)
     with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report.to_dict(), handle, ensure_ascii=False, indent=2)
+        json.dump(report, handle, ensure_ascii=False, indent=2)
         handle.write("\n")
-    for method, mean, stderr in zip(report.methods, report.means, report.stderrs):
+    for method, mean, stderr in zip(report["methods"], report["means"], report["stderrs"]):
         print(f"{method}: mean gain {mean:+.5f} (stderr {stderr:.5f})")
     return 0
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,6 +41,10 @@ MAX_WORLD_CELLS = 1_000_000
 # selection work that sizes taken from the command line can ask for; it is
 # about forty times the benchmark's.
 MAX_COMPARE_CANDIDATES = 1_000_000
+
+# The one training schedule of ``train_dpo``: full-batch steps and step size.
+TRAIN_STEPS = 80
+TRAIN_LR = 0.3
 
 
 def source_label(index: int) -> str:
@@ -276,39 +280,24 @@ class TrainResult:
     losses: tuple[float, ...]
 
 
-def train_dpo(
-    world: ToyWorld,
-    pairs: Sequence[tuple[int, int, int]],
-    lr: float = 0.3,
-    steps: int = 80,
-) -> TrainResult:
-    """Full-batch gradient descent on the default ``LossConfig`` objective.
+def train_dpo(world: ToyWorld, pairs: Sequence[tuple[int, int, int]]) -> TrainResult:
+    """Full-batch gradient descent on the default ``LossConfig`` objective:
+    ``TRAIN_STEPS`` steps of size ``TRAIN_LR`` from the reference policy.
 
-    Training starts from the reference policy.  The loss is recorded before
-    each update; divergence (non-finite loss or logits) raises with the
-    offending step index.  An error on the reference logits themselves (a
-    pair index out of range, say) is an input error and raises unchanged.
+    The loss is recorded before each update.  Every gradient cell is a mean
+    of per-pair terms of at most 2.1 in absolute value, so a step moves a
+    logit by at most 0.63 and a finite table stays finite; only the loss on
+    the reference logits can fail (a pair index out of range, say).
     """
-    if not math.isfinite(lr) or lr <= 0:
-        raise ValidationError(f"lr must be finite and > 0, got {lr!r}")
-    if not isinstance(steps, int) or steps < 0:
-        raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
     cfg = LossConfig()
     ref_logp = log_softmax(world.ref_logits)
     idx = np.asarray(pairs)
     logits = world.ref_logits.copy()
     losses = []
-    for step in range(steps):
-        try:
-            loss, grad = batch_loss_and_grad(logits, ref_logp, idx, cfg)
-        except ValidationError as err:
-            if step == 0:
-                raise
-            raise ValidationError(f"training diverged at step {step}: {err}") from None
+    for _ in range(TRAIN_STEPS):
+        loss, grad = batch_loss_and_grad(logits, ref_logp, idx, cfg)
         losses.append(loss)
-        logits = logits - lr * grad
-        if not np.all(np.isfinite(logits)):
-            raise ValidationError(f"training diverged at step {step}")
+        logits = logits - TRAIN_LR * grad
     return TrainResult(policy=ToyPolicy(logits), losses=tuple(losses))
 
 
@@ -337,61 +326,34 @@ def random_pair_outcome(
     return SelectionOutcome(pairs=(pair,))
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Per-method expected-reward gains over shared seeds.
-
-    ``gains`` is parallel to ``methods``; ``flags`` marks runs that trained
-    on nothing ("no_pairs") and therefore report a gain of exactly 0.
-    ``win_rates[a][b]`` is the fraction of seeds on which method a beat
-    method b (ties count one half).
-    """
-
-    methods: tuple[str, ...]
-    seeds: tuple[int, ...]
-    gains: tuple[tuple[float, ...], ...]
-    means: tuple[float, ...]
-    stderrs: tuple[float, ...]
-    win_rates: Mapping[str, Mapping[str, float]]
-    flags: tuple[tuple[str | None, ...], ...]
-
-    def gains_for(self, method: str) -> tuple[float, ...]:
-        return self.gains[self.methods.index(method)]
-
-    def to_dict(self) -> dict:
-        return {
-            "methods": list(self.methods),
-            "seeds": list(self.seeds),
-            "gains": [list(g) for g in self.gains],
-            "means": list(self.means),
-            "stderrs": list(self.stderrs),
-            "win_rates": {a: dict(row) for a, row in self.win_rates.items()},
-            "flags": [list(f) for f in self.flags],
-        }
-
-
 def run_comparison(
     world: ToyWorld,
     methods: Sequence[str],
     seeds: Sequence[int],
     k: int = 16,
-) -> ComparisonReport:
+) -> dict:
     """Compare selection methods by the expected-reward gain they train.
 
     For every (method, seed): sample ``k`` shared candidates per source,
-    select pairs with the default ``SelectionConfig``, train from the
-    reference policy with the defaults of ``train_dpo``, and record the gain
-    of the trained policy over the reference.  Methods that produce zero
-    pairs on every source are recorded with gain 0 and a "no_pairs" flag,
-    not an error.
+    select pairs with the default ``SelectionConfig``, train with
+    ``train_dpo`` and record the gain of the trained policy over the
+    reference.  Methods that produce zero pairs on every source are recorded
+    with gain 0 and a "no_pairs" flag, not an error.
+
+    Returns the report ``toy compare`` writes: ``gains`` and ``flags`` rows,
+    ``means`` and ``stderrs`` are parallel to ``methods``;
+    ``win_rates[a][b]`` is the fraction of seeds on which method a beat
+    method b (ties count one half).
     """
     if not methods:
         raise ValidationError("no methods to compare")
-    for method in methods:
+    for i, method in enumerate(methods):
         if method not in COMPARE_METHODS:
             raise ValidationError(
                 f"unknown method {method!r}; valid tags: {', '.join(COMPARE_METHODS)}"
             )
+        if method in methods[:i]:
+            raise ValidationError(f"method {method!r} is listed twice")
     if not seeds:
         raise ValidationError("no seeds to compare on")
     if k < 2:
@@ -399,7 +361,6 @@ def run_comparison(
     base = ToyPolicy(world.ref_logits)
     base_reward = expected_reward(base, world)
 
-    # Gains and flags are parallel to ``methods``.
     gains: list[list[float]] = [[] for _ in methods]
     flags: list[list[str | None]] = [[] for _ in methods]
     for seed in seeds:
@@ -432,27 +393,24 @@ def run_comparison(
         # so the comparison's peak memory holds one seed's sets.
         del sets, outcomes, pairs
 
-    means = tuple(float(np.mean(g)) for g in gains)
-    stderrs = tuple(
-        float(np.std(g, ddof=1) / math.sqrt(len(g))) if len(g) > 1 else 0.0
-        for g in gains
-    )
-    win_rates: dict[str, dict[str, float]] = {}
-    for a, gains_a in zip(methods, gains):
-        row = {}
-        for b, gains_b in zip(methods, gains):
-            wins = sum(
-                1.0 if ga > gb else 0.5 if ga == gb else 0.0
-                for ga, gb in zip(gains_a, gains_b)
-            )
-            row[b] = wins / len(seeds)
-        win_rates[a] = row
-    return ComparisonReport(
-        methods=tuple(methods),
-        seeds=tuple(int(s) for s in seeds),
-        gains=tuple(tuple(g) for g in gains),
-        means=means,
-        stderrs=stderrs,
-        win_rates=win_rates,
-        flags=tuple(tuple(f) for f in flags),
-    )
+    return {
+        "methods": list(methods),
+        "seeds": [int(s) for s in seeds],
+        "gains": gains,
+        "means": [float(np.mean(g)) for g in gains],
+        "stderrs": [
+            float(np.std(g, ddof=1) / math.sqrt(len(g))) if len(g) > 1 else 0.0
+            for g in gains
+        ],
+        "win_rates": {
+            a: {
+                b: sum(
+                    1.0 if ga > gb else 0.5 if ga == gb else 0.0
+                    for ga, gb in zip(gains_a, gains_b)
+                ) / len(seeds)
+                for b, gains_b in zip(methods, gains)
+            }
+            for a, gains_a in zip(methods, gains)
+        },
+        "flags": flags,
+    }

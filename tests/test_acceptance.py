@@ -239,7 +239,7 @@ def test_criterion_6_toy_ranking_experiment(capsys):
     methods = ("cr_plus", "cr_times", "minmax_r", "random_pair")
     seeds = list(range(20))
     rep = run_comparison(world, methods, seeds)
-    gains = {m: np.array(rep.gains_for(m)) for m in methods}
+    gains = {m: np.array(rep["gains"][rep["methods"].index(m)]) for m in methods}
     p_plus = scipy.stats.ttest_rel(
         gains["cr_plus"], gains["random_pair"], alternative="greater"
     ).pvalue

@@ -383,8 +383,8 @@ class TestToyCommand:
         assert "cr_plus: mean gain" in out
 
     def test_reference_run_matches_golden(self, tmp_path, capsys):
-        # Gains are compared to 1e-9, not as bytes: numpy's SIMD exp and log
-        # may differ in the last bit between CPUs.
+        # Gains and their summaries are compared to 1e-9, not as bytes: numpy's
+        # SIMD exp and log may differ in the last bit between CPUs.
         out = tmp_path / "report.json"
         argv = ["toy", "compare", "--methods", "cr_plus,rso,minmax_r,random_pair,mbr_bmw",
                 "--seeds", "4", "--sources", "40", "--outputs", "16", "--k", "12",
@@ -392,10 +392,13 @@ class TestToyCommand:
         assert main(argv) == 0
         report = json.loads(out.read_text(encoding="utf-8"))
         golden = json.loads((GOLDEN / "toy_compare_small.json").read_text(encoding="utf-8"))
-        for key in ("methods", "seeds", "flags"):
+        assert list(report) == list(golden)
+        for key in ("methods", "seeds", "flags", "win_rates"):
             assert report[key] == golden[key]
         for gains, expected in zip(report["gains"], golden["gains"], strict=True):
             assert gains == pytest.approx(expected, rel=0, abs=1e-9)
+        for key in ("means", "stderrs"):
+            assert report[key] == pytest.approx(golden[key], rel=0, abs=1e-9)
 
     def test_unknown_method_rejected(self, tmp_path, capsys):
         rc = main(

@@ -193,6 +193,7 @@ def test_utility_matrix_exits_0_or_2_and_covers_every_source(workdir, data):
     corr=st.floats(-0.25, 1.25),
 )
 @example(methods=[], seeds=1, sources=3, outputs=4, k=4, corr=0.5)
+@example(methods=["cr_plus", "cr_plus"], seeds=1, sources=3, outputs=4, k=4, corr=0.5)
 @example(methods=["cr_plus"], seeds=1, sources=3, outputs=4, k=4, corr=math.nan)
 @example(methods=["cr_plus"], seeds=0, sources=3, outputs=4, k=4, corr=0.5)
 @example(methods=["cr_plus"], seeds=1, sources=3, outputs=4, k=1, corr=0.5)
@@ -215,6 +216,9 @@ def test_toy_compare_exits_0_or_2_and_reports_every_run(
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["methods"] == [m.strip() for m in methods if m.strip()]
         assert report["seeds"] == list(range(seeds))
+        assert list(report["win_rates"]) == report["methods"]
+        for row in report["win_rates"].values():
+            assert list(row) == report["methods"]
         for gains, flags in zip(report["gains"], report["flags"], strict=True):
             assert len(gains) == len(flags) == seeds
             assert all(gain == 0.0 for gain, flag in zip(gains, flags) if flag == "no_pairs")

@@ -12,10 +12,11 @@ import pytest
 import scipy.stats
 
 from crpo.core import SelectionConfig, ValidationError
-from crpo.losses import log_softmax
+from crpo.losses import LossConfig, batch_loss_and_grad, log_softmax
 from crpo.selectors import run_selector
 from crpo.toylab import (
     COMPARE_METHODS,
+    TRAIN_STEPS,
     ToyPolicy,
     ToyWorld,
     exact_optimal_policy,
@@ -349,19 +350,14 @@ class TestTrainDpo:
 
     def test_loss_decreases(self):
         world, pairs = self.world_and_pairs()
-        result = train_dpo(world, pairs, lr=0.3, steps=60)
-        assert len(result.losses) == 60
+        result = train_dpo(world, pairs)
+        assert len(result.losses) == TRAIN_STEPS
         assert result.losses[-1] < result.losses[0]
-
-    def test_zero_steps_returns_reference(self):
-        world, pairs = self.world_and_pairs()
-        result = train_dpo(world, pairs, steps=0)
-        np.testing.assert_array_equal(result.policy.logits, world.ref_logits)
-        assert result.losses == ()
 
     def test_training_grows_the_pair_margin(self):
         world, pairs = self.world_and_pairs()
-        result = train_dpo(world, pairs, lr=0.3, steps=80)
+        result = train_dpo(world, pairs)
+        assert len(result.losses) == TRAIN_STEPS
         before = log_softmax(world.ref_logits)
         after = result.policy.log_probs()
         for s, w, l in pairs:
@@ -369,38 +365,66 @@ class TestTrainDpo:
 
     def test_deterministic(self):
         world, pairs = self.world_and_pairs()
-        a = train_dpo(world, pairs, steps=20)
-        b = train_dpo(world, pairs, steps=20)
+        a = train_dpo(world, pairs)
+        b = train_dpo(world, pairs)
         np.testing.assert_array_equal(a.policy.logits, b.policy.logits)
         assert a.losses == b.losses
+        assert len(a.losses) == TRAIN_STEPS
 
     def test_improves_expected_reward_with_good_pairs(self):
         world, pairs = self.world_and_pairs()
-        result = train_dpo(world, pairs, lr=0.3, steps=80)
+        result = train_dpo(world, pairs)
+        assert len(result.losses) == TRAIN_STEPS
         base = expected_reward(ToyPolicy(world.ref_logits), world)
         assert expected_reward(result.policy, world) > base
 
-    def test_validation(self):
-        world, pairs = self.world_and_pairs()
-        with pytest.raises(ValidationError, match="lr"):
-            train_dpo(world, pairs, lr=0.0)
-        with pytest.raises(ValidationError, match="steps"):
-            train_dpo(world, pairs, steps=-1)
-
-    def test_divergence_names_the_step(self):
-        # The reference puts almost all mass on the loser, so the first update
-        # moves both logits by about 1.05 * lr: inf at the largest finite lr.
+    def test_bad_pair_index_is_an_input_error(self):
         world = ToyWorld(
             reward_table=np.array([[1.0, 0.0]]), ref_logits=np.array([[-5.0, 5.0]])
         )
-        with np.errstate(over="ignore"), pytest.raises(
-            ValidationError, match="training diverged at step 0$"
-        ):
-            train_dpo(world, [(0, 0, 1)], lr=sys.float_info.max)
-        # A bad pair fails on the reference logits: an input error, not divergence.
-        with pytest.raises(ValidationError, match="^pair index out of range") as err:
+        with pytest.raises(ValidationError, match="^pair index out of range"):
             train_dpo(world, [(0, 0, 2)])
-        assert "diverged" not in str(err.value)
+
+    def test_finite_worlds_train_finitely_or_fail_on_the_reference(self):
+        # Each step moves a logit by at most TRAIN_LR * 2.1, so a finite table
+        # stays finite: a world either fails on its reference logits, before
+        # any update, or trains every step to finite losses and logits.
+        big = sys.float_info.max
+        rng = np.random.default_rng(2024)
+        failed = trained = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(300):
+                n_sources, n_outputs = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+                scale = big / 10.0 ** rng.integers(0, 309)
+                logits = np.clip(
+                    rng.standard_normal((n_sources, n_outputs)) * scale, -big, big
+                )
+                extreme = rng.random(logits.shape) < 0.2
+                logits[extreme] = rng.choice([-big, big], size=int(extreme.sum()))
+                world = ToyWorld(
+                    reward_table=rng.uniform(size=logits.shape), ref_logits=logits
+                )
+                pairs = [
+                    (s, *map(int, rng.choice(n_outputs, size=2, replace=False)))
+                    for s in range(n_sources)
+                    for _ in range(int(rng.integers(1, 3)))
+                ]
+                try:
+                    batch_loss_and_grad(
+                        logits, log_softmax(logits), np.asarray(pairs), LossConfig()
+                    )
+                except ValidationError as err:
+                    assert str(err) == "non-finite loss"
+                    with pytest.raises(ValidationError, match="^non-finite loss$"):
+                        train_dpo(world, pairs)
+                    failed += 1
+                    continue
+                result = train_dpo(world, pairs)
+                assert len(result.losses) == TRAIN_STEPS
+                assert all(math.isfinite(loss) for loss in result.losses)
+                assert np.all(np.isfinite(result.policy.logits))
+                trained += 1
+        assert failed > 0 and trained > 0
 
 
 class TestRandomPairOutcome:
@@ -437,48 +461,48 @@ class TestRunComparison:
         methods = ("cr_plus", "minmax_r", "random_pair")
         report = run_comparison(world, methods, seeds=(0, 1, 2))
         again = run_comparison(world, methods, seeds=(0, 1, 2))
-        assert report.to_dict() == again.to_dict()
-        assert report.methods == methods
-        assert report.seeds == (0, 1, 2)
-        assert all(len(g) == 3 for g in report.gains)
-        for m, mean in zip(methods, report.means):
-            assert mean == pytest.approx(
-                sum(report.gains_for(m)) / 3, abs=1e-15
-            )
-        json.dumps(report.to_dict())  # serializable as-is
+        assert report == again
+        assert list(report) == [
+            "methods", "seeds", "gains", "means", "stderrs", "win_rates", "flags"
+        ]
+        assert report["methods"] == list(methods)
+        assert report["seeds"] == [0, 1, 2]
+        assert all(len(g) == 3 for g in report["gains"])
+        for gains, mean in zip(report["gains"], report["means"], strict=True):
+            assert mean == pytest.approx(sum(gains) / 3, abs=1e-15)
+        json.dumps(report)  # serializable as-is
 
     def test_win_rates_are_complementary(self):
         world = self.small_world()
         methods = ("cr_plus", "cr_times", "random_pair")
-        report = run_comparison(world, methods, seeds=(0, 1, 2, 3))
+        win_rates = run_comparison(world, methods, seeds=(0, 1, 2, 3))["win_rates"]
         for a in methods:
-            assert report.win_rates[a][a] == pytest.approx(0.5)
+            assert win_rates[a][a] == pytest.approx(0.5)
             for b in methods:
-                assert report.win_rates[a][b] + report.win_rates[b][a] == pytest.approx(1.0)
+                assert win_rates[a][b] + win_rates[b][a] == pytest.approx(1.0)
 
-    def test_duplicate_methods_agree_exactly(self):
+    def test_repeated_method_rejected(self):
         world = self.small_world()
-        report = run_comparison(world, ("cr_plus", "cr_plus"), seeds=(0, 1))
-        assert report.gains[0] == report.gains[1]
-        assert report.win_rates["cr_plus"]["cr_plus"] == pytest.approx(0.5)
+        with pytest.raises(ValidationError, match="'rso' is listed twice"):
+            run_comparison(world, ("rso", "cr_plus", "rso"), seeds=(0, 1))
 
     def test_methods_do_not_interact(self):
         world = self.small_world()
         seeds = (0, 1, 2)
         alone = {
-            m: run_comparison(world, (m,), seeds).gains[0]
+            m: run_comparison(world, (m,), seeds)["gains"][0]
             for m in ("cr_plus", "rso", "random_pair")
         }
         for methods in (("cr_plus", "rso", "random_pair"), ("random_pair", "rso", "cr_plus")):
             report = run_comparison(world, methods, seeds)
-            for m in methods:
-                assert report.gains_for(m) == alone[m]
+            for m, gains in zip(methods, report["gains"], strict=True):
+                assert gains == alone[m]
 
     def test_qe_best_trains_nothing(self):
         world = self.small_world()
         report = run_comparison(world, ("qe_best",), seeds=(0, 1))
-        assert report.gains_for("qe_best") == (0.0, 0.0)
-        assert all(flag == "no_pairs" for flag in report.flags[0])
+        assert report["gains"] == [[0.0, 0.0]]
+        assert report["flags"] == [["no_pairs", "no_pairs"]]
 
     def test_validation(self):
         world = self.small_world()
