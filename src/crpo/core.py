@@ -106,7 +106,7 @@ class Candidate:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """All candidates sampled for one source segment."""
+    """All candidates sampled for one source segment, held in candidate id order."""
 
     source_id: str
     source_text: str
@@ -124,7 +124,7 @@ class CandidateSet:
                 f"source {self.source_id!r}: direction must be a (src, tgt) tag pair"
             )
         object.__setattr__(self, "direction", tuple(self.direction))
-        object.__setattr__(self, "candidates", tuple(self.candidates))
+        object.__setattr__(self, "candidates", tuple(sorted(self.candidates, key=lambda c: c.id)))
         if not self.candidates:
             raise ValidationError(f"source {self.source_id!r}: empty candidate list")
         index = {}

@@ -169,11 +169,12 @@ def ingest_candidates(path: str | Path) -> list[CandidateSet]:
     """Read and validate a candidate file, grouping records by source.
 
     Records for one source need not be contiguous; groups keep first-
-    appearance order and candidates keep record order.  Every malformed
-    record is reported with its line number.
+    appearance order and each set holds its candidates in id order.  Every
+    malformed record is reported with its line number, and a malformed
+    source with the line of its first record.
     """
-    # source_id -> (source_text, direction, candidates by id)
-    groups: dict[str, tuple[str, tuple[str, str], dict[str, Candidate]]] = {}
+    # source_id -> (source_text, direction, candidates by id, first line)
+    groups: dict[str, tuple[str, tuple[str, str], dict[str, Candidate], int]] = {}
     records = _read_json_lines(path)
     next(records)  # the _meta header, which ingest does not use
     for lineno, record in records:
@@ -187,7 +188,7 @@ def ingest_candidates(path: str | Path) -> list[CandidateSet]:
             raise ValidationError(f"{path}:{lineno}: {err}") from None
         group = groups.get(source_id)
         if group is None:
-            group = groups[source_id] = (source_text, direction, {})
+            group = groups[source_id] = (source_text, direction, {}, lineno)
         elif group[0] != source_text or group[1] != direction:
             raise ValidationError(
                 f"{path}:{lineno}: source {source_id!r} has inconsistent "
@@ -199,10 +200,13 @@ def ingest_candidates(path: str | Path) -> list[CandidateSet]:
                 f"for source {source_id!r}"
             )
         group[2][candidate.id] = candidate
-    return [
-        CandidateSet(source_id, source_text, direction, tuple(candidates.values()))
-        for source_id, (source_text, direction, candidates) in groups.items()
-    ]
+    sets = []
+    for source_id, (text, direction, candidates, lineno) in groups.items():
+        try:
+            sets.append(CandidateSet(source_id, text, direction, tuple(candidates.values())))
+        except ValidationError as err:
+            raise ValidationError(f"{path}:{lineno}: {err}") from None
+    return sets
 
 
 def emit_candidates(sets: Sequence[CandidateSet], path: str | Path) -> None:

@@ -175,7 +175,7 @@ def builtin_utility(hypothesis: str, reference: str) -> float:
 
 
 def utility_matrix_for_set(cset: CandidateSet) -> UtilityMatrix:
-    """Built-in utility matrix over one candidate set's texts.
+    """Built-in utility matrix over one candidate set's texts, in its id order.
 
     Each text's n-gram profile is built once and each unordered pair's
     matches are counted once: U[j, m] and U[m, j] share them and only swap

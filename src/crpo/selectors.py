@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    Candidate,
     CandidateSet,
     PreferenceDataset,
     PreferencePair,
@@ -49,23 +48,21 @@ class SelectionOutcome:
 
 @dataclass(frozen=True)
 class _Pool:
-    """One candidate set sorted by id, with its aggregate rewards, its
-    effective log-likelihoods, and ``best``: the index of the reward argmax
-    (the smallest id on ties), which is the chosen side of every
-    reward-labeled selector."""
+    """One candidate set with its aggregate rewards and effective
+    log-likelihoods, both indexed like ``cset.candidates`` (id order), and
+    ``best``: the index of the reward argmax (the smallest id on ties), which
+    is the chosen side of every reward-labeled selector."""
 
     cset: CandidateSet
-    ordered: tuple[Candidate, ...]
     reward: np.ndarray
     logp: np.ndarray
     best: int
 
     @classmethod
     def of(cls, cset: CandidateSet, config: SelectionConfig) -> _Pool:
-        ordered = tuple(sorted(cset.candidates, key=lambda c: c.id))
-        reward = np.array([c.reward_agg for c in ordered], dtype=np.float64)
-        logp = np.array([effective_logprob(c, config) for c in ordered])
-        return cls(cset, ordered, reward, logp, int(np.argmax(reward)))
+        reward = np.array([c.reward_agg for c in cset.candidates], dtype=np.float64)
+        logp = np.array([effective_logprob(c, config) for c in cset.candidates])
+        return cls(cset, reward, logp, int(np.argmax(reward)))
 
     def pair(
         self,
@@ -75,7 +72,7 @@ class _Pool:
         method: str,
         extra: Mapping[str, float] | None = None,
     ) -> PreferencePair:
-        winner, loser = self.ordered[chosen], self.ordered[rejected]
+        winner, loser = self.cset.candidates[chosen], self.cset.candidates[rejected]
         extras = {
             "reward_gap": winner.reward_agg - loser.reward_agg,
             "confidence_gap": float(self.logp[rejected] - self.logp[chosen]),
@@ -94,7 +91,7 @@ class _Pool:
     def by_reward(self, a: int, b: int, method: str) -> PreferencePair | None:
         """Candidates ``a`` and ``b`` paired with the higher reward chosen and
         scored by the reward gap, or None when their rewards are equal."""
-        gap = self.ordered[a].reward_agg - self.ordered[b].reward_agg
+        gap = self.cset.candidates[a].reward_agg - self.cset.candidates[b].reward_agg
         if gap == 0.0:
             return None
         chosen, rejected = (a, b) if gap > 0.0 else (b, a)
@@ -257,26 +254,26 @@ def _rsdpo(pool: _Pool, config: SelectionConfig, _utility: object) -> SelectionO
             f"source {pool.cset.source_id!r}: no eta threshold for direction class {klass!r}"
         )
     eta = config.eta[klass]
-    # eta > 0, so every kept pair has a non-zero gap and ``by_reward`` a pair.
-    wide = np.abs(pool.reward[:, None] - pool.reward[None, :]) > eta
-    pairs = [pool.by_reward(i, j, "rs_dpo") for i, j in zip(*np.nonzero(np.triu(wide, 1)))]
-    pairs.sort(key=lambda p: (p.chosen_id, p.rejected_id))
+    # Keeps (chosen i, rejected j) with r_i - r_j > eta > 0, in id order.
+    wide = pool.reward[:, None] - pool.reward[None, :] > eta
+    pairs = [pool.by_reward(i, j, "rs_dpo") for i, j in zip(*np.nonzero(wide))]
     if not pairs:
         return SelectionOutcome(skipped_reason="no reward gap above eta")
     return SelectionOutcome(pairs=tuple(pairs))
 
 
 def _mbr_scores(pool: _Pool, matrix: UtilityMatrix | None) -> np.ndarray:
-    """Expected utility of every candidate, aligned with ``pool.ordered``;
-    the built-in utility when no matrix is given."""
+    """Expected utility of every candidate in id order: of ``matrix``
+    permuted into id order, or of the built-in utility without one."""
     if matrix is None:
-        matrix = utility_matrix_for_set(pool.cset)
-    elif set(matrix.ids) != {c.id for c in pool.ordered}:
+        return mbr_scores(utility_matrix_for_set(pool.cset))
+    ids = tuple(c.id for c in pool.cset.candidates)
+    order = sorted(range(len(matrix.ids)), key=matrix.ids.__getitem__)
+    if tuple(matrix.ids[i] for i in order) != ids:
         raise ValidationError(
             f"source {pool.cset.source_id!r}: utility matrix ids do not match the set"
         )
-    score_by_id = dict(zip(matrix.ids, mbr_scores(matrix)))
-    return np.array([score_by_id[c.id] for c in pool.ordered])
+    return mbr_scores(UtilityMatrix(ids, matrix.values[np.ix_(order, order)]))
 
 
 def _mbr(pool: _Pool, config: SelectionConfig, utility: UtilityMatrix | None) -> SelectionOutcome:
@@ -327,11 +324,11 @@ def _reward_extremes(pool: _Pool, config: SelectionConfig, _utility: object) -> 
     The argmin is taken on the rewards, not on the gaps: two distinct low
     rewards can round to the same gap below the best one.
     """
-    n = len(pool.ordered)
+    n = len(pool.reward)
     if config.method == "top_scores":
         n = min(config.rso_samples, n)
     kept = np.argsort(-pool.reward, kind="stable")[:n]
-    worst = np.zeros(len(pool.ordered), dtype=bool)
+    worst = np.zeros(len(pool.reward), dtype=bool)
     worst[kept[np.argmin(pool.reward[kept])]] = True
     return pool.select(
         config.method, pool.reward[pool.best] - pool.reward, "zero reward gap", worst
@@ -393,7 +390,7 @@ def run_selector(
     ``config.logprob_norm`` is.
     """
     if config.method == "qe_best":
-        best = min(cset.candidates, key=lambda c: (-c.reward_agg, c.id))
+        best = max(cset.candidates, key=lambda c: c.reward_agg)
         return SelectionOutcome(sft_target=best.id)
     min_k, select = _SELECTORS[config.method]
     if len(cset.candidates) < min_k:

@@ -42,6 +42,12 @@ MAX_WORLD_CELLS = 1_000_000
 # about forty times the benchmark's.
 MAX_COMPARE_CANDIDATES = 1_000_000
 
+# Largest K a comparison samples per source.  ``rs_dpo`` and the MBR methods
+# build a K x K float64 table per pool, which stays under 8 MB at this bound;
+# it also keeps the candidate ids k000..k999 at three digits, so their id order
+# is their sampling order.
+MAX_COMPARE_K = 1000
+
 # The one training schedule of ``train_dpo``: full-batch steps and step size.
 TRAIN_STEPS = 80
 TRAIN_LR = 0.3
@@ -358,6 +364,8 @@ def run_comparison(
         raise ValidationError("no seeds to compare on")
     if k < 2:
         raise ValidationError(f"comparison needs k >= 2, got {k}")
+    if k > MAX_COMPARE_K:
+        raise ValidationError(f"comparison needs k <= {MAX_COMPARE_K}, got {k}")
     base = ToyPolicy(world.ref_logits)
     base_reward = expected_reward(base, world)
 

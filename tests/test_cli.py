@@ -545,8 +545,14 @@ def _limit_address_space():
              "--sources", "2", "--outputs", "3", "--k", "2"],
             "--seeds",
         ),
+        (
+            ["toy", "compare", "--methods", "mbr_bw,rs_dpo", "--seeds", "1",
+             "--sources", "1", "--outputs", "8", "--k", "100000"],
+            "k <=",
+        ),
     ],
-    ids=["stats --bins", "toy compare --outputs", "select --rso-samples", "toy compare --seeds"],
+    ids=["stats --bins", "toy compare --outputs", "select --rso-samples", "toy compare --seeds",
+         "toy compare --k"],
 )
 def test_oversized_flag_is_rejected_before_allocating(tmp_path, argv, flag):
     out = tmp_path / "out.json"

@@ -4,7 +4,8 @@
 run through ``crpo.cli.main`` with generated flag values (small sizes), on the
 fixture and on generated candidate files.  Bad values must be rejected with
 exit 2, never with the ``internal error`` exit 1, and every file written on
-exit 0 must load back and agree with its inputs.
+exit 0 must load back and agree with its inputs.  The order of a candidate
+file's records must not change any pair record.
 """
 
 from __future__ import annotations
@@ -90,6 +91,29 @@ def candidate_file(draw) -> bytes:
     return "".join(lines).encode()
 
 
+@st.composite
+def word_salad_records(draw) -> list[str]:
+    """Candidate records, in id order, of 1-3 sources with 3-12 candidates
+    each.  The texts are word salad, so their utilities are rarely 0 or 1 and
+    a row sum taken in another order can differ in its last bit."""
+    words = st.sampled_from(("the", "cat", "sat", "on", "a", "mat", "dog", "ran", "far", "red"))
+    lines = []
+    for s in range(draw(st.integers(1, 3))):
+        direction = draw(st.sampled_from(["en-de", "de-en"]))
+        for j in range(draw(st.integers(3, 12))):
+            record = {
+                "source_id": f"s{s}",
+                "source_text": "a source",
+                "direction": direction,
+                "candidate_id": f"c{j:02d}",
+                "text": " ".join(draw(st.lists(words, min_size=3, max_size=12))),
+                "logprob": draw(st.floats(-80.0, 0.0)),
+                "rewards": {"qe": draw(st.floats(0.0, 1.0))},
+            }
+            lines.append(json.dumps(record) + "\n")
+    return lines
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory) -> Path:
     return tmp_path_factory.mktemp("select")
@@ -116,6 +140,30 @@ def test_select_exits_0_or_2_and_writes_valid_pairs(workdir, argv, data, utility
             dataset = load_pairs(out)
             assert dataset.provenance["config"]["method"] == method
             dataset.validate_against(ingest_candidates(source))
+
+
+@settings(max_examples=25, deadline=None)
+@given(records=word_salad_records(), data=st.data())
+def test_record_order_changes_no_pair_record(workdir, records, data):
+    """Shuffling a candidate file's records, within and across sources,
+    leaves every method's pair records byte-identical: only
+    ``_meta.input_digest`` and the order of the sources may change."""
+    shuffled = data.draw(st.permutations(records))
+    for method in METHODS:
+        results = []
+        for name, lines in (("ordered", records), ("shuffled", shuffled)):
+            source, out = workdir / f"{name}.jsonl", workdir / f"{name}_pairs.jsonl"
+            source.write_text("".join(lines), encoding="utf-8")
+            assert main(["select", "--in", str(source), "--out", str(out),
+                         "--method", method]) == 0, method
+            header, *body = out.read_text(encoding="utf-8").splitlines()
+            meta = json.loads(header)["_meta"]
+            del meta["input_digest"]
+            by_source: dict[str, list[str]] = {}
+            for line in body:
+                by_source.setdefault(json.loads(line)["source_id"], []).append(line)
+            results.append((meta, by_source))
+        assert results[0] == results[1], method
 
 
 @settings(max_examples=40, deadline=None)

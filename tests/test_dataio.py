@@ -172,8 +172,9 @@ class TestIngestCandidates:
             ("logprob", -(10**400), "logprob must be finite"),
             ("rewards", {"qe": 10**400}, "reward out of range"),
             ("token_count", 10**400, "token_count must be a positive integer"),
+            ("source_id", "", "source_id must be a non-empty string"),
         ],
-        ids=["logprob", "rewards", "token_count"],
+        ids=["logprob", "rewards", "token_count", "empty source_id"],
     )
     def test_ints_beyond_the_float_range_rejected(self, tmp_path, field, value, message):
         path = tmp_path / "cands.jsonl"

@@ -11,6 +11,7 @@ import pytest
 from crpo.core import (
     GATE_MODES,
     METHODS,
+    UTILITY_RANKED_METHODS,
     Candidate,
     CandidateSet,
     PreferenceDataset,
@@ -19,7 +20,13 @@ from crpo.core import (
     ValidationError,
     effective_logprob,
 )
-from crpo.scoring import UtilityMatrix, cr_plus, cr_times, PairScoreInput
+from crpo.scoring import (
+    PairScoreInput,
+    UtilityMatrix,
+    cr_plus,
+    cr_times,
+    utility_matrix_for_set,
+)
 from crpo.selectors import (
     SelectionOutcome,
     per_source_rng,
@@ -620,6 +627,36 @@ class TestRunSelector:
                     assert pair.source_id == cset.source_id
                     assert pair.chosen_id != pair.rejected_id
                     assert pair.method == cfg.method
+
+    def test_outcomes_do_not_depend_on_record_order(self):
+        """Every selector returns the same outcome, to the last bit of every
+        score, on a pool and on any permutation of its records; the MBR
+        methods also on any id permutation of a given utility matrix.  The
+        texts are word salad, so the utilities are rarely 0 or 1 and a row
+        sum taken in another order can differ in its last bit."""
+        configs = [config(method=method) for method in METHODS] + [
+            config(method="cr_plus", gate_mode=gate, epsilon=1.0) for gate in GATE_MODES
+        ]
+        words = ("the", "cat", "sat", "on", "a", "mat", "dog", "ran", "far", "red", "big")
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            k = int(rng.integers(3, 17))
+            cset = random_set(rng, k=k)
+            salad = [" ".join(rng.choice(words, size=int(rng.integers(3, 12)))) for _ in range(k)]
+            cset = replace(cset, candidates=tuple(
+                replace(cand, text=text) for cand, text in zip(cset.candidates, salad)
+            ))
+            order = rng.permutation(k)
+            shuffled = replace(cset, candidates=tuple(cset.candidates[i] for i in order))
+            for cfg in configs:
+                assert run_selector(shuffled, cfg) == run_selector(cset, cfg), cfg
+            matrix = utility_matrix_for_set(cset)
+            permuted = UtilityMatrix(
+                tuple(matrix.ids[i] for i in order), matrix.values[np.ix_(order, order)]
+            )
+            for method in UTILITY_RANKED_METHODS:
+                cfg = config(method=method)
+                assert run_selector(cset, cfg, permuted) == run_selector(cset, cfg, matrix)
 
 
 class TestPerSourceRng:
