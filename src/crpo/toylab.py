@@ -23,16 +23,17 @@ from .core import (
     SelectionConfig,
     ValidationError,
 )
-from .losses import LossConfig, batch_loss_and_grad, log_softmax
+from .losses import LossConfig, PairBatch, batch_loss_and_grad, log_softmax
 from .selectors import SelectionOutcome, run_selector
 
 # Method tags the comparison harness accepts: every selector plus a
 # random-pair control baseline.
 COMPARE_METHODS = METHODS + ("random_pair",)
 
-# Largest world table (sources x outputs) ``make_world`` builds.  Training
-# copies the table every step, so the bound keeps sizes taken from the command
-# line from exhausting memory; it is about a hundred times the benchmark world.
+# Largest world table (sources x outputs) ``make_world`` builds.  Every
+# training step makes a few temporary tables of this size, so the bound keeps
+# sizes taken from the command line from exhausting memory; it is about a
+# hundred times the benchmark world.
 MAX_WORLD_CELLS = 1_000_000
 
 # Largest number of candidates a comparison samples (seeds x sources x K).
@@ -47,6 +48,15 @@ MAX_COMPARE_CANDIDATES = 1_000_000
 # it also keeps the candidate ids k000..k999 at three digits, so their id order
 # is their sampling order.
 MAX_COMPARE_K = 1000
+
+# Largest worst-case training batch of one (method, seed) run, counted as
+# pairs x (outputs + 3), the length of its ``PairBatch`` cell index.  ``rs_dpo``
+# keeps up to K(K-1)/2 pairs per source, each a ``PreferencePair`` of about
+# 0.5 KB until training, and a training step handles about 40 bytes per cell,
+# so the bound keeps sizes taken from the command line within a few hundred MB.
+# ``rs_dpo`` at the benchmark's size (160 sources x 64 outputs, K=16) needs
+# 1.3 million cells.
+MAX_COMPARE_PAIR_CELLS = 2_000_000
 
 # The one training schedule of ``train_dpo``: full-batch steps and step size.
 TRAIN_STEPS = 80
@@ -292,19 +302,29 @@ def train_dpo(world: ToyWorld, pairs: Sequence[tuple[int, int, int]]) -> TrainRe
 
     The loss is recorded before each update.  Every gradient cell is a mean
     of per-pair terms of at most 2.1 in absolute value, so a step moves a
-    logit by at most 0.63 and a finite table stays finite; only the loss on
-    the reference logits can fail (a pair index out of range, say).
+    logit by at most 0.63 and a finite table stays finite.  Bad pairs (an
+    index out of range, say) fail in ``PairBatch.of``, before the first step;
+    only the loss on the reference logits can be non-finite.
     """
     cfg = LossConfig()
-    ref_logp = log_softmax(world.ref_logits)
-    idx = np.asarray(pairs)
+    batch = PairBatch.of(pairs, log_softmax(world.ref_logits))
     logits = world.ref_logits.copy()
     losses = []
     for _ in range(TRAIN_STEPS):
-        loss, grad = batch_loss_and_grad(logits, ref_logp, idx, cfg)
+        loss, grad = batch_loss_and_grad(logits, batch, cfg)
         losses.append(loss)
-        logits = logits - TRAIN_LR * grad
+        logits -= TRAIN_LR * grad
     return TrainResult(policy=ToyPolicy(logits), losses=tuple(losses))
+
+
+def _max_pairs_per_source(method: str, k: int) -> int:
+    """Most pairs ``method`` makes from one pool of ``k`` candidates under the
+    default ``SelectionConfig``."""
+    if method == "rs_dpo":
+        return k * (k - 1) // 2
+    if method == "rso":
+        return SelectionConfig().rso_samples // 2
+    return 3 if method == "mbr_bmw" else 1
 
 
 def random_pair_outcome(
@@ -366,6 +386,12 @@ def run_comparison(
         raise ValidationError(f"comparison needs k >= 2, got {k}")
     if k > MAX_COMPARE_K:
         raise ValidationError(f"comparison needs k <= {MAX_COMPARE_K}, got {k}")
+    pairs_per_seed = world.n_sources * max(_max_pairs_per_source(m, k) for m in methods)
+    if pairs_per_seed * (world.n_outputs + 3) > MAX_COMPARE_PAIR_CELLS:
+        raise ValidationError(
+            f"up to {pairs_per_seed} pairs per seed x {world.n_outputs} outputs "
+            f"exceeds {MAX_COMPARE_PAIR_CELLS} training cells"
+        )
     base = ToyPolicy(world.ref_logits)
     base_reward = expected_reward(base, world)
 

@@ -110,7 +110,7 @@ def test_criterion_1_selector_brute_force_equivalence(capsys):
 
 
 def test_criterion_2_margin_delta_identities(capsys):
-    from crpo.losses import delta_loss
+    from oracles import delta_loss
 
     rng = np.random.default_rng(7)
     worst_tilt = 0.0

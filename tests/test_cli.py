@@ -550,9 +550,14 @@ def _limit_address_space():
              "--sources", "1", "--outputs", "8", "--k", "100000"],
             "k <=",
         ),
+        (
+            ["toy", "compare", "--methods", "rs_dpo", "--seeds", "1",
+             "--sources", "200", "--outputs", "64", "--k", "1000"],
+            "training cells",
+        ),
     ],
     ids=["stats --bins", "toy compare --outputs", "select --rso-samples", "toy compare --seeds",
-         "toy compare --k"],
+         "toy compare --k", "toy compare rs_dpo pairs"],
 )
 def test_oversized_flag_is_rejected_before_allocating(tmp_path, argv, flag):
     out = tmp_path / "out.json"

@@ -10,18 +10,22 @@ import pytest
 from crpo.core import ValidationError
 from crpo.losses import (
     LossConfig,
-    PairLogits,
-    _sigmoid,
+    PairBatch,
     batch_loss_and_grad,
+    gradient_check,
+    log_softmax,
+)
+from crpo.scoring import PairScoreInput, cr_plus
+
+from oracles import (
+    PairLogits,
     cpo_loss,
     delta_loss,
     dpo_loss,
-    gradient_check,
-    log_softmax,
+    sequential_scatter_loss_and_grad,
     sft_term,
     softplus,
 )
-from crpo.scoring import PairScoreInput, cr_plus
 
 LOG_TWO = 0.6931471805599453
 
@@ -198,21 +202,21 @@ class TestLossConfig:
 class TestBatchLossAndGrad:
     def test_empty_batch(self):
         logits = np.zeros((2, 3))
-        loss, grad = batch_loss_and_grad(logits, log_softmax(logits), [], LossConfig())
+        loss, grad = batch_loss_and_grad(logits, PairBatch.of([], log_softmax(logits)), LossConfig())
         assert loss == 0.0
         np.testing.assert_array_equal(grad, np.zeros((2, 3)))
 
     def test_hand_computed_symmetric_case(self):
         logits = np.zeros((1, 2))
         cfg = LossConfig(kind="dpo", beta=0.1, sft_weight=0.0)
-        loss, grad = batch_loss_and_grad(logits, log_softmax(logits), [(0, 0, 1)], cfg)
+        loss, grad = batch_loss_and_grad(logits, PairBatch.of([(0, 0, 1)], log_softmax(logits)), cfg)
         assert loss == pytest.approx(LOG_TWO, abs=1e-15)
         np.testing.assert_allclose(grad, [[-0.05, 0.05]], atol=1e-15)
 
     def test_hand_computed_with_sft(self):
         logits = np.zeros((1, 2))
         cfg = LossConfig(kind="dpo", beta=0.1, sft_weight=1.0)
-        loss, grad = batch_loss_and_grad(logits, log_softmax(logits), [(0, 0, 1)], cfg)
+        loss, grad = batch_loss_and_grad(logits, PairBatch.of([(0, 0, 1)], log_softmax(logits)), cfg)
         assert loss == pytest.approx(2 * LOG_TWO, abs=1e-14)
         np.testing.assert_allclose(grad, [[-0.55, 0.55]], atol=1e-15)
 
@@ -233,7 +237,7 @@ class TestBatchLossAndGrad:
             ]
             cfg = LossConfig(kind=kind, beta=beta, sft_weight=sft_weight)
             logp, ref_logp = log_softmax(logits), log_softmax(ref)
-            loss, _ = batch_loss_and_grad(logits, ref_logp, pairs, cfg)
+            loss, _ = batch_loss_and_grad(logits, PairBatch.of(pairs, ref_logp), cfg)
             total = 0.0
             for s, w, l in pairs:
                 if kind == "dpo":
@@ -250,10 +254,10 @@ class TestBatchLossAndGrad:
         logits = rng.standard_normal((2, 4))
         ref = log_softmax(rng.standard_normal((2, 4)))
         cfg = LossConfig()
-        loss_a, grad_a = batch_loss_and_grad(logits, ref, [(0, 1, 2)], cfg)
-        loss_b, grad_b = batch_loss_and_grad(logits, ref, [(1, 0, 3)], cfg)
+        loss_a, grad_a = batch_loss_and_grad(logits, PairBatch.of([(0, 1, 2)], ref), cfg)
+        loss_b, grad_b = batch_loss_and_grad(logits, PairBatch.of([(1, 0, 3)], ref), cfg)
         loss_ab, grad_ab = batch_loss_and_grad(
-            logits, ref, [(0, 1, 2), (1, 0, 3)], cfg
+            logits, PairBatch.of([(0, 1, 2), (1, 0, 3)], ref), cfg
         )
         assert loss_ab == pytest.approx((loss_a + loss_b) / 2, abs=1e-12)
         np.testing.assert_allclose(grad_ab, (grad_a + grad_b) / 2, atol=1e-12)
@@ -263,9 +267,9 @@ class TestBatchLossAndGrad:
         logits = rng.standard_normal((1, 3))
         ref = log_softmax(rng.standard_normal((1, 3)))
         cfg = LossConfig()
-        loss_one, grad_one = batch_loss_and_grad(logits, ref, [(0, 0, 1)], cfg)
+        loss_one, grad_one = batch_loss_and_grad(logits, PairBatch.of([(0, 0, 1)], ref), cfg)
         loss_two, grad_two = batch_loss_and_grad(
-            logits, ref, [(0, 0, 1), (0, 0, 1)], cfg
+            logits, PairBatch.of([(0, 0, 1), (0, 0, 1)], ref), cfg
         )
         assert loss_two == pytest.approx(loss_one, abs=1e-12)
         np.testing.assert_allclose(grad_two, grad_one, atol=1e-12)
@@ -276,10 +280,10 @@ class TestBatchLossAndGrad:
         cfg = LossConfig(kind="cpo")
         pairs = [(0, 1, 2), (1, 3, 0)]
         loss_a, grad_a = batch_loss_and_grad(
-            logits, log_softmax(rng.standard_normal((2, 4))), pairs, cfg
+            logits, PairBatch.of(pairs, log_softmax(rng.standard_normal((2, 4)))), cfg
         )
         loss_b, grad_b = batch_loss_and_grad(
-            logits, log_softmax(rng.standard_normal((2, 4)) * 50), pairs, cfg
+            logits, PairBatch.of(pairs, log_softmax(rng.standard_normal((2, 4)) * 50)), cfg
         )
         assert loss_a == loss_b
         np.testing.assert_array_equal(grad_a, grad_b)
@@ -289,16 +293,16 @@ class TestBatchLossAndGrad:
         ref = log_softmax(logits)
         cfg = LossConfig()
         with pytest.raises(ValidationError, match="2-D shape"):
-            batch_loss_and_grad(logits, log_softmax(np.zeros((2, 4))), [(0, 0, 1)], cfg)
+            batch_loss_and_grad(logits, PairBatch.of([(0, 0, 1)], log_softmax(np.zeros((2, 4)))), cfg)
         with pytest.raises(ValidationError, match="index triples"):
-            batch_loss_and_grad(logits, ref, [(0, 1)], cfg)
+            batch_loss_and_grad(logits, PairBatch.of([(0, 1)], ref), cfg)
         for bad in ([(0.7, 1, 2)], [(0, float("nan"), 2)], [(0, 1), (0, 1, 2)]):
             with pytest.raises(ValidationError, match="index triples"):
-                batch_loss_and_grad(logits, ref, bad, cfg)
+                batch_loss_and_grad(logits, PairBatch.of(bad, ref), cfg)
         with pytest.raises(ValidationError, match="out of range"):
-            batch_loss_and_grad(logits, ref, [(0, 0, 3)], cfg)
+            batch_loss_and_grad(logits, PairBatch.of([(0, 0, 3)], ref), cfg)
         with pytest.raises(ValidationError, match="out of range"):
-            batch_loss_and_grad(logits, ref, [(2, 0, 1)], cfg)
+            batch_loss_and_grad(logits, PairBatch.of([(2, 0, 1)], ref), cfg)
 
     @pytest.mark.parametrize("sft_weight", [0.0, 1.0])
     @pytest.mark.parametrize("kind", ["dpo", "cpo"])
@@ -317,26 +321,12 @@ class TestBatchLossAndGrad:
             ]
             pairs += pairs[: int(rng.integers(0, 3))]  # duplicate pairs
             cfg = LossConfig(kind=kind, beta=beta, sft_weight=sft_weight)
-            loss, grad = batch_loss_and_grad(logits, ref_logp, pairs, cfg)
-
-            s, w, l = np.asarray(pairs, dtype=np.int64).T
-            logp = log_softmax(logits)
-            if kind == "dpo":
-                margin = (logp[s, w] - ref_logp[s, w]) - (logp[s, l] - ref_logp[s, l])
-            else:
-                margin = logp[s, w] - logp[s, l]
-            z = beta * margin
-            losses = np.logaddexp(0.0, -z)
-            dloss_dz = -_sigmoid(-z)
-            expected = np.zeros_like(logits)
-            np.add.at(expected, (s, w), dloss_dz * beta)
-            np.add.at(expected, (s, l), -dloss_dz * beta)
-            if sft_weight > 0:
-                losses = losses + sft_weight * (-logp[s, w])
-                np.add.at(expected, s, sft_weight * np.exp(logp)[s])
-                np.add.at(expected, (s, w), -sft_weight)
-            np.testing.assert_array_equal(grad, expected / len(pairs))
-            assert loss == float(losses.sum() / len(pairs))
+            loss, grad = batch_loss_and_grad(logits, PairBatch.of(pairs, ref_logp), cfg)
+            expected_loss, expected = sequential_scatter_loss_and_grad(
+                logits, ref_logp, pairs, cfg
+            )
+            np.testing.assert_array_equal(grad, expected)
+            assert loss == expected_loss
 
     def test_matches_finite_differences(self):
         worst = gradient_check(seed=0, n_instances=10)

@@ -12,10 +12,11 @@ import pytest
 import scipy.stats
 
 from crpo.core import SelectionConfig, ValidationError
-from crpo.losses import LossConfig, batch_loss_and_grad, log_softmax
+from crpo.losses import LossConfig, PairBatch, batch_loss_and_grad, log_softmax
 from crpo.selectors import run_selector
 from crpo.toylab import (
     COMPARE_METHODS,
+    TRAIN_LR,
     TRAIN_STEPS,
     ToyPolicy,
     ToyWorld,
@@ -35,6 +36,7 @@ from crpo.toylab import (
 )
 
 from conftest import make_set
+from oracles import sequential_scatter_loss_and_grad
 
 
 class TestLabels:
@@ -378,6 +380,39 @@ class TestTrainDpo:
         base = expected_reward(ToyPolicy(world.ref_logits), world)
         assert expected_reward(result.policy, world) > base
 
+    def test_matches_a_loop_over_the_sequential_scatter_bit_for_bit(self):
+        """Every loss and the final logits equal a plain loop of
+        ``logits = logits - TRAIN_LR * g`` over the one-np.add.at-per-term
+        oracle, on worlds whose rows hold several (and repeated) pairs."""
+        rng = np.random.default_rng(31)
+        cfg = LossConfig()
+        for _ in range(200):
+            n_sources, n_outputs = int(rng.integers(1, 6)), int(rng.integers(2, 9))
+            world = ToyWorld(
+                reward_table=rng.uniform(size=(n_sources, n_outputs)),
+                ref_logits=rng.standard_normal((n_sources, n_outputs)) * 3,
+            )
+            pairs = [
+                (s, *map(int, rng.choice(n_outputs, size=2, replace=False)))
+                for s in range(n_sources)
+                for _ in range(int(rng.integers(0, 5)))
+            ]
+            pairs += pairs[: int(rng.integers(0, 3))]
+            if not pairs:
+                pairs = [(0, 0, 1)]
+            rng.shuffle(pairs)
+            result = train_dpo(world, pairs)
+
+            ref_logp = log_softmax(world.ref_logits)
+            logits = world.ref_logits.copy()
+            losses = []
+            for _ in range(TRAIN_STEPS):
+                loss, g = sequential_scatter_loss_and_grad(logits, ref_logp, pairs, cfg)
+                losses.append(loss)
+                logits = logits - TRAIN_LR * g
+            assert result.losses == tuple(losses)
+            np.testing.assert_array_equal(result.policy.logits, logits)
+
     def test_bad_pair_index_is_an_input_error(self):
         world = ToyWorld(
             reward_table=np.array([[1.0, 0.0]]), ref_logits=np.array([[-5.0, 5.0]])
@@ -411,7 +446,7 @@ class TestTrainDpo:
                 ]
                 try:
                     batch_loss_and_grad(
-                        logits, log_softmax(logits), np.asarray(pairs), LossConfig()
+                        logits, PairBatch.of(np.asarray(pairs), log_softmax(logits)), LossConfig()
                     )
                 except ValidationError as err:
                     assert str(err) == "non-finite loss"
