@@ -61,10 +61,6 @@ def parse_direction(tag: str) -> tuple[str, str]:
     return (parts[0], parts[1])
 
 
-def format_direction(direction: tuple[str, str]) -> str:
-    return f"{direction[0]}-{direction[1]}"
-
-
 def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Numbered lines of a UTF-8 text file, split on newlines only (not on
     U+2028 or U+0085, which ``json.dumps`` writes unescaped in ids).  Bad
@@ -207,25 +203,6 @@ def ingest_candidates(path: str | Path) -> list[CandidateSet]:
         except ValidationError as err:
             raise ValidationError(f"{path}:{lineno}: {err}") from None
     return sets
-
-
-def emit_candidates(sets: Sequence[CandidateSet], path: str | Path) -> None:
-    """Write candidate sets back to JSONL (inverse of ``ingest_candidates``)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for cset in sets:
-            for cand in cset.candidates:
-                record = {
-                    "source_id": cset.source_id,
-                    "source_text": cset.source_text,
-                    "direction": format_direction(cset.direction),
-                    "candidate_id": cand.id,
-                    "text": cand.text,
-                    "logprob": cand.logprob,
-                    "rewards": dict(cand.rewards),
-                }
-                if cand.token_count is not None:
-                    record["token_count"] = cand.token_count
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def emit_pairs(dataset: PreferenceDataset, path: str | Path) -> None:

@@ -1,11 +1,9 @@
-"""Pair scoring: confidence-reward scores and MBR utilities."""
+"""MBR utilities: the utility matrix type, expected utilities and the
+built-in character n-gram utility."""
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -15,52 +13,13 @@ from .core import CandidateSet, ValidationError
 # weighted twice as heavily as precision (beta = 2).
 _NGRAM_ORDER = 6
 _BETA_SQ = 4.0
-
-
-@dataclass(frozen=True)
-class PairScoreInput:
-    """Rewards and reference log-likelihoods for one (winner, loser) pair."""
-
-    r_w: float
-    r_l: float
-    logp_w: float
-    logp_l: float
-
-    def __post_init__(self) -> None:
-        for name in ("r_w", "r_l", "logp_w", "logp_l"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"non-finite pair score input {name}={value!r}")
-        for name in ("r_w", "r_l"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"reward out of range: {name}={value!r}")
-        for name in ("logp_w", "logp_l"):
-            value = getattr(self, name)
-            if value > 0.0:
-                raise ValidationError(f"log-likelihood must be <= 0: {name}={value!r}")
-
-
-def cr_plus(pair: PairScoreInput, k_trust: float) -> float:
-    """Additive confidence-reward score.
-
-    k_trust * (r_w - r_l) + (logp_l - logp_w): large when the reward gap is
-    wide and the reference policy is more confident in the loser.  k_trust
-    weighs how much the rewards are trusted against the likelihood term.
-    """
-    if not math.isfinite(k_trust) or k_trust < 0:
-        raise ValidationError(f"k_trust must be finite and >= 0, got {k_trust!r}")
-    return k_trust * (pair.r_w - pair.r_l) + (pair.logp_l - pair.logp_w)
-
-
-def cr_times(pair: PairScoreInput) -> float:
-    """Multiplicative confidence-reward score: (r_w - r_l) * (logp_l - logp_w).
-
-    Positive exactly when the reward ordering and the reference-confidence
-    ordering disagree (loser more likely than winner, or winner worse but
-    less likely).
-    """
-    return (pair.r_w - pair.r_l) * (pair.logp_l - pair.logp_w)
+# Most cells (K x block width) of the 0/1 threshold table that
+# _clipped_matches holds at once, so a pool's peak memory does not grow with
+# its number of distinct grams.
+_TABLE_CELLS = 1 << 18
+# Every code point is below this, so gram * _CODE_POINTS + code point is a
+# one-to-one key of (gram, next character).
+_CODE_POINTS = 0x110000
 
 
 @dataclass(frozen=True)
@@ -97,100 +56,113 @@ def mbr_scores(matrix: UtilityMatrix) -> np.ndarray:
     return (matrix.values.sum(axis=1) - np.diag(matrix.values)) / (k - 1)
 
 
-def _char_ngrams(text: str, n: int) -> Counter:
-    return Counter(text[i : i + n] for i in range(len(text) - n + 1))
+def _gram_cells(key: np.ndarray, text: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Dense gram ids of one order's windows, and the (gram, text, count)
+    cells of their count table in gram order.
 
-
-@dataclass(frozen=True)
-class _NgramProfile:
-    """A text's character n-gram counts of orders 1.._NGRAM_ORDER, whitespace
-    removed, with the number of n-grams of each order."""
-
-    grams: tuple[Counter, ...]
-    totals: tuple[int, ...]
-
-    @classmethod
-    def of(cls, text: str) -> _NgramProfile:
-        stripped = "".join(text.split())
-        grams = tuple(_char_ngrams(stripped, n) for n in range(1, _NGRAM_ORDER + 1))
-        return cls(grams, tuple(sum(counts.values()) for counts in grams))
-
-
-def _common_counts(a: _NgramProfile, b: _NgramProfile) -> list[int]:
-    """Clipped n-gram matches per order; symmetric in ``a`` and ``b``."""
-    common = []
-    for small, large in zip(a.grams, b.grams):
-        if len(small) > len(large):
-            small, large = large, small
-        # A plain loop: about 3x faster than sum() over a generator here.
-        matches = 0
-        for gram, count in small.items():
-            other = large.get(gram)
-            if other is not None:
-                matches += count if count < other else other
-        common.append(matches)
-    return common
-
-
-def _fscore(
-    common: Sequence[int], hyp_totals: Sequence[int], ref_totals: Sequence[int]
-) -> float:
-    """F-beta of the order-averaged n-gram precision and recall.
-
-    Orders that one of the texts is too short for are skipped; two empty
-    texts score 1.0.
+    ``key`` identifies each window's gram and ``text`` is the text it lies
+    in, nondecreasing, so a stable sort by key leaves each gram's windows in
+    text order.
     """
-    if hyp_totals[0] == 0 and ref_totals[0] == 0:
-        return 1.0
-    precision_sum = 0.0
-    recall_sum = 0.0
-    orders = 0
-    for matches, hyp_total, ref_total in zip(common, hyp_totals, ref_totals):
-        if hyp_total == 0 or ref_total == 0:
-            continue
-        precision_sum += matches / hyp_total
-        recall_sum += matches / ref_total
-        orders += 1
-    if orders == 0:
-        return 0.0
-    precision = precision_sum / orders
-    recall = recall_sum / orders
-    if precision + recall == 0.0:
-        return 0.0
-    return (1 + _BETA_SQ) * precision * recall / (_BETA_SQ * precision + recall)
+    order = key.argsort(kind="stable")
+    key, text = key[order], text[order]
+    # edge[i]: sorted window i starts a new gram (then a new cell); edge[-1]
+    # closes the last cell.
+    edge = np.ones(len(key) + 1, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=edge[1:-1])
+    sorted_grams = edge[:-1].cumsum() - 1
+    grams = np.empty_like(sorted_grams)
+    grams[order] = sorted_grams
+    edge[1:-1] |= text[1:] != text[:-1]
+    (bounds,) = edge.nonzero()
+    starts = bounds[:-1]
+    return grams, sorted_grams[starts], text[starts], bounds[1:] - starts
 
 
-def builtin_utility(hypothesis: str, reference: str) -> float:
-    """Character n-gram F-score of ``hypothesis`` against ``reference``.
+def _clipped_matches(
+    gram: np.ndarray, text: np.ndarray, count: np.ndarray, k: int
+) -> np.ndarray:
+    """K x K sums over grams of min(count in text a, count in text b).
 
-    Whitespace is removed before extracting n-grams.  Precision and recall
-    are averaged over the n-gram orders that actually occur in both strings
-    (shorter strings simply contribute fewer orders), so identical strings
-    always score 1.0.  Two empty strings also score 1.0; an empty string
-    against a non-empty one scores 0.0.
+    min(C[a, g], C[b, g]) is the number of thresholds t >= 1 that both counts
+    reach, so the sum is E @ E.T for the 0/1 table E with one column per
+    (gram g, threshold t) and E[a, (g, t)] = (C[a, g] >= t): every pair's
+    matches at once, from float64 products whose integer sums stay below
+    2**53 and so are exact.  Grams that one text alone holds only reach the
+    diagonal and are dropped.  E is built _TABLE_CELLS cells (K x block
+    width) at a time; a block may split a gram's columns.
     """
-    hyp = _NgramProfile.of(hypothesis)
-    ref = _NgramProfile.of(reference)
-    return _fscore(_common_counts(hyp, ref), hyp.totals, ref.totals)
+    holders = np.bincount(gram)
+    shared = holders[gram] >= 2
+    gram, text, count = gram[shared], text[shared], count[shared]
+    top = np.zeros(len(holders), dtype=count.dtype)
+    np.maximum.at(top, gram, count)
+    # Gram g's columns start at first[g]; a cell's i-th entry sets column
+    # (g, i + 1) in its text's row.
+    first = top.cumsum() - top
+    rows = text.repeat(count)
+    cols = (first[gram] - (count.cumsum() - count)).repeat(count) + np.arange(len(rows))
+    matches = np.zeros((k, k))
+    n_columns = int(top.sum())
+    width = max(1, _TABLE_CELLS // k)
+    for lo in range(0, n_columns, width):
+        inside = (cols >= lo) & (cols < lo + width)
+        block = np.zeros((k, min(width, n_columns - lo)))
+        block[rows[inside], cols[inside] - lo] = 1.0
+        matches += block @ block.T
+    return matches
 
 
 def utility_matrix_for_set(cset: CandidateSet) -> UtilityMatrix:
     """Built-in utility matrix over one candidate set's texts, in its id order.
 
-    Each text's n-gram profile is built once and each unordered pair's
-    matches are counted once: U[j, m] and U[m, j] share them and only swap
-    precision and recall.  The diagonal is 1.0, which is what the built-in
-    utility gives any text against itself.  Other utilities enter selection
-    as a precomputed ``UtilityMatrix``.
+    U[j, m] is a chrF-style character n-gram F-score of text j (hypothesis)
+    against text m (reference): whitespace is removed, orders
+    1.._NGRAM_ORDER that either text is too short for are skipped, precision
+    and recall are averaged over the rest and combined with recall weighted
+    _BETA_SQ times.  Two empty texts score 1.0, an empty text against a
+    non-empty one 0.0, and the diagonal is 1.0, which is what any text scores
+    against itself.  Other utilities enter selection as a precomputed
+    ``UtilityMatrix``.
+
+    All pairs are scored at once.  Each order's grams get dense ids from the
+    previous order's ids and the next character, counted only over windows
+    inside one text; every pair's clipped matches come from the count tables
+    (``_clipped_matches``), and the F-score takes the same float operations
+    in the same order for every entry as the one-pair definition.  Memory:
+    arrays as long as the pool's total text length, a few K x K tables, and
+    one block of at most _TABLE_CELLS cells of a threshold table.
     """
-    profiles = [_NgramProfile.of(cand.text) for cand in cset.candidates]
-    k = len(profiles)
-    values = np.empty((k, k), dtype=np.float64)
-    for j, hyp in enumerate(profiles):
-        values[j, j] = 1.0
-        for m in range(j + 1, k):
-            ref = profiles[m]
-            common = _common_counts(hyp, ref)
-            values[j, m] = _fscore(common, hyp.totals, ref.totals)
-            values[m, j] = _fscore(common, ref.totals, hyp.totals)
+    texts = ["".join(cand.text.split()) for cand in cset.candidates]
+    k = len(texts)
+    lengths = np.array([len(text) for text in texts], dtype=np.int64)
+    codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    owner = np.repeat(np.arange(k), lengths)
+    room = np.cumsum(lengths)[owner] - np.arange(len(owner))
+    starts = np.arange(len(owner))
+    grams = np.zeros(len(owner), dtype=np.int64)  # order 0: the empty gram
+    precision_sum = np.zeros((k, k))
+    recall_sum = np.zeros((k, k))
+    for n in range(1, _NGRAM_ORDER + 1):
+        inside = room[starts] >= n
+        starts = starts[inside]
+        # Gram ids stay below the pool's text length, so keys stay below 2**63
+        # for any pool of fewer than 8e12 characters.
+        key = grams[inside] * _CODE_POINTS + codes[starts + n - 1]
+        grams, *cells = _gram_cells(key, owner[starts])
+        matches = _clipped_matches(*cells, k)
+        # A pair with a text too short for order n has no matches there, so
+        # the order adds 0.0 to its sums, as a skipped order does.
+        totals = np.maximum(lengths - n + 1, 1)
+        precision_sum += matches / totals[:, None]
+        recall_sum += matches / totals
+    orders = np.minimum(np.minimum.outer(lengths, lengths), _NGRAM_ORDER)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = precision_sum / orders
+        recall = recall_sum / orders
+        values = (1 + _BETA_SQ) * precision * recall / (_BETA_SQ * precision + recall)
+    values[(orders == 0) | (precision + recall == 0.0)] = 0.0
+    empty = lengths == 0
+    values[empty[:, None] & empty[None, :]] = 1.0
+    np.fill_diagonal(values, 1.0)
     return UtilityMatrix(ids=tuple(c.id for c in cset.candidates), values=values)

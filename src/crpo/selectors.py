@@ -136,8 +136,9 @@ def _crpo(pool: _Pool, config: SelectionConfig, _utility: object) -> SelectionOu
     The chosen side is always the reward argmax.  Every other candidate that
     passes the likelihood gate is scored, and the best strictly positive
     score wins; if no score is positive the source yields no pair.  Scores
-    are evaluated with the same float operations as ``scoring.cr_plus`` and
-    ``scoring.cr_times``, so they match those references exactly.
+    are evaluated with the same float operations as the one-pair
+    ``cr_plus`` and ``cr_times`` oracles in ``tests/oracles.py``, so they
+    match those references exactly.
     """
     gap = pool.reward[pool.best] - pool.reward
     logp_gap = pool.logp - pool.logp[pool.best]

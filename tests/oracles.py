@@ -1,19 +1,31 @@
-"""Test oracles: the scalar losses and the sequential gradient scatter.
+"""Test oracles: plainer, one-item-at-a-time restatements of crpo's kernels.
 
-They restate the objective one pair at a time, or with one ``np.add.at`` per
-term, so the tests can check ``crpo.losses.batch_loss_and_grad`` and
-``crpo.toylab.train_dpo`` against a second, plainer derivation.
+- The scalar losses and the sequential gradient scatter restate the objective
+  one pair at a time, or with one ``np.add.at`` per term, so the tests can
+  check ``crpo.losses.batch_loss_and_grad`` and ``crpo.toylab.train_dpo``.
+- ``cr_plus`` and ``cr_times`` score one (winner, loser) pair, the reference
+  for the CR selectors.
+- ``builtin_utility`` scores one (hypothesis, reference) pair from
+  ``Counter`` n-gram profiles; ``crpo.scoring.utility_matrix_for_set`` must
+  equal it on every entry, bit for bit.
+- ``emit_candidates`` writes candidate sets back to JSONL, the inverse of
+  ``crpo.dataio.ingest_candidates``.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from crpo.core import ValidationError
+from crpo.core import CandidateSet, ValidationError
 from crpo.losses import LossConfig, _sigmoid, log_softmax
+from crpo.scoring import _BETA_SQ, _NGRAM_ORDER
 
 
 def softplus(x: float) -> float:
@@ -106,3 +118,149 @@ def sequential_scatter_loss_and_grad(
         np.add.at(expected, s, cfg.sft_weight * np.exp(logp)[s])
         np.add.at(expected, (s, w), -cfg.sft_weight)
     return float(losses.sum() / len(pairs)), expected / len(pairs)
+
+
+@dataclass(frozen=True)
+class PairScoreInput:
+    """Rewards and reference log-likelihoods for one (winner, loser) pair."""
+
+    r_w: float
+    r_l: float
+    logp_w: float
+    logp_l: float
+
+    def __post_init__(self) -> None:
+        for name in ("r_w", "r_l", "logp_w", "logp_l"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"non-finite pair score input {name}={value!r}")
+        for name in ("r_w", "r_l"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValidationError(f"reward out of range: {name}={value!r}")
+        for name in ("logp_w", "logp_l"):
+            value = getattr(self, name)
+            if value > 0.0:
+                raise ValidationError(f"log-likelihood must be <= 0: {name}={value!r}")
+
+
+def cr_plus(pair: PairScoreInput, k_trust: float) -> float:
+    """Additive confidence-reward score.
+
+    k_trust * (r_w - r_l) + (logp_l - logp_w): large when the reward gap is
+    wide and the reference policy is more confident in the loser.  k_trust
+    weighs how much the rewards are trusted against the likelihood term.
+    """
+    if not math.isfinite(k_trust) or k_trust < 0:
+        raise ValidationError(f"k_trust must be finite and >= 0, got {k_trust!r}")
+    return k_trust * (pair.r_w - pair.r_l) + (pair.logp_l - pair.logp_w)
+
+
+def cr_times(pair: PairScoreInput) -> float:
+    """Multiplicative confidence-reward score: (r_w - r_l) * (logp_l - logp_w).
+
+    Positive exactly when the reward ordering and the reference-confidence
+    ordering disagree (loser more likely than winner, or winner worse but
+    less likely).
+    """
+    return (pair.r_w - pair.r_l) * (pair.logp_l - pair.logp_w)
+
+
+def _char_ngrams(text: str, n: int) -> Counter:
+    return Counter(text[i : i + n] for i in range(len(text) - n + 1))
+
+
+@dataclass(frozen=True)
+class _NgramProfile:
+    """A text's character n-gram counts of orders 1.._NGRAM_ORDER, whitespace
+    removed, with the number of n-grams of each order."""
+
+    grams: tuple[Counter, ...]
+    totals: tuple[int, ...]
+
+    @classmethod
+    def of(cls, text: str) -> _NgramProfile:
+        stripped = "".join(text.split())
+        grams = tuple(_char_ngrams(stripped, n) for n in range(1, _NGRAM_ORDER + 1))
+        return cls(grams, tuple(sum(counts.values()) for counts in grams))
+
+
+def _common_counts(a: _NgramProfile, b: _NgramProfile) -> list[int]:
+    """Clipped n-gram matches per order; symmetric in ``a`` and ``b``."""
+    common = []
+    for small, large in zip(a.grams, b.grams):
+        if len(small) > len(large):
+            small, large = large, small
+        # A plain loop: about 3x faster than sum() over a generator here.
+        matches = 0
+        for gram, count in small.items():
+            other = large.get(gram)
+            if other is not None:
+                matches += count if count < other else other
+        common.append(matches)
+    return common
+
+
+def _fscore(
+    common: Sequence[int], hyp_totals: Sequence[int], ref_totals: Sequence[int]
+) -> float:
+    """F-beta of the order-averaged n-gram precision and recall.
+
+    Orders that one of the texts is too short for are skipped; two empty
+    texts score 1.0.
+    """
+    if hyp_totals[0] == 0 and ref_totals[0] == 0:
+        return 1.0
+    precision_sum = 0.0
+    recall_sum = 0.0
+    orders = 0
+    for matches, hyp_total, ref_total in zip(common, hyp_totals, ref_totals):
+        if hyp_total == 0 or ref_total == 0:
+            continue
+        precision_sum += matches / hyp_total
+        recall_sum += matches / ref_total
+        orders += 1
+    if orders == 0:
+        return 0.0
+    precision = precision_sum / orders
+    recall = recall_sum / orders
+    if precision + recall == 0.0:
+        return 0.0
+    return (1 + _BETA_SQ) * precision * recall / (_BETA_SQ * precision + recall)
+
+
+def builtin_utility(hypothesis: str, reference: str) -> float:
+    """Character n-gram F-score of ``hypothesis`` against ``reference``.
+
+    Whitespace is removed before extracting n-grams.  Precision and recall
+    are averaged over the n-gram orders that actually occur in both strings
+    (shorter strings simply contribute fewer orders), so identical strings
+    always score 1.0.  Two empty strings also score 1.0; an empty string
+    against a non-empty one scores 0.0.
+    """
+    hyp = _NgramProfile.of(hypothesis)
+    ref = _NgramProfile.of(reference)
+    return _fscore(_common_counts(hyp, ref), hyp.totals, ref.totals)
+
+
+def format_direction(direction: tuple[str, str]) -> str:
+    return f"{direction[0]}-{direction[1]}"
+
+
+def emit_candidates(sets: Sequence[CandidateSet], path: str | Path) -> None:
+    """Write candidate sets back to JSONL (inverse of ``ingest_candidates``)."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for cset in sets:
+            for cand in cset.candidates:
+                record = {
+                    "source_id": cset.source_id,
+                    "source_text": cset.source_text,
+                    "direction": format_direction(cset.direction),
+                    "candidate_id": cand.id,
+                    "text": cand.text,
+                    "logprob": cand.logprob,
+                    "rewards": dict(cand.rewards),
+                }
+                if cand.token_count is not None:
+                    record["token_count"] = cand.token_count
+                handle.write(json.dumps(record, ensure_ascii=False) + "\n")

@@ -17,17 +17,17 @@ import scipy.stats
 from crpo.cli import main
 from crpo.core import SelectionConfig, effective_logprob
 from crpo.dataio import (
-    emit_candidates,
     emit_pairs,
     ingest_candidates,
     load_pairs,
 )
 from crpo.losses import gradient_check, log_softmax
-from crpo.scoring import PairScoreInput, UtilityMatrix, cr_plus, cr_times, mbr_scores
+from crpo.scoring import UtilityMatrix, mbr_scores
 from crpo.selectors import rso_acceptance_probs, rso_subsample, run_selector
 from crpo.toylab import make_world, run_comparison, sample_candidates
 
 from conftest import random_set
+from oracles import PairScoreInput, cr_plus, cr_times, emit_candidates
 
 HERE = Path(__file__).parent
 FIXTURE = HERE / "fixtures" / "candidates_small.jsonl"

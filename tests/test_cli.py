@@ -9,14 +9,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crpo.cli import main
-from crpo.core import PreferenceDataset
-from crpo.dataio import emit_pairs, load_pairs, load_utility_matrices
+from crpo.core import PreferenceDataset, SelectionConfig
+from crpo.dataio import emit_pairs, ingest_candidates, load_pairs, load_utility_matrices
+from crpo.scoring import UtilityMatrix
+from crpo.selectors import run_selector
+
+from oracles import builtin_utility
 
 HERE = Path(__file__).parent
 FIXTURE = HERE / "fixtures" / "candidates_small.jsonl"
+PARAPHRASE_FIXTURE = HERE / "fixtures" / "candidates_paraphrase.jsonl"
 GOLDEN = HERE / "golden"
 
 SELECT_VARIANTS = [
@@ -425,12 +431,72 @@ class TestToyCommand:
         assert "--seeds" in capsys.readouterr().err
 
 
+class TestLoneSurrogateTexts:
+    """JSON "\\ud800" escapes decode to lone surrogates, which the built-in
+    utility scores like any other character."""
+
+    TEXTS = {"A": "ab\ud800 cd", "B": "\ud800\ud800b", "C": "abcd", "D": "\udfff"}
+
+    @pytest.fixture
+    def candidates(self, tmp_path):
+        path = tmp_path / "surrogates.jsonl"
+        records = [
+            {
+                "source_id": "s1",
+                "source_text": "a source",
+                "direction": "en-de",
+                "candidate_id": cid,
+                "text": text,
+                "logprob": -1.0 - j,
+                "rewards": {"qe": 0.2 * j},
+            }
+            for j, (cid, text) in enumerate(self.TEXTS.items())
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="ascii")
+        return path
+
+    def oracle_matrix(self) -> UtilityMatrix:
+        texts = list(self.TEXTS.values())
+        values = [[builtin_utility(hyp, ref) for ref in texts] for hyp in texts]
+        return UtilityMatrix(tuple(self.TEXTS), np.array(values))
+
+    def test_utility_matrix_writes_the_oracle_values(self, candidates, tmp_path):
+        out = tmp_path / "util.txt"
+        assert main(["utility", "matrix", "--in", str(candidates), "--out", str(out)]) == 0
+        matrix = load_utility_matrices(out)["s1"]
+        assert matrix.ids == tuple(self.TEXTS)
+        assert np.array_equal(matrix.values, self.oracle_matrix().values)
+
+    def test_mbr_bw_pairs_follow_the_oracle_values(self, candidates, tmp_path):
+        out = tmp_path / "pairs.jsonl"
+        rc = main(["select", "--in", str(candidates), "--out", str(out), "--method", "mbr_bw"])
+        assert rc == 0
+        (cset,) = ingest_candidates(candidates)
+        expected = run_selector(cset, SelectionConfig(method="mbr_bw"), self.oracle_matrix())
+        assert load_pairs(out).pairs == expected.pairs
+
+
 class TestUtilityCommand:
     def test_matches_golden_bytes(self, tmp_path):
         out = tmp_path / "util.txt"
         rc = main(["utility", "matrix", "--in", str(FIXTURE), "--out", str(out)])
         assert rc == 0
         assert out.read_bytes() == (GOLDEN / "utility_small.txt").read_bytes()
+
+    def test_paraphrase_golden_bytes(self, tmp_path):
+        # 4 pools x 16 texts of 12-20 words that share about 70% of their words
+        out = tmp_path / "util.txt"
+        rc = main(["utility", "matrix", "--in", str(PARAPHRASE_FIXTURE), "--out", str(out)])
+        assert rc == 0
+        assert out.read_bytes() == (GOLDEN / "utility_paraphrase.txt").read_bytes()
+
+    def test_paraphrase_mbr_bw_golden_bytes(self, tmp_path):
+        out = tmp_path / "pairs.jsonl"
+        rc = main(
+            ["select", "--in", str(PARAPHRASE_FIXTURE), "--out", str(out), "--method", "mbr_bw"]
+        )
+        assert rc == 0
+        assert out.read_bytes() == (GOLDEN / "pairs_mbr_bw_paraphrase.jsonl").read_bytes()
 
     def test_golden_loads_back(self):
         matrices = load_utility_matrices(GOLDEN / "utility_small.txt")

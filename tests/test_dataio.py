@@ -19,10 +19,8 @@ from crpo.core import (
 )
 from crpo.dataio import (
     digest_file,
-    emit_candidates,
     emit_pairs,
     emit_stats,
-    format_direction,
     ingest_candidates,
     load_pairs,
     load_utility_matrices,
@@ -34,6 +32,7 @@ from crpo.dataio import (
 from crpo.scoring import UtilityMatrix
 
 from conftest import make_set
+from oracles import emit_candidates, format_direction
 
 FIXTURE = Path(__file__).parent / "fixtures" / "candidates_small.jsonl"
 PAIR_RECORD = {

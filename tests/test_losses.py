@@ -15,11 +15,12 @@ from crpo.losses import (
     gradient_check,
     log_softmax,
 )
-from crpo.scoring import PairScoreInput, cr_plus
 
 from oracles import (
     PairLogits,
+    PairScoreInput,
     cpo_loss,
+    cr_plus,
     delta_loss,
     dpo_loss,
     sequential_scatter_loss_and_grad,

@@ -5,18 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from crpo.scoring import (
-    PairScoreInput,
-    UtilityMatrix,
-    builtin_utility,
-    cr_plus,
-    cr_times,
-    mbr_scores,
-    utility_matrix_for_set,
-)
+from crpo import scoring
+from crpo.scoring import UtilityMatrix, mbr_scores, utility_matrix_for_set
 from crpo.core import Candidate, CandidateSet, ValidationError
 
 from conftest import make_set
+from oracles import PairScoreInput, builtin_utility, cr_plus, cr_times
 
 
 def pair(r_w, r_l, logp_w, logp_l) -> PairScoreInput:
@@ -173,6 +167,24 @@ def oracle_chrf(hyp: str, ref: str, max_order: int = 6, beta: float = 2.0) -> fl
     return (1 + beta**2) * p * r / (beta**2 * p + r)
 
 
+def text_set(texts) -> CandidateSet:
+    return CandidateSet(
+        source_id="s1",
+        source_text="a source segment",
+        direction=("en", "de"),
+        candidates=tuple(
+            Candidate(id=f"c{j}", text=text, logprob=-1.0, rewards={"qe": 0.5})
+            for j, text in enumerate(texts)
+        ),
+    )
+
+
+def pair_utilities(hypothesis: str, reference: str) -> np.ndarray:
+    """U[0, 1] and U[1, 0] of the built-in matrix over the two texts."""
+    values = utility_matrix_for_set(text_set([hypothesis, reference])).values
+    return np.array([values[0, 1], values[1, 0]])
+
+
 class TestBuiltinUtility:
     def test_frozen_example(self):
         value = builtin_utility("the cat sat", "the cat sat down")
@@ -183,18 +195,18 @@ class TestBuiltinUtility:
 
     def test_identical_strings_score_one(self):
         for text in ("a", "abc", "the quick brown fox", "ab", "žluťoučký kůň"):
-            assert builtin_utility(text, text) == 1.0
+            assert (pair_utilities(text, text) == 1.0).all()
 
     def test_disjoint_strings_score_zero(self):
-        assert builtin_utility("aaa", "bbb") == 0.0
+        assert (pair_utilities("aaa", "bbb") == 0.0).all()
 
     def test_empty_string_cases(self):
-        assert builtin_utility("", "") == 1.0
-        assert builtin_utility("", "abc") == 0.0
-        assert builtin_utility("abc", "") == 0.0
+        assert (pair_utilities("", "") == 1.0).all()
+        assert (pair_utilities("", "abc") == 0.0).all()
+        assert (pair_utilities("abc", "") == 0.0).all()
 
     def test_whitespace_ignored(self):
-        assert builtin_utility("a b c", "abc") == pytest.approx(1.0)
+        assert pair_utilities("a b c", "abc") == pytest.approx([1.0, 1.0])
 
     def test_bounded_and_matches_oracle_on_random_pairs(self):
         rng = np.random.default_rng(5)
@@ -217,18 +229,6 @@ def test_utility_matrix_for_set_uses_texts():
     )
 
 
-def text_set(texts) -> CandidateSet:
-    return CandidateSet(
-        source_id="s1",
-        source_text="a source segment",
-        direction=("en", "de"),
-        candidates=tuple(
-            Candidate(id=f"c{j}", text=text, logprob=-1.0, rewards={"qe": 0.5})
-            for j, text in enumerate(texts)
-        ),
-    )
-
-
 def test_utility_matrix_equals_builtin_utility_exactly():
     rng = np.random.default_rng(11)
     alphabet = list("abcab  \tžů語") + ["the ", "cat "]
@@ -241,10 +241,61 @@ def test_utility_matrix_equals_builtin_utility_exactly():
             texts[-1] = texts[0]
         if rng.random() < 0.2:
             texts[int(rng.integers(k))] = ""
-        values = utility_matrix_for_set(text_set(texts)).values
-        for j in range(k):
-            for m in range(k):
-                assert values[j, m] == builtin_utility(texts[j], texts[m]), (texts[j], texts[m])
+        assert_equals_oracle(texts)
+
+
+def assert_equals_oracle(texts) -> None:
+    values = utility_matrix_for_set(text_set(texts)).values
+    for j, hypothesis in enumerate(texts):
+        for m, reference in enumerate(texts):
+            assert values[j, m] == builtin_utility(hypothesis, reference), (hypothesis, reference)
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        # lone surrogates, as JSON "\ud800" escapes decode; a surrogate pair
+        # in a str is two code points, not the astral character it encodes
+        ["\ud800", "a\ud800b", "\ud800\udc00", "\U00010000", "\udfff\ud800"],
+        ["😀😀a", "a😀", "😀", "🙂😀", "a😀😀"],
+        ["just one text"],
+        ["", "", ""],
+        [" ", "\t\n", "   "],
+        ["a" * 300, "a" * 7, "a" * 120 + "b", "ab" * 50, "b" + "a" * 299],
+        ["same text", "same text", "same  text", "other", "same text"],
+    ],
+    ids=["lone-surrogates", "astral", "k1", "all-empty", "all-whitespace", "long-runs", "duplicates"],
+)
+def test_utility_matrix_equals_the_oracle_on_edge_cases(texts):
+    assert_equals_oracle(texts)
+
+
+@pytest.mark.parametrize("cells", [1, 5, 16])
+def test_utility_matrix_is_the_same_when_its_tables_span_many_blocks(monkeypatch, cells):
+    # 5 texts: blocks 1, 1 and 3 columns wide, which split the threshold
+    # columns of every gram that a text holds more than once
+    texts = ["abab aba", "baba bab", "aaaa", "ab\ud800ab", "the cat sat on the mat"]
+    expected = utility_matrix_for_set(text_set(texts)).values
+    monkeypatch.setattr(scoring, "_TABLE_CELLS", cells)
+    assert (utility_matrix_for_set(text_set(texts)).values == expected).all()
+    assert_equals_oracle(texts)
+
+
+def test_utility_matrix_equals_the_oracle_on_random_edge_case_sets(monkeypatch):
+    rng = np.random.default_rng(17)
+    pieces = list("aab  ") + ["\ud800", "\udc00", "😀", "語", "\t", "ab", "a" * 6]
+    default = scoring._TABLE_CELLS
+    for trial in range(3000):
+        # every third set in blocks of at most 47 cells
+        cells = int(rng.integers(1, 48)) if trial % 3 == 0 else default
+        monkeypatch.setattr(scoring, "_TABLE_CELLS", cells)
+        k = int(rng.integers(1, 7))
+        texts = [
+            "".join(rng.choice(pieces, size=int(rng.integers(0, 9)))) for _ in range(k)
+        ]
+        if rng.random() < 0.2:
+            texts[int(rng.integers(k))] = texts[0]
+        assert_equals_oracle(texts)
 
 
 def test_utility_matrix_diagonal_is_one_for_whitespace_and_empty_texts():

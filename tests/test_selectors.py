@@ -20,13 +20,7 @@ from crpo.core import (
     ValidationError,
     effective_logprob,
 )
-from crpo.scoring import (
-    PairScoreInput,
-    UtilityMatrix,
-    cr_plus,
-    cr_times,
-    utility_matrix_for_set,
-)
+from crpo.scoring import UtilityMatrix, utility_matrix_for_set
 from crpo.selectors import (
     SelectionOutcome,
     per_source_rng,
@@ -37,6 +31,7 @@ from crpo.selectors import (
 )
 
 from conftest import make_set, random_set
+from oracles import PairScoreInput, cr_plus, cr_times
 
 
 def config(**kwargs) -> SelectionConfig:
