@@ -56,29 +56,6 @@ def mbr_scores(matrix: UtilityMatrix) -> np.ndarray:
     return (matrix.values.sum(axis=1) - np.diag(matrix.values)) / (k - 1)
 
 
-def _gram_cells(key: np.ndarray, text: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Dense gram ids of one order's windows, and the (gram, text, count)
-    cells of their count table in gram order.
-
-    ``key`` identifies each window's gram and ``text`` is the text it lies
-    in, nondecreasing, so a stable sort by key leaves each gram's windows in
-    text order.
-    """
-    order = key.argsort(kind="stable")
-    key, text = key[order], text[order]
-    # edge[i]: sorted window i starts a new gram (then a new cell); edge[-1]
-    # closes the last cell.
-    edge = np.ones(len(key) + 1, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=edge[1:-1])
-    sorted_grams = edge[:-1].cumsum() - 1
-    grams = np.empty_like(sorted_grams)
-    grams[order] = sorted_grams
-    edge[1:-1] |= text[1:] != text[:-1]
-    (bounds,) = edge.nonzero()
-    starts = bounds[:-1]
-    return grams, sorted_grams[starts], text[starts], bounds[1:] - starts
-
-
 def _clipped_matches(
     gram: np.ndarray, text: np.ndarray, count: np.ndarray, k: int
 ) -> np.ndarray:
@@ -125,13 +102,17 @@ def utility_matrix_for_set(cset: CandidateSet) -> UtilityMatrix:
     against itself.  Other utilities enter selection as a precomputed
     ``UtilityMatrix``.
 
-    All pairs are scored at once.  Each order's grams get dense ids from the
-    previous order's ids and the next character, counted only over windows
-    inside one text; every pair's clipped matches come from the count tables
-    (``_clipped_matches``), and the F-score takes the same float operations
-    in the same order for every entry as the one-pair definition.  Memory:
-    arrays as long as the pool's total text length, a few K x K tables, and
-    one block of at most _TABLE_CELLS cells of a threshold table.
+    All pairs are scored at once.  Each order's windows (only those inside
+    one text) are keyed by the previous order's gram id and the next
+    character; ``np.unique`` gives the keys dense gram ids, and a second
+    ``np.unique`` over (gram, text) the cells of the order's count table.
+    The loop ends at the first order with no window left, since every higher
+    order is empty too and adds 0.0.  Every pair's clipped matches come from
+    the count tables (``_clipped_matches``), and the F-score takes the same
+    float operations in the same order for every entry as the one-pair
+    definition.  Memory: arrays as long as the pool's total text length, a
+    few K x K tables, and one block of at most _TABLE_CELLS cells of a
+    threshold table.
     """
     texts = ["".join(cand.text.split()) for cand in cset.candidates]
     k = len(texts)
@@ -146,11 +127,14 @@ def utility_matrix_for_set(cset: CandidateSet) -> UtilityMatrix:
     for n in range(1, _NGRAM_ORDER + 1):
         inside = room[starts] >= n
         starts = starts[inside]
+        if not len(starts):
+            break  # every higher order is empty too and would add 0.0
         # Gram ids stay below the pool's text length, so keys stay below 2**63
         # for any pool of fewer than 8e12 characters.
         key = grams[inside] * _CODE_POINTS + codes[starts + n - 1]
-        grams, *cells = _gram_cells(key, owner[starts])
-        matches = _clipped_matches(*cells, k)
+        grams = np.unique(key, return_inverse=True)[1]
+        cells, count = np.unique(grams * k + owner[starts], return_counts=True)
+        matches = _clipped_matches(cells // k, cells % k, count, k)
         # A pair with a text too short for order n has no matches there, so
         # the order adds 0.0 to its sums, as a skipped order does.
         totals = np.maximum(lengths - n + 1, 1)

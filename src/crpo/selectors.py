@@ -10,6 +10,7 @@ break toward the lexicographically smallest candidate id.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import zlib
 from dataclasses import dataclass
@@ -203,16 +204,12 @@ def rso_subsample(
         if rng.random() < probs[j]:
             acceptances[j] += 1
             picks.append(j)
-    n_filled = 0
-    if len(picks) < n_samples:
+    n_filled = max(n_samples - len(picks), 0)
+    if n_filled:
         order = sorted(range(k), key=lambda j: (-probs[j], j))
         accepted = set(picks)
         backfill = [j for j in order if j not in accepted]
-        while len(picks) < n_samples:
-            if not backfill:
-                backfill = list(order)
-            picks.append(backfill.pop(0))
-            n_filled += 1
+        picks.extend(itertools.islice(itertools.chain(backfill, itertools.cycle(order)), n_filled))
     return RsoSample(
         picks=tuple(picks),
         proposals=proposals,

@@ -382,6 +382,13 @@ def run_comparison(
             raise ValidationError(f"method {method!r} is listed twice")
     if not seeds:
         raise ValidationError("no seeds to compare on")
+    seen: set[int] = set()
+    for seed in seeds:
+        if not isinstance(seed, int) or seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+        if seed in seen:
+            raise ValidationError(f"seed {seed} is listed twice")
+        seen.add(seed)
     if k < 2:
         raise ValidationError(f"comparison needs k >= 2, got {k}")
     if k > MAX_COMPARE_K:

@@ -178,7 +178,7 @@ def test_criterion_3_rso_acceptance_statistics(capsys):
 
 def test_criterion_4_gradient_correctness(capsys):
     start = time.perf_counter()
-    worst = gradient_check(seed=0, n_instances=100, h=1e-5)
+    worst = gradient_check(seed=0, n_instances=100)
     elapsed = time.perf_counter() - start
     worst_rel = max(worst.values())
     ok = worst_rel < 1e-4 and elapsed < 5.0

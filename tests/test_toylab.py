@@ -549,6 +549,14 @@ class TestRunComparison:
             run_comparison(world, ("cr_plus",), seeds=())
         with pytest.raises(ValidationError, match="k >= 2"):
             run_comparison(world, ("cr_plus",), seeds=(0,), k=1)
+        for seeds, message in (
+            ((0, -1), "got -1"),
+            ((1.5,), "got 1.5"),
+            (("0",), "got '0'"),
+            ((0, 2, 0), "seed 0 is listed twice"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                run_comparison(world, ("random_pair",), seeds=seeds)
 
 
 def test_compare_methods_cover_every_selector_plus_control():
