@@ -260,6 +260,18 @@ _STATS_SERIES = (
 )
 
 
+def _finite_mean(values: Sequence[float]) -> float:
+    """``np.mean`` of finite values, rescaled by the largest magnitude when the
+    plain sum overflows (log-likelihoods near -1.8e308 do); each rescaled
+    partial sum is at most its count, so the mean stays finite."""
+    with np.errstate(over="ignore"):
+        mean = np.mean(values)
+    if not np.isfinite(mean):
+        scale = np.max(np.abs(values))
+        mean = scale * np.mean(np.divide(values, scale))
+    return float(mean)
+
+
 def emit_stats(
     dataset: PreferenceDataset, sets: Sequence[CandidateSet], bins: int = 20
 ) -> dict:
@@ -310,7 +322,7 @@ def emit_stats(
         for name, edges_key in _STATS_SERIES:
             counts, _ = np.histogram(series[name], bins=report[edges_key])
             stats[f"{name}_hist"] = counts.tolist()
-            stats[f"{name}_mean"] = float(np.mean(series[name]))
+            stats[f"{name}_mean"] = _finite_mean(series[name])
         stats["scatter"] = [
             [c.reward_agg - r.reward_agg, c_logprob - r_logprob]
             for c, r, c_logprob, r_logprob in zip(

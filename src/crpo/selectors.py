@@ -5,6 +5,9 @@ selector, and the config carries every knob it reads.  Every selector is
 deterministic given the candidate set and the configuration; ``rso`` seeds
 its generator from (config.seed, source_id).  Argmax/argmin ties always
 break toward the lexicographically smallest candidate id.
+
+``random_pair_outcome`` is the random-pair control of ``toy compare``; like
+the reward-labeled selectors, it labels its pair with ``_Pool.by_reward``.
 """
 
 from __future__ import annotations
@@ -117,6 +120,21 @@ class _Pool:
         rejected = int(np.argmax(np.where(keep, scores, -np.inf)))
         pair = self.pair(self.best, rejected, float(scores[rejected]), method)
         return SelectionOutcome(pairs=(pair,))
+
+
+def random_pair_outcome(cset: CandidateSet, rng: np.random.Generator) -> SelectionOutcome:
+    """Control baseline of ``toy compare``: a uniformly random candidate pair,
+    labeled by reward under the default ``SelectionConfig``."""
+    k = len(cset.candidates)
+    if k < 2:
+        raise ValidationError(
+            f"source {cset.source_id!r}: control needs at least 2 candidates"
+        )
+    i, j = rng.choice(k, size=2, replace=False).tolist()
+    pair = _Pool.of(cset, SelectionConfig()).by_reward(i, j, "random_pair")
+    if pair is None:
+        return SelectionOutcome(skipped_reason="zero reward gap")
+    return SelectionOutcome(pairs=(pair,))
 
 
 def _likelihood_gate(pool: _Pool, config: SelectionConfig) -> np.ndarray | None:

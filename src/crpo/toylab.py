@@ -4,6 +4,9 @@ Each source has a small discrete output space with a known reward table and
 reference logits, so the optimal tilted policy, expected rewards, and full
 training dynamics can be computed in closed form and checked numerically.
 Candidate sampling, selection, and DPO training mirror the real pipeline.
+Pairs come from crpo's own selectors (``run_selector``, and
+``selectors.random_pair_outcome`` for the random-pair control), and
+``resolve_pairs`` maps them to table cells: the row is the set's position.
 """
 
 from __future__ import annotations
@@ -14,17 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    METHODS,
-    Candidate,
-    CandidateSet,
-    PreferenceDataset,
-    PreferencePair,
-    SelectionConfig,
-    ValidationError,
-)
+from .core import METHODS, Candidate, CandidateSet, SelectionConfig, ValidationError
 from .losses import LossConfig, PairBatch, batch_loss_and_grad, log_softmax
-from .selectors import SelectionOutcome, run_selector
+from .selectors import SelectionOutcome, random_pair_outcome, run_selector
 
 # Method tags the comparison harness accepts: every selector plus a
 # random-pair control baseline.
@@ -65,15 +60,6 @@ TRAIN_LR = 0.3
 
 def source_label(index: int) -> str:
     return f"s{index:04d}"
-
-
-def source_index(source_id: str) -> int:
-    if not source_id.startswith("s"):
-        raise ValidationError(f"not a toy source id: {source_id!r}")
-    try:
-        return int(source_id[1:])
-    except ValueError:
-        raise ValidationError(f"not a toy source id: {source_id!r}") from None
 
 
 def output_text(index: int) -> str:
@@ -271,21 +257,21 @@ def expected_reward(policy: ToyPolicy, world: ToyWorld) -> float:
 
 
 def resolve_pairs(
-    world: ToyWorld, pairs: Sequence[PreferencePair], sets: Sequence[CandidateSet]
+    sets: Sequence[CandidateSet], outcomes: Sequence[SelectionOutcome]
 ) -> list[tuple[int, int, int]]:
-    """Map preference pairs back to (source row, winner column, loser column)."""
-    candidates = PreferenceDataset(pairs).validate_against(sets)
-    resolved = []
-    for pair, (chosen, rejected) in zip(pairs, candidates):
-        s = source_index(pair.source_id)
-        if not 0 <= s < world.n_sources:
-            raise ValidationError(f"source row {s} out of range for the world")
-        w = output_index(chosen.text)
-        l = output_index(rejected.text)
-        if not (0 <= w < world.n_outputs and 0 <= l < world.n_outputs):
-            raise ValidationError("output index out of range for the world")
-        resolved.append((s, w, l))
-    return resolved
+    """(source row, winner column, loser column) of every pair in ``outcomes``,
+    which are parallel to ``sets``: the row is the set's position, the columns
+    are the outputs of the chosen and rejected texts.  ``train_dpo`` rejects
+    out-of-range cells before its first step."""
+    return [
+        (
+            s,
+            output_index(cset.candidate(pair.chosen_id).text),
+            output_index(cset.candidate(pair.rejected_id).text),
+        )
+        for s, (cset, outcome) in enumerate(zip(sets, outcomes, strict=True))
+        for pair in outcome.pairs
+    ]
 
 
 @dataclass(frozen=True)
@@ -325,31 +311,6 @@ def _max_pairs_per_source(method: str, k: int) -> int:
     if method == "rso":
         return SelectionConfig().rso_samples // 2
     return 3 if method == "mbr_bmw" else 1
-
-
-def random_pair_outcome(
-    cset: CandidateSet, rng: np.random.Generator
-) -> SelectionOutcome:
-    """Control baseline: a uniformly random candidate pair, labeled by reward."""
-    k = len(cset.candidates)
-    if k < 2:
-        raise ValidationError(
-            f"source {cset.source_id!r}: control needs at least 2 candidates"
-        )
-    i, j = rng.choice(k, size=2, replace=False).tolist()
-    a, b = cset.candidates[i], cset.candidates[j]
-    if a.reward_agg == b.reward_agg:
-        return SelectionOutcome(skipped_reason="zero reward gap")
-    chosen, rejected = (a, b) if a.reward_agg > b.reward_agg else (b, a)
-    pair = PreferencePair(
-        source_id=cset.source_id,
-        chosen_id=chosen.id,
-        rejected_id=rejected.id,
-        score=chosen.reward_agg - rejected.reward_agg,
-        method="random_pair",
-        extras={"reward_gap": chosen.reward_agg - rejected.reward_agg},
-    )
-    return SelectionOutcome(pairs=(pair,))
 
 
 def run_comparison(
@@ -422,9 +383,9 @@ def run_comparison(
             else:
                 config = SelectionConfig(method=method, seed=seed)
                 outcomes = [run_selector(cset, config) for cset in sets]
-            pairs = [pair for outcome in outcomes for pair in outcome.pairs]
+            pairs = resolve_pairs(sets, outcomes)
             if pairs:
-                result = train_dpo(world, resolve_pairs(world, pairs, sets))
+                result = train_dpo(world, pairs)
                 method_gains.append(expected_reward(result.policy, world) - base_reward)
                 method_flags.append(None)
             else:

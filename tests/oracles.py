@@ -10,6 +10,9 @@
   equal it on every entry, bit for bit.
 - ``emit_candidates`` writes candidate sets back to JSONL, the inverse of
   ``crpo.dataio.ingest_candidates``.
+- ``random_pair_outcome`` builds the random-pair control's pair by hand; the
+  ``crpo.selectors`` version, labeled through ``_Pool.by_reward``, must match
+  it except for the ``confidence_gap`` extra it adds.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from crpo.core import CandidateSet, ValidationError
+from crpo.core import CandidateSet, PreferencePair, ValidationError
 from crpo.losses import LossConfig, _sigmoid, log_softmax
 from crpo.scoring import _BETA_SQ, _NGRAM_ORDER
+from crpo.selectors import SelectionOutcome
 
 
 def softplus(x: float) -> float:
@@ -264,3 +268,28 @@ def emit_candidates(sets: Sequence[CandidateSet], path: str | Path) -> None:
                 if cand.token_count is not None:
                     record["token_count"] = cand.token_count
                 handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def random_pair_outcome(
+    cset: CandidateSet, rng: np.random.Generator
+) -> SelectionOutcome:
+    """Control baseline: a uniformly random candidate pair, labeled by reward."""
+    k = len(cset.candidates)
+    if k < 2:
+        raise ValidationError(
+            f"source {cset.source_id!r}: control needs at least 2 candidates"
+        )
+    i, j = rng.choice(k, size=2, replace=False).tolist()
+    a, b = cset.candidates[i], cset.candidates[j]
+    if a.reward_agg == b.reward_agg:
+        return SelectionOutcome(skipped_reason="zero reward gap")
+    chosen, rejected = (a, b) if a.reward_agg > b.reward_agg else (b, a)
+    pair = PreferencePair(
+        source_id=cset.source_id,
+        chosen_id=chosen.id,
+        rejected_id=rejected.id,
+        score=chosen.reward_agg - rejected.reward_agg,
+        method="random_pair",
+        extras={"reward_gap": chosen.reward_agg - rejected.reward_agg},
+    )
+    return SelectionOutcome(pairs=(pair,))

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +331,38 @@ class TestStatsCommand:
             -sum(confidence_gaps) / len(confidence_gaps)
         )
 
+    def test_overflowing_logprob_sum_gives_a_finite_mean(self, tmp_path, capsys):
+        # Every log-prob is valid input, but a plain sum of the chosen ones
+        # overflows; the report must stay strict JSON with a finite mean.
+        candidates = tmp_path / "cands.jsonl"
+        records = [{"_meta": {}}] + [
+            {
+                "source_id": source, "source_text": "x", "direction": "en-de",
+                "candidate_id": cid, "text": f"text {cid}", "logprob": logprob,
+                "rewards": {"qe": reward},
+            }
+            for source in ("s1", "s2")
+            for cid, reward, logprob in (("A", 0.9, -1.5e308), ("B", 0.1, -1e300))
+        ]
+        candidates.write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+        pairs, out = tmp_path / "pairs.jsonl", tmp_path / "stats.json"
+        argv = ["select", "--in", str(candidates), "--out", str(pairs), "--method", "minmax_r"]
+        assert main(argv) == 0
+        argv = ["stats", "--pairs", str(pairs), "--candidates", str(candidates), "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+
+        def reject(constant):
+            raise AssertionError(f"non-JSON constant {constant}")
+
+        report = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)
+        stats = report["methods"]["minmax_r"]
+        assert stats["chosen_logprob_mean"] == -1.5e308
+        assert stats["rejected_logprob_mean"] == -1e300
+
 
 class TestLossesCommand:
     def test_check_grad_passes(self, capsys):
@@ -388,16 +421,32 @@ class TestToyCommand:
         out = capsys.readouterr().out
         assert "cr_plus: mean gain" in out
 
-    def test_reference_run_matches_golden(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "golden_name, methods, seeds, sources",
+        [
+            ("toy_compare_small", "cr_plus,rso,minmax_r,random_pair,mbr_bmw", "4", "40"),
+            (
+                "toy_compare_all",
+                "cr_plus,cr_times,rso,rs_dpo,mbr_bw,mbr_bmw,qe_best,top_scores,"
+                "minmax_r,minmax_p,minmax_po,random_pair",
+                "3",
+                "20",
+            ),
+        ],
+        ids=["toy_compare_small", "toy_compare_all"],
+    )
+    def test_reference_run_matches_golden(
+        self, golden_name, methods, seeds, sources, tmp_path, capsys
+    ):
         # Gains and their summaries are compared to 1e-9, not as bytes: numpy's
         # SIMD exp and log may differ in the last bit between CPUs.
         out = tmp_path / "report.json"
-        argv = ["toy", "compare", "--methods", "cr_plus,rso,minmax_r,random_pair,mbr_bmw",
-                "--seeds", "4", "--sources", "40", "--outputs", "16", "--k", "12",
+        argv = ["toy", "compare", "--methods", methods, "--seeds", seeds,
+                "--sources", sources, "--outputs", "16", "--k", "12",
                 "--world-seed", "7", "--out", str(out)]
         assert main(argv) == 0
         report = json.loads(out.read_text(encoding="utf-8"))
-        golden = json.loads((GOLDEN / "toy_compare_small.json").read_text(encoding="utf-8"))
+        golden = json.loads((GOLDEN / f"{golden_name}.json").read_text(encoding="utf-8"))
         assert list(report) == list(golden)
         for key in ("methods", "seeds", "flags", "win_rates"):
             assert report[key] == golden[key]

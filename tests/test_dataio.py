@@ -5,6 +5,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -524,6 +527,35 @@ class TestStats:
         report = emit_stats(dataset, sets, bins=2)
         assert report["logprob_edges"][0] == -5.5
         assert report["logprob_edges"][-1] == -4.5
+
+    def test_means_are_finite_and_np_mean_bit_for_bit_when_it_is(self):
+        # Log-likelihoods reach -1.8e308, so a plain sum of two can overflow.
+        rng = np.random.default_rng(21)
+        for trial in range(300):
+            k = int(rng.integers(2, 9))
+            magnitude = 1e308 if trial % 2 else 100.0
+            logprobs = -rng.uniform(0.0, 1.79, size=k) * magnitude
+            cset = make_set([(f"c{j}", j / k, float(lp)) for j, lp in enumerate(logprobs)])
+            pairs = tuple(
+                PreferencePair(
+                    source_id="s1", chosen_id=f"c{k - 1}", rejected_id=f"c{j}",
+                    score=0.1, method="minmax_r",
+                )
+                for j in range(k - 1)
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                stats = emit_stats(PreferenceDataset(pairs=pairs), [cset])["methods"]["minmax_r"]
+            rejected = [float(lp) for lp in logprobs[: k - 1]]
+            exact = float(sum(map(Fraction, rejected)) / len(rejected))
+            mean = stats["rejected_logprob_mean"]
+            assert math.isfinite(mean)
+            assert mean == pytest.approx(exact, rel=1e-15)
+            with np.errstate(over="ignore"):
+                plain = float(np.mean(rejected))
+            if math.isfinite(plain):
+                assert mean == plain
+            assert stats["chosen_logprob_mean"] == pytest.approx(logprobs[k - 1], rel=1e-15)
 
     def test_save_stats_json_round_trip(self, tmp_path):
         dataset, sets = self.fixtures()

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ import scipy.stats
 
 from crpo.core import SelectionConfig, ValidationError
 from crpo.losses import LossConfig, PairBatch, batch_loss_and_grad, log_softmax
-from crpo.selectors import run_selector
+from crpo.selectors import random_pair_outcome, run_selector
 from crpo.toylab import (
     COMPARE_METHODS,
     TRAIN_LR,
@@ -26,30 +25,23 @@ from crpo.toylab import (
     nucleus_probs,
     output_index,
     output_text,
-    random_pair_outcome,
     resolve_pairs,
     run_comparison,
     sample_candidates,
-    source_index,
     source_label,
     train_dpo,
 )
 
-from conftest import make_set
+from conftest import make_set, random_set
+from oracles import random_pair_outcome as oracle_random_pair_outcome
 from oracles import sequential_scatter_loss_and_grad
 
 
 class TestLabels:
     def test_round_trips(self):
         assert source_label(7) == "s0007"
-        assert source_index("s0007") == 7
         assert output_text(31) == "y31"
         assert output_index("y31") == 31
-
-    @pytest.mark.parametrize("bad", ["x0007", "s", "sabc"])
-    def test_bad_source_ids(self, bad):
-        with pytest.raises(ValidationError, match="toy source id"):
-            source_index(bad)
 
     @pytest.mark.parametrize("bad", ["text A", "y", "yxy"])
     def test_bad_output_labels(self, bad):
@@ -287,61 +279,40 @@ class TestSampleCandidates:
 
 
 class TestResolvePairs:
-    def test_maps_back_to_table_indices(self):
-        world = make_world(n_sources=3, n_outputs=6, seed=12)
+    @pytest.mark.parametrize("method", COMPARE_METHODS)
+    def test_maps_back_to_table_indices(self, method):
+        world = make_world(n_sources=6, n_outputs=6, seed=12)
         sets = [
             sample_candidates(world, s, k=8, rng=np.random.default_rng([99, s]))
-            for s in range(3)
+            for s in range(6)
         ]
-        minmax_r = SelectionConfig(method="minmax_r")
-        pairs = [p for cset in sets for p in run_selector(cset, minmax_r).pairs]
-        resolved = resolve_pairs(world, pairs, sets)
-        assert len(resolved) == len(pairs)
-        for (s, w, l), pair in zip(resolved, pairs):
-            assert source_label(s) == pair.source_id
-            cset = sets[s]
-            assert output_index(cset.candidate(pair.chosen_id).text) == w
-            assert output_index(cset.candidate(pair.rejected_id).text) == l
-            assert world.reward_table[s, w] > world.reward_table[s, l]
-
-    def test_unknown_source_rejected(self):
-        from crpo.core import PreferencePair
-
-        world = make_world(n_sources=2, n_outputs=3)
-        sets = [sample_candidates(world, 0, k=4, rng=np.random.default_rng(0))]
-        stray = PreferencePair(
-            source_id="s0001",
-            chosen_id="k000",
-            rejected_id="k001",
-            score=0.1,
-            method="minmax_r",
-        )
-        with pytest.raises(ValidationError, match="unknown source"):
-            resolve_pairs(world, [stray], sets)
-
-    def test_source_row_out_of_range(self):
-        world = make_world(n_sources=2, n_outputs=3)
-        cset = make_set(
-            [("A", 0.9, -1.0), ("B", 0.1, -2.0)], source_id="s0099"
-        )
-        pairs = run_selector(cset, SelectionConfig(method="minmax_r")).pairs
-        with pytest.raises(ValidationError, match="out of range"):
-            resolve_pairs(world, pairs, [cset])
-
-    def test_reward_inverted_pair_rejected(self):
-        world = make_world(n_sources=1, n_outputs=6, seed=12)
-        cset = sample_candidates(world, 0, k=8, rng=np.random.default_rng(99))
-        (pair,) = run_selector(cset, SelectionConfig(method="minmax_r")).pairs
-        inverted = replace(pair, chosen_id=pair.rejected_id, rejected_id=pair.chosen_id)
-        with pytest.raises(ValidationError, match="lower aggregate reward"):
-            resolve_pairs(world, [inverted], [cset])
+        if method == "random_pair":
+            outcomes = [
+                random_pair_outcome(cset, np.random.default_rng([99, s, 1]))
+                for s, cset in enumerate(sets)
+            ]
+        else:
+            config = SelectionConfig(method=method)
+            outcomes = [run_selector(cset, config) for cset in sets]
+        resolved = resolve_pairs(sets, outcomes)
+        located = [(s, pair) for s, outcome in enumerate(outcomes) for pair in outcome.pairs]
+        assert len(resolved) == len(located)
+        if method == "qe_best":
+            assert resolved == []
+            return
+        assert resolved
+        for (s, w, l), (row, pair) in zip(resolved, located):
+            assert s == row
+            assert output_index(sets[s].candidate(pair.chosen_id).text) == w
+            assert output_index(sets[s].candidate(pair.rejected_id).text) == l
+            if not method.startswith("mbr_"):
+                assert world.reward_table[s, w] > world.reward_table[s, l]
 
     def test_non_toy_texts_rejected(self):
-        world = make_world(n_sources=2, n_outputs=3)
         cset = make_set([("A", 0.9, -1.0), ("B", 0.1, -2.0)], source_id="s0001")
-        pairs = run_selector(cset, SelectionConfig(method="minmax_r")).pairs
+        outcome = run_selector(cset, SelectionConfig(method="minmax_r"))
         with pytest.raises(ValidationError, match="toy output label"):
-            resolve_pairs(world, pairs, [cset])
+            resolve_pairs([cset], [outcome])
 
 
 class TestTrainDpo:
@@ -485,6 +456,33 @@ class TestRandomPairOutcome:
         cset = make_set([("A", 0.5, -1.0)])
         with pytest.raises(ValidationError, match="at least 2"):
             random_pair_outcome(cset, np.random.default_rng(0))
+
+    def test_matches_the_hand_built_oracle(self):
+        # Same draws, skips, ids, score bits and reward_gap as the hand-built
+        # pair; labeling through _Pool.by_reward only adds confidence_gap.
+        skips = 0
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            for n in range(600):
+                cset = random_set(rng, tie_probability=0.5)
+                draws, oracle_draws = (np.random.default_rng([seed, n]) for _ in range(2))
+                got = random_pair_outcome(cset, draws)
+                want = oracle_random_pair_outcome(cset, oracle_draws)
+                assert draws.bit_generator.state == oracle_draws.bit_generator.state
+                assert got.skipped_reason == want.skipped_reason
+                assert got.sft_target is None and want.sft_target is None
+                assert len(got.pairs) == len(want.pairs)
+                skips += got.skipped_reason is not None
+                for pair, expected in zip(got.pairs, want.pairs):
+                    assert (pair.source_id, pair.chosen_id, pair.rejected_id, pair.method) == (
+                        expected.source_id, expected.chosen_id, expected.rejected_id,
+                        expected.method,
+                    )
+                    assert pair.score.hex() == expected.score.hex()
+                    assert set(pair.extras) == {"reward_gap", "confidence_gap"}
+                    assert set(expected.extras) == {"reward_gap"}
+                    assert pair.extras["reward_gap"].hex() == expected.extras["reward_gap"].hex()
+        assert skips > 0
 
 
 class TestRunComparison:
