@@ -57,6 +57,18 @@ class LossConfig:
             )
 
 
+# Most rounds of fancy-indexed adds per SFT term in one ``batch_loss_and_grad``
+# step.  ``rso`` makes up to 4 pairs per source at the default ``rso_samples``
+# and ``mbr_bmw`` up to 3; rows with more pairs get their SFT terms from the
+# kernel's ``np.bincount`` instead (see ``PairBatch``).
+MAX_SFT_ROUNDS = 4
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class PairBatch:
     """A batch of preference pairs, checked and indexed once for the kernel.
@@ -64,17 +76,33 @@ class PairBatch:
     ``of`` validates the (source row, winner column, loser column) index
     triples against the reference log-probability table and keeps what every
     evaluation of ``batch_loss_and_grad`` reads: the source rows, the
-    reference log-probabilities of winners and losers, and the flat cell index
-    of the gradient scatter.
+    reference log-probabilities of winners and losers, the flat cells of the
+    gradient scatter, and the rounds that add the SFT terms.
+
+    Every pair adds the same SFT row vector to its row, and the same constant
+    to its winner cell, so the c pairs of one row are c rounds of adds over
+    distinct rows: round k covers the rows with more than k pairs.  Rows with
+    more than ``MAX_SFT_ROUNDS`` pairs ("deep" rows) take no rounds: the
+    kernel's one ``np.bincount`` adds their SFT terms after the pairwise
+    terms, so no step runs more than ``MAX_SFT_ROUNDS`` rounds per term.
     """
 
     shape: tuple[int, int]
     s: np.ndarray
     ref_w: np.ndarray
     ref_l: np.ndarray
-    # Flat cells of the winner, loser, SFT row and SFT winner terms, in the
-    # order the kernel concatenates their weights.
+    # Flat cells of the kernel's bincount, in the order of their weights: the
+    # winner cells, then the loser cells, of every pair; then, for each pair
+    # in a deep row, its row's cells; then those pairs' winner cells.
     cells: np.ndarray
+    # The row of each pair in a deep row, in pair order.
+    deep_s: np.ndarray
+    # Round k of the SFT row term: the distinct rows that are not deep and
+    # have more than k pairs, or a full slice when that is every row.
+    row_rounds: tuple[np.ndarray | slice, ...]
+    # Round k of the SFT winner term: the distinct flat winner cells of more
+    # than k pairs outside the deep rows.
+    winner_rounds: tuple[np.ndarray, ...]
 
     @classmethod
     def of(cls, pairs: Sequence[tuple[int, int, int]], ref_logp: np.ndarray) -> PairBatch:
@@ -104,13 +132,32 @@ class PairBatch:
         ):
             raise ValidationError("pair index out of range for the logit table")
         row = s * n_outputs
-        cells = np.concatenate(
-            [row + w, row + l, (row[:, None] + np.arange(n_outputs)).ravel(), row + w]
+        win = row + w
+        per_row = np.bincount(s, minlength=n_sources)
+        deep = per_row[s] > MAX_SFT_ROUNDS
+        shallow_per_row = np.where(per_row > MAX_SFT_ROUNDS, 0, per_row)
+        row_rounds = []
+        for k in range(int(shallow_per_row.max(initial=0))):
+            rows = np.flatnonzero(shallow_per_row > k)
+            row_rounds.append(slice(None) if len(rows) == n_sources else _frozen(rows))
+        # A winner cell has at most as many pairs as its row.
+        cell, per_cell = np.unique(win[~deep], return_counts=True)
+        winner_rounds = tuple(
+            _frozen(cell[per_cell > k]) for k in range(int(per_cell.max(initial=0)))
         )
-        arrays = (s.copy(), ref_logp[s, w], ref_logp[s, l], cells)
-        for array in arrays:
-            array.setflags(write=False)
-        return cls((n_sources, n_outputs), *arrays)
+        cells = np.concatenate(
+            [win, row + l, (row[deep, None] + np.arange(n_outputs)).ravel(), win[deep]]
+        )
+        return cls(
+            shape=(n_sources, n_outputs),
+            s=_frozen(s.copy()),
+            ref_w=_frozen(ref_logp[s, w]),
+            ref_l=_frozen(ref_logp[s, l]),
+            cells=_frozen(cells),
+            deep_s=_frozen(s[deep]),
+            row_rounds=tuple(row_rounds),
+            winner_rounds=winner_rounds,
+        )
 
 
 def batch_loss_and_grad(
@@ -141,22 +188,34 @@ def batch_loss_and_grad(
     z = config.beta * margin
     losses = np.logaddexp(0.0, -z)
     dloss_dz = -_sigmoid(-z)
-    # One scatter into the flattened table.  bincount adds the weights in
-    # input order, so concatenating winner, loser, SFT row and SFT winner
-    # terms in that order sums each cell exactly as sequential np.add.at
-    # calls would, bit for bit.
+    # Each cell sums its terms in the order of one np.add.at call per term
+    # (winner, loser, SFT row, SFT winner, each in pair order), bit for bit.
+    # bincount adds its weights in input order: the pairwise terms, then the
+    # SFT terms of the deep rows.  Every pair of a row adds the same SFT
+    # values, so the rounds over distinct rows and cells that follow add the
+    # other rows' SFT terms in that order too, with no pairs x outputs
+    # temporary.
     cells = batch.cells[: 2 * n]
     weights = [dloss_dz * config.beta, -dloss_dz * config.beta]
     if config.sft_weight > 0:
         losses = losses + config.sft_weight * (-theta_w)
-        probs = np.exp(logp)
-        cells = batch.cells
-        weights += [(config.sft_weight * probs[batch.s]).ravel(), np.full(n, -config.sft_weight)]
+        sft_row = np.exp(logp)
+        sft_row *= config.sft_weight
+        if len(batch.deep_s):
+            cells = batch.cells
+            weights += [
+                sft_row.take(batch.deep_s, axis=0).ravel(),
+                np.full(len(batch.deep_s), -config.sft_weight),
+            ]
     grad = np.bincount(
-        cells,
-        weights=np.concatenate(weights),
-        minlength=batch.shape[0] * batch.shape[1],
+        cells, weights=np.concatenate(weights), minlength=batch.shape[0] * batch.shape[1]
     ).reshape(batch.shape)
+    if config.sft_weight > 0:
+        for rows in batch.row_rounds:
+            grad[rows] += sft_row[rows]
+        flat = grad.reshape(-1)
+        for winners in batch.winner_rounds:
+            flat[winners] -= config.sft_weight
     loss = float(losses.sum() / n)
     if not math.isfinite(loss):
         raise ValidationError("non-finite loss")

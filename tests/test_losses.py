@@ -9,6 +9,7 @@ import pytest
 
 from crpo.core import ValidationError
 from crpo.losses import (
+    MAX_SFT_ROUNDS,
     LossConfig,
     PairBatch,
     batch_loss_and_grad,
@@ -308,8 +309,9 @@ class TestBatchLossAndGrad:
     @pytest.mark.parametrize("sft_weight", [0.0, 1.0])
     @pytest.mark.parametrize("kind", ["dpo", "cpo"])
     def test_gradient_matches_sequential_scatter_bit_for_bit(self, kind, sft_weight):
-        """The single bincount scatter sums every cell in the same order as
-        one np.add.at call per term (winner, loser, SFT row, SFT winner)."""
+        """The pairwise bincount and the SFT rounds sum every cell in the
+        same order as one np.add.at call per term (winner, loser, SFT row,
+        SFT winner)."""
         rng = np.random.default_rng(10)
         for _ in range(300):
             n_sources, n_outputs = int(rng.integers(1, 5)), int(rng.integers(2, 9))
@@ -323,6 +325,47 @@ class TestBatchLossAndGrad:
             pairs += pairs[: int(rng.integers(0, 3))]  # duplicate pairs
             cfg = LossConfig(kind=kind, beta=beta, sft_weight=sft_weight)
             loss, grad = batch_loss_and_grad(logits, PairBatch.of(pairs, ref_logp), cfg)
+            expected_loss, expected = sequential_scatter_loss_and_grad(
+                logits, ref_logp, pairs, cfg
+            )
+            np.testing.assert_array_equal(grad, expected)
+            assert loss == expected_loss
+
+    @pytest.mark.parametrize("sft_weight", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", ["dpo", "cpo"])
+    def test_rows_deeper_than_the_rounds_match_sequential_scatter_bit_for_bit(
+        self, kind, sft_weight
+    ):
+        """Rows with more pairs than MAX_SFT_ROUNDS next to shallower rows,
+        repeated pairs and repeated winner cells: the bincount and the
+        rounds still sum every cell in the sequential scatter's order."""
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n_sources, n_outputs = int(rng.integers(1, 5)), int(rng.integers(2, 7))
+            logits = rng.standard_normal((n_sources, n_outputs)) * 3
+            ref_logp = log_softmax(rng.standard_normal((n_sources, n_outputs)) * 3)
+            beta = float(rng.uniform(0.05, 2.0))
+            deep = int(rng.integers(n_sources))
+            pairs = []
+            for s in range(n_sources):
+                if s == deep:
+                    depth = int(rng.integers(MAX_SFT_ROUNDS + 1, 4 * MAX_SFT_ROUNDS))
+                else:
+                    depth = int(rng.integers(0, 2 * MAX_SFT_ROUNDS))
+                # Few winners per row, so winner cells repeat.
+                winners = rng.choice(n_outputs, size=min(2, n_outputs - 1), replace=False)
+                for _ in range(depth):
+                    w = int(rng.choice(winners))
+                    l = int(rng.choice(np.delete(np.arange(n_outputs), w)))
+                    pairs.append((s, w, l))
+            pairs += pairs[: int(rng.integers(0, 4))]  # duplicate pairs
+            rng.shuffle(pairs)
+            batch = PairBatch.of(pairs, ref_logp)
+            assert len(batch.deep_s) >= MAX_SFT_ROUNDS + 1
+            assert len(batch.row_rounds) <= MAX_SFT_ROUNDS
+            assert len(batch.winner_rounds) <= MAX_SFT_ROUNDS
+            cfg = LossConfig(kind=kind, beta=beta, sft_weight=sft_weight)
+            loss, grad = batch_loss_and_grad(logits, batch, cfg)
             expected_loss, expected = sequential_scatter_loss_and_grad(
                 logits, ref_logp, pairs, cfg
             )

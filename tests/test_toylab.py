@@ -11,7 +11,13 @@ import pytest
 import scipy.stats
 
 from crpo.core import SelectionConfig, ValidationError
-from crpo.losses import LossConfig, PairBatch, batch_loss_and_grad, log_softmax
+from crpo.losses import (
+    MAX_SFT_ROUNDS,
+    LossConfig,
+    PairBatch,
+    batch_loss_and_grad,
+    log_softmax,
+)
 from crpo.selectors import random_pair_outcome, run_selector
 from crpo.toylab import (
     COMPARE_METHODS,
@@ -383,6 +389,29 @@ class TestTrainDpo:
                 logits = logits - TRAIN_LR * g
             assert result.losses == tuple(losses)
             np.testing.assert_array_equal(result.policy.logits, logits)
+
+    def test_deep_row_batch_runs_bounded_rounds_and_matches_the_oracle(self):
+        """The batch of ``toy compare --methods rs_dpo --seeds 1 --sources 1
+        --outputs 4 --k 400 --world-seed 10`` holds 20,400 pairs in one row.
+        A step on it runs at most MAX_SFT_ROUNDS rounds per SFT term, adds the
+        row's SFT terms in its bincount, and equals the oracle bit for bit."""
+        world = make_world(n_sources=1, n_outputs=4, seed=10)
+        cset = sample_candidates(world, 0, k=400, rng=np.random.default_rng([10, 0, 0]))
+        outcome = run_selector(cset, SelectionConfig(method="rs_dpo", seed=0))
+        pairs = resolve_pairs([cset], [outcome])
+        assert len(pairs) == 20_400
+        ref_logp = log_softmax(world.ref_logits)
+        batch = PairBatch.of(pairs, ref_logp)
+        assert len(batch.row_rounds) <= MAX_SFT_ROUNDS
+        assert len(batch.winner_rounds) <= MAX_SFT_ROUNDS
+        assert len(batch.deep_s) == 20_400
+        logits = world.ref_logits + np.random.default_rng(12).standard_normal((1, 4))
+        loss, grad = batch_loss_and_grad(logits, batch, LossConfig())
+        expected_loss, expected = sequential_scatter_loss_and_grad(
+            logits, ref_logp, pairs, LossConfig()
+        )
+        np.testing.assert_array_equal(grad, expected)
+        assert loss == expected_loss
 
     def test_bad_pair_index_is_an_input_error(self):
         world = ToyWorld(
