@@ -47,10 +47,18 @@ from .scoring import UtilityMatrix
 # command line from exhausting memory.
 MAX_BINS = 100_000
 
+# Read size of ``digest_file``.
+_DIGEST_CHUNK = 1 << 20
+
 
 def digest_file(path: str | Path) -> str:
-    """SHA-256 hex digest of a file's bytes."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 hex digest of a file's bytes, read in 1 MiB chunks so the
+    file is never held in memory whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(_DIGEST_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def parse_direction(tag: str) -> tuple[str, str]:

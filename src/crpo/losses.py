@@ -97,9 +97,9 @@ class PairBatch:
     cells: np.ndarray
     # The row of each pair in a deep row, in pair order.
     deep_s: np.ndarray
-    # Round k of the SFT row term: the distinct rows that are not deep and
-    # have more than k pairs, or a full slice when that is every row.
-    row_rounds: tuple[np.ndarray | slice, ...]
+    # Round k of the SFT row term: a (rows, 1) mask of the rows that are not
+    # deep and have more than k pairs, or True when that is every row.
+    row_rounds: tuple[np.ndarray | bool, ...]
     # Round k of the SFT winner term: the distinct flat winner cells of more
     # than k pairs outside the deep rows.
     winner_rounds: tuple[np.ndarray, ...]
@@ -138,8 +138,8 @@ class PairBatch:
         shallow_per_row = np.where(per_row > MAX_SFT_ROUNDS, 0, per_row)
         row_rounds = []
         for k in range(int(shallow_per_row.max(initial=0))):
-            rows = np.flatnonzero(shallow_per_row > k)
-            row_rounds.append(slice(None) if len(rows) == n_sources else _frozen(rows))
+            rows = shallow_per_row[:, None] > k
+            row_rounds.append(True if rows.all() else _frozen(rows))
         # A winner cell has at most as many pairs as its row.
         cell, per_cell = np.unique(win[~deep], return_counts=True)
         winner_rounds = tuple(
@@ -212,7 +212,7 @@ def batch_loss_and_grad(
     ).reshape(batch.shape)
     if config.sft_weight > 0:
         for rows in batch.row_rounds:
-            grad[rows] += sft_row[rows]
+            np.add(grad, sft_row, out=grad, where=rows)
         flat = grad.reshape(-1)
         for winners in batch.winner_rounds:
             flat[winners] -= config.sft_weight

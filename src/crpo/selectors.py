@@ -36,6 +36,15 @@ from .scoring import UtilityMatrix, mbr_scores, utility_matrix_for_set
 # number of acceptances.
 RSO_MAX_DRAW_FACTOR = 64
 
+# Constants of the PCG64 word replay in ``_rso_proposals``.
+_LOW32 = np.uint64(0xFFFF_FFFF)
+_U32 = np.uint64(32)
+_U11 = np.uint64(11)
+_TWO_M53 = 2.0**-53  # ``Generator.random()`` is (word >> 11) * 2**-53
+
+# The configuration ``random_pair_outcome`` labels its pairs under.
+_RANDOM_PAIR_CONFIG = SelectionConfig()
+
 
 @dataclass(frozen=True)
 class SelectionOutcome:
@@ -131,7 +140,7 @@ def random_pair_outcome(cset: CandidateSet, rng: np.random.Generator) -> Selecti
             f"source {cset.source_id!r}: control needs at least 2 candidates"
         )
     i, j = rng.choice(k, size=2, replace=False).tolist()
-    pair = _Pool.of(cset, SelectionConfig()).by_reward(i, j, "random_pair")
+    pair = _Pool.of(cset, _RANDOM_PAIR_CONFIG).by_reward(i, j, "random_pair")
     if pair is None:
         return SelectionOutcome(skipped_reason="zero reward gap")
     return SelectionOutcome(pairs=(pair,))
@@ -194,6 +203,141 @@ def rso_acceptance_probs(agg_rewards: Sequence[float], beta: float) -> np.ndarra
     return np.exp((rewards - rewards.max()) / beta)
 
 
+class _Pcg64Words:
+    """The raw 64-bit words of a PCG64 generator, read ahead in blocks with
+    ``random_raw``, and its 32-bit buffer.
+
+    ``Generator.integers`` draws 32 bits at a time: the buffered high half of
+    the last word if there is one (``has_uint32`` / ``uinteger`` in the
+    state), else the low half of a new word, whose high half it buffers.
+    ``Generator.random`` reads a whole word and leaves the buffer alone.
+    ``close`` leaves the generator as if it had read exactly ``pos`` words.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._bitgen = rng.bit_generator
+        state = self._bitgen.state
+        if state["bit_generator"] != "PCG64":
+            raise ValidationError(
+                f"RSO replays a PCG64 stream, got a {state['bit_generator']} generator"
+            )
+        self._words = np.empty(0, dtype=np.uint64)
+        self.pos = 0
+        self.has, self.uint = state["has_uint32"], state["uinteger"]
+
+    def ahead(self, n: int) -> np.ndarray:
+        """The next ``n`` unread words, left unread."""
+        short = self.pos + n - len(self._words)
+        if short > 0:
+            self._words = np.concatenate((self._words, self._bitgen.random_raw(short)))
+        return self._words[self.pos : self.pos + n]
+
+    def word(self) -> int:
+        value = int(self.ahead(1)[0])
+        self.pos += 1
+        return value
+
+    def u32(self) -> int:
+        if self.has:
+            self.has = 0
+            return self.uint
+        word = self.word()
+        self.has, self.uint = 1, word >> 32
+        return word & 0xFFFF_FFFF
+
+    def close(self) -> None:
+        # Step back over the words drawn ahead (PCG64 advances modulo its
+        # period 2**128), then restore the buffer the reads left.
+        self._bitgen.advance((self.pos - len(self._words)) % 2**128)
+        state = self._bitgen.state
+        state["has_uint32"], state["uinteger"] = self.has, self.uint
+        self._bitgen.state = state
+
+
+def _rso_proposals(
+    probs: np.ndarray, n_samples: int, budget: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Proposed index and acceptance of every proposal of the loop
+
+        for _ in range(budget):
+            if acceptances == n_samples: break
+            j = rng.integers(k)           # propose
+            if rng.random() < probs[j]:   # accept
+                acceptances += 1
+
+    replayed bit for bit from ``rng``'s PCG64 words, with ``rng`` left where
+    the loop leaves it (``tests/oracles.py`` keeps the loop).
+
+    ``integers(k)`` maps a 32-bit draw u to (u * k) >> 32 and draws again
+    while (u * k) mod 2**32 < (2**32 - k) mod k (Lemire); for k = 1 it draws
+    nothing.  So from an empty buffer, proposals 2m and 2m + 1 read the words
+    [I, D, D] (low and high half of I, then one D each), and a block of
+    proposals is read with array operations.  A proposal from a full buffer,
+    or one that needs a redraw (p < k / 2**32), is read word by word.  Blocks
+    double from twice the expected number of proposals, so the words drawn
+    stay within a small multiple of the words the loop reads.
+    """
+    k = len(probs)
+    stream = _Pcg64Words(rng)
+    if min(budget, n_samples) <= 0:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=bool)
+    if k == 0:
+        raise ValidationError("RSO needs at least one candidate")
+    threshold = (2**32 - k) % k
+    total = float(np.add.reduce(probs))
+    block = max(1, math.ceil(min(budget, 2 * n_samples * k / total))) if total > 0.0 else budget
+    proposed: list[np.ndarray] = []
+    accepted: list[np.ndarray] = []
+    done = n_accepted = 0
+    word_by_word = False
+    while done < budget and n_accepted < n_samples:
+        if k > 1 and (stream.has or word_by_word):
+            m = stream.u32() * k
+            while (m & 0xFFFF_FFFF) < threshold:
+                m = stream.u32() * k
+            j = m >> 32
+            ok = bool((stream.word() >> 11) * _TWO_M53 < probs[j])
+            proposed.append(np.array([j], dtype=np.intp))
+            accepted.append(np.array([ok]))
+            done, n_accepted, word_by_word = done + 1, n_accepted + ok, False
+            continue
+        t = min(block, budget - done)
+        block *= 2
+        if k == 1:
+            doubles = stream.ahead(t)
+            j = np.zeros(t, dtype=np.intp)
+        else:
+            words = stream.ahead(3 * ((t + 1) // 2)).reshape(-1, 3)
+            # The low and high halves of the I words, in that order.
+            u = words[:, 0].astype("<u8").view("<u4")[:t]
+            m = np.multiply(u, np.uint64(k), dtype=np.uint64)
+            j = (m >> _U32).astype(np.intp)
+            doubles = words[:, 1:].ravel()[:t]
+            if threshold:
+                redraws = ((m & _LOW32) < threshold).nonzero()[0]
+                if len(redraws):
+                    t, word_by_word = int(redraws[0]), True
+        ok = (doubles[:t] >> _U11) * _TWO_M53 < probs[j[:t]]
+        hits = ok.nonzero()[0]
+        need = n_samples - n_accepted
+        if len(hits) >= need:
+            t = int(hits[need - 1]) + 1
+        proposed.append(j[:t])
+        accepted.append(ok[:t])
+        done += t
+        n_accepted += len(hits)  # past n_samples only when the loop stops here
+        if k == 1:
+            stream.pos += t
+        else:
+            stream.pos += 3 * (t // 2) + 2 * (t % 2)
+            if t % 2:
+                stream.has, stream.uint = 1, int(words[t // 2, 0] >> _U32)
+            elif t:
+                stream.uint = int(words[t // 2 - 1, 0] >> _U32)
+    stream.close()
+    return np.concatenate(proposed), np.concatenate(accepted)
+
+
 def rso_subsample(
     acceptance_probs: np.ndarray,
     n_samples: int,
@@ -206,22 +350,17 @@ def rso_subsample(
     If the draw budget (``max_draw_factor * n_samples`` proposals) runs out
     first, the remaining slots are filled with the not-yet-accepted
     candidates in decreasing acceptance-probability order (i.e. decreasing
-    reward), cycling through all candidates if even that runs dry.
+    reward), cycling through all candidates if even that runs dry.  Draws
+    come from ``rng``, which must be a PCG64 ``Generator``, exactly as
+    ``rng.integers(K)`` then ``rng.random()`` per proposal would take them.
     """
     probs = np.asarray(acceptance_probs, dtype=np.float64)
     k = len(probs)
-    proposals = np.zeros(k, dtype=np.int64)
-    acceptances = np.zeros(k, dtype=np.int64)
-    picks: list[int] = []
-    budget = max_draw_factor * n_samples
-    for _ in range(budget):
-        if len(picks) >= n_samples:
-            break
-        j = int(rng.integers(k))
-        proposals[j] += 1
-        if rng.random() < probs[j]:
-            acceptances[j] += 1
-            picks.append(j)
+    proposed, accepted = _rso_proposals(probs, n_samples, max_draw_factor * n_samples, rng)
+    proposals = np.bincount(proposed, minlength=k)
+    picks = proposed[accepted]
+    acceptances = np.bincount(picks, minlength=k)
+    picks = picks.tolist()
     n_filled = max(n_samples - len(picks), 0)
     if n_filled:
         order = sorted(range(k), key=lambda j: (-probs[j], j))

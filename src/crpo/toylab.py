@@ -12,7 +12,7 @@ Pairs come from crpo's own selectors (``run_selector``, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -84,6 +84,8 @@ class ToyWorld:
     reward_table: np.ndarray
     ref_logits: np.ndarray
     seed: int = 0
+    # ``_sampler`` results by (source, temperature, top_p).
+    _sampler_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rewards = np.asarray(self.reward_table, dtype=np.float64).copy()
@@ -111,6 +113,22 @@ class ToyWorld:
     @property
     def n_outputs(self) -> int:
         return self.reward_table.shape[1]
+
+    def _sampler(
+        self, source: int, temperature: float, top_p: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One source's temperature-scaled, nucleus-truncated reference
+        distribution and its untruncated reference log-probabilities, computed
+        the first time they are asked for and kept for the world's life."""
+        key = (source, temperature, top_p)
+        if key not in self._sampler_cache:
+            row = self.ref_logits[source]
+            scaled = row / temperature
+            shifted = scaled - scaled.max()
+            sampler = np.exp(shifted)
+            sampler = nucleus_probs(sampler / sampler.sum(), top_p)
+            self._sampler_cache[key] = (sampler, log_softmax(row[None, :])[0])
+        return self._sampler_cache[key]
 
 
 @dataclass(frozen=True)
@@ -215,12 +233,7 @@ def sample_candidates(
         raise ValidationError(f"k must be >= 1, got {k}")
     if not math.isfinite(temperature) or temperature <= 0:
         raise ValidationError(f"temperature must be finite and > 0, got {temperature!r}")
-    row = world.ref_logits[source]
-    scaled = row / temperature
-    shifted = scaled - scaled.max()
-    sampler = np.exp(shifted)
-    sampler = nucleus_probs(sampler / sampler.sum(), top_p)
-    ref_logp = log_softmax(row[None, :])[0]
+    sampler, ref_logp = world._sampler(source, temperature, top_p)
     draws = rng.choice(world.n_outputs, size=k, p=sampler)
     candidates = []
     for j, m in enumerate(draws.tolist()):

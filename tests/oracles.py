@@ -10,6 +10,10 @@
   equal it on every entry, bit for bit.
 - ``emit_candidates`` writes candidate sets back to JSONL, the inverse of
   ``crpo.dataio.ingest_candidates``.
+- ``rso_subsample`` is the proposal loop of RSO, one ``rng.integers(K)`` and
+  one ``rng.random()`` per proposal; ``crpo.selectors.rso_subsample``, which
+  replays the generator's words in blocks, must match its picks, counts and
+  the generator state it leaves.
 - ``random_pair_outcome`` builds the random-pair control's pair by hand; the
   ``crpo.selectors`` version, labeled through ``_Pool.by_reward``, must match
   it except for the ``confidence_gap`` extra it adds.
@@ -17,6 +21,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -29,7 +34,7 @@ import numpy as np
 from crpo.core import CandidateSet, PreferencePair, ValidationError
 from crpo.losses import LossConfig, _sigmoid, log_softmax
 from crpo.scoring import _BETA_SQ, _NGRAM_ORDER
-from crpo.selectors import SelectionOutcome
+from crpo.selectors import RSO_MAX_DRAW_FACTOR, RsoSample, SelectionOutcome
 
 
 def softplus(x: float) -> float:
@@ -293,3 +298,42 @@ def random_pair_outcome(
         extras={"reward_gap": chosen.reward_agg - rejected.reward_agg},
     )
     return SelectionOutcome(pairs=(pair,))
+
+
+def rso_subsample(
+    acceptance_probs: np.ndarray,
+    n_samples: int,
+    rng: np.random.Generator,
+    max_draw_factor: int = RSO_MAX_DRAW_FACTOR,
+) -> RsoSample:
+    """RSO one proposal at a time: draw ``rng.integers(K)``, accept it if
+    ``rng.random()`` is below its acceptance probability, until ``n_samples``
+    acceptances or ``max_draw_factor * n_samples`` proposals; then back-fill
+    with the unaccepted candidates by decreasing probability, cycling through
+    all of them if that runs dry."""
+    probs = np.asarray(acceptance_probs, dtype=np.float64)
+    k = len(probs)
+    proposals = np.zeros(k, dtype=np.int64)
+    acceptances = np.zeros(k, dtype=np.int64)
+    picks: list[int] = []
+    budget = max_draw_factor * n_samples
+    for _ in range(budget):
+        if len(picks) >= n_samples:
+            break
+        j = int(rng.integers(k))
+        proposals[j] += 1
+        if rng.random() < probs[j]:
+            acceptances[j] += 1
+            picks.append(j)
+    n_filled = max(n_samples - len(picks), 0)
+    if n_filled:
+        order = sorted(range(k), key=lambda j: (-probs[j], j))
+        accepted = set(picks)
+        backfill = [j for j in order if j not in accepted]
+        picks.extend(itertools.islice(itertools.chain(backfill, itertools.cycle(order)), n_filled))
+    return RsoSample(
+        picks=tuple(picks),
+        proposals=proposals,
+        acceptances=acceptances,
+        n_filled=n_filled,
+    )

@@ -91,6 +91,18 @@ def test_digest_file_is_sha256(tmp_path):
     assert digest_file(path) == hashlib.sha256(b"hello world\n").hexdigest()
 
 
+@pytest.mark.parametrize(
+    "size", [0, 12, (1 << 20) - 1, 1 << 20, 3 * (1 << 20) + 17],
+    ids=["empty", "small", "chunk-1", "chunk", "several-chunks"],
+)
+def test_digest_file_reads_in_chunks(tmp_path, size):
+    """The chunked digest equals sha256 of the whole file, below, at and
+    above the 1 MiB read size."""
+    path = tmp_path / "blob.bin"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert digest_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestIngestCandidates:
     def test_grouping_and_values(self, tmp_path):
         path = tmp_path / "cands.jsonl"

@@ -22,6 +22,7 @@ from crpo.core import (
 )
 from crpo.scoring import UtilityMatrix, utility_matrix_for_set
 from crpo.selectors import (
+    RSO_MAX_DRAW_FACTOR,
     SelectionOutcome,
     per_source_rng,
     rso_acceptance_probs,
@@ -32,6 +33,7 @@ from crpo.selectors import (
 
 from conftest import make_set, random_set
 from oracles import PairScoreInput, cr_plus, cr_times
+from oracles import rso_subsample as oracle_rso_subsample
 
 
 def config(**kwargs) -> SelectionConfig:
@@ -299,6 +301,80 @@ class TestRso:
         # one acceptance of 0, then 1 and 2, then the cycle restarts at 0
         assert sample.picks == (0, 1, 2, 0)
         assert sample.n_filled == 3
+
+    @staticmethod
+    def assert_replays_oracle(probs, n_samples, rng_a, rng_b, max_draw_factor):
+        """``rso_subsample`` on ``rng_a`` matches the one-proposal-at-a-time
+        oracle on ``rng_b`` (same state): picks, counts, back-fill, and the
+        generator state each leaves, buffered half included."""
+        got = rso_subsample(probs, n_samples, rng_a, max_draw_factor)
+        want = oracle_rso_subsample(probs, n_samples, rng_b, max_draw_factor)
+        assert got.picks == want.picks
+        np.testing.assert_array_equal(got.proposals, want.proposals)
+        np.testing.assert_array_equal(got.acceptances, want.acceptances)
+        assert got.n_filled == want.n_filled
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        np.testing.assert_array_equal(rng_a.permutation(11), rng_b.permutation(11))
+        return got
+
+    def test_subsample_replays_the_proposal_loop(self):
+        """Thousands of random cases: K with and without Lemire rejection
+        zones (powers of two have none), flat, sharp and infinite acceptance,
+        draw budgets low enough to force back-fill, zero samples, and a
+        generator that enters with a buffered 32-bit half."""
+        rng = np.random.default_rng(2309)
+        for _ in range(3000):
+            k = int(rng.choice([1, 2, 3, 5, 16, 17, 100, 1000]))
+            n_samples = int(rng.integers(0, 33))
+            max_draw_factor = int(rng.choice([1, 2, 3, RSO_MAX_DRAW_FACTOR]))
+            shape = int(rng.integers(4))
+            if shape == 0:
+                probs = rng.uniform(size=k)
+            elif shape == 1:
+                beta = float(rng.choice([0.01, 0.1, 1.0]))
+                probs = rso_acceptance_probs(rng.uniform(size=k), beta)
+            elif shape == 2:
+                probs = np.zeros(k)
+                probs[rng.integers(k)] = rng.uniform()
+            else:  # always accepted, and no finite expected proposal count
+                probs = rng.uniform(size=k)
+                probs[rng.integers(k)] = np.inf
+            seed = int(rng.integers(2**63))
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            if rng.integers(2):
+                a.integers(7), b.integers(7)  # leaves a buffered half
+            self.assert_replays_oracle(probs, n_samples, a, b, max_draw_factor)
+
+    # PCG64(2024) advanced this many words reaches a word whose low (high)
+    # 32-bit half falls in the Lemire rejection zone of integers(1000):
+    # (u * 1000) mod 2**32 < 296, which has probability 6.9e-8 per draw.
+    LOW_HALF_REDRAW = 27_509_007
+    HIGH_HALF_REDRAW = 5_208_448
+
+    @pytest.mark.parametrize(
+        "start, proposal",
+        [(LOW_HALF_REDRAW, 0), (LOW_HALF_REDRAW - 15, 10),
+         (HIGH_HALF_REDRAW, 1), (HIGH_HALF_REDRAW - 30, 21)],
+    )
+    @pytest.mark.parametrize("accept", [0.0, 0.5])
+    def test_subsample_replays_lemire_redraws(self, start, proposal, accept):
+        def at_start():
+            return np.random.Generator(np.random.PCG64(2024).advance(start))
+
+        # The redraw is real: that proposal reads two 32-bit halves where
+        # one without a redraw reads one, so it leaves the buffer as it was.
+        loop = at_start()
+        for _ in range(proposal):
+            loop.integers(1000), loop.random()
+        buffered = loop.bit_generator.state["has_uint32"]
+        loop.integers(1000)
+        assert loop.bit_generator.state["has_uint32"] == buffered
+        got = self.assert_replays_oracle(np.full(1000, accept), 16, at_start(), at_start(), 4)
+        assert got.proposals.sum() > proposal
+
+    def test_subsample_rejects_a_generator_it_cannot_replay(self):
+        with pytest.raises(ValidationError, match="PCG64"):
+            rso_subsample(np.ones(3), 4, np.random.Generator(np.random.Philox(0)))
 
     def test_select_rso_pairs_have_positive_gap(self, worked_example):
         cfg = config(method="rso", beta=5.0)  # flat acceptance, real mixing

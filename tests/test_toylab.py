@@ -274,6 +274,27 @@ class TestSampleCandidates:
         assert seen <= set(allowed.tolist())
         assert len(seen) == len(allowed)  # 4000 draws cover the small nucleus
 
+    def test_same_set_whether_or_not_the_world_sampled_the_source_before(self):
+        """A world keeps each source's sampling distribution after the first
+        draw; later draws, and draws at other settings, get the same sets as
+        a fresh world."""
+        settings = [{}, {"temperature": 0.4}, {"top_p": 0.5}, {"temperature": 2.0, "top_p": 1.0}]
+        used = make_world(n_sources=3, n_outputs=9, seed=14)
+        for source in range(3):
+            for kwargs in settings:
+                sample_candidates(used, source, k=4, rng=np.random.default_rng(0), **kwargs)
+        for source in range(3):
+            for i, kwargs in enumerate(settings):
+                fresh = make_world(n_sources=3, n_outputs=9, seed=14)
+                rng_seed = [source, i]
+                want = sample_candidates(
+                    fresh, source, k=12, rng=np.random.default_rng(rng_seed), **kwargs
+                )
+                got = sample_candidates(
+                    used, source, k=12, rng=np.random.default_rng(rng_seed), **kwargs
+                )
+                assert got == want
+
     def test_validation(self):
         world = make_world(n_sources=2, n_outputs=3)
         with pytest.raises(ValidationError, match="out of range"):
