@@ -52,14 +52,19 @@ class ValidationError(ValueError):
 _FLOAT_MAX = sys.float_info.max
 
 
+def _is_number(value: object) -> bool:
+    """True for an int or a float, subclasses included, but not for a bool.
+    The exact-type tests settle the common case without an isinstance call."""
+    kind = type(value)
+    return kind is float or kind is int or (isinstance(value, (int, float)) and kind is not bool)
+
+
 def aggregate_reward(rewards: Mapping[str, float]) -> float:
     """Unweighted mean of the per-model reward scores for one candidate."""
     if not rewards:
         raise ValidationError("no reward sources")
     for name, value in rewards.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValidationError(f"reward out of range: {name}={value!r}")
-        if not 0.0 <= value <= 1.0:
+        if not (_is_number(value) and 0.0 <= value <= 1.0):
             raise ValidationError(f"reward out of range: {name}={value!r}")
     return math.fsum(rewards.values()) / len(rewards)
 
@@ -69,7 +74,7 @@ def direction_class(direction: tuple[str, str]) -> str:
     return INTO_EN if direction[1] == "en" else OUT_OF_EN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """One sampled output with its reference-policy log-likelihood and rewards.
 
@@ -89,17 +94,19 @@ class Candidate:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValidationError("candidate id must be a non-empty string")
-        if not isinstance(self.logprob, (int, float)) or isinstance(self.logprob, bool):
+        logprob = self.logprob
+        if not _is_number(logprob):
             raise ValidationError(f"candidate {self.id!r}: logprob must be a number")
-        if not -_FLOAT_MAX <= self.logprob <= 0.0:
+        if not -_FLOAT_MAX <= logprob <= 0.0:
             raise ValidationError(
-                f"candidate {self.id!r}: logprob must be finite and <= 0, got {self.logprob!r}"
+                f"candidate {self.id!r}: logprob must be finite and <= 0, got {logprob!r}"
             )
         object.__setattr__(self, "reward_agg", aggregate_reward(self.rewards))
-        if self.token_count is not None and (
-            not isinstance(self.token_count, int)
-            or isinstance(self.token_count, bool)
-            or not 1 <= self.token_count <= _FLOAT_MAX
+        token_count = self.token_count
+        if token_count is not None and not (
+            isinstance(token_count, int)
+            and type(token_count) is not bool
+            and 1 <= token_count <= _FLOAT_MAX
         ):
             raise ValidationError(f"candidate {self.id!r}: token_count must be a positive integer")
 

@@ -23,11 +23,13 @@ ingest is lossless, and identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import csv
+import functools
+import gc
 import hashlib
 import itertools
 import json
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,27 +71,53 @@ def parse_direction(tag: str) -> tuple[str, str]:
     return (parts[0], parts[1])
 
 
+def _check_utf8(line: str, path: str | Path, lineno: int) -> None:
+    """Reject a line that holds a lone surrogate, the decoding of a bad byte."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
+
+
+def _open_text(path: str | Path):
+    """A UTF-8 text file whose lines split on newlines only (not on U+2028 or
+    U+0085, which ``json.dumps`` writes unescaped in ids).  Bad bytes decode
+    to lone surrogates, so ``_check_utf8`` can name the line that holds one."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
 def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Numbered lines of a UTF-8 text file, split on newlines only (not on
-    U+2028 or U+0085, which ``json.dumps`` writes unescaped in ids).  Bad
-    bytes decode to lone surrogates, so the line that holds one is named."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+    """Numbered lines of a UTF-8 text file, each checked by ``_check_utf8``."""
+    with _open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
+            _check_utf8(line, path, lineno)
             yield lineno, line
 
 
+# The scanner of a default decoder parses a record in one call.  ``json.loads``
+# reaches the same scanner through ``decode`` and ``raw_decode``, matching
+# whitespace before and after the record.
+_scan_once = json.JSONDecoder().scan_once
+_skip_whitespace = json.decoder.WHITESPACE.match
+
+
 def _json_object(line: str, path: str | Path, lineno: int) -> dict:
-    # ValueError is JSONDecodeError or an int of over 4300 digits.
+    """The JSON object on ``line``, which must hold nothing else but JSON
+    whitespace.  A line the scanner does not take whole (leading whitespace, a
+    BOM, extra data, bad syntax) goes to ``json.loads``, which parses it or
+    raises its own error."""
     try:
-        record = json.loads(line)
-    except (ValueError, RecursionError) as err:
-        raise ValidationError(f"{path}:{lineno}: invalid JSON: {err}") from None
-    if not isinstance(record, dict):
+        record, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = -1
+    if end < 0 or _skip_whitespace(line, end).end() != len(line):
+        # ValueError is JSONDecodeError or an int of over 4300 digits.
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as err:
+            raise ValidationError(f"{path}:{lineno}: invalid JSON: {err}") from None
+    if type(record) is not dict:
         raise ValidationError(f"{path}:{lineno}: record must be a JSON object")
     return record
 
@@ -99,58 +127,63 @@ def _read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
     line.  The header is the object of a ``{"_meta": {...}}`` first record,
     or ``(0, {})`` without one; ``_meta`` anywhere else is an error."""
     header_due = True
-    for lineno, line in _lines(path):
-        if line.isspace():
-            continue
-        record = _json_object(line, path, lineno)
-        if header_due:
-            header_due = False
-            if record.keys() == {"_meta"}:
-                yield lineno, _fields(record, _HEADER_FIELDS, path, lineno)[0]
+    with _open_text(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            _check_utf8(line, path, lineno)
+            if line.isspace():
                 continue
-            yield 0, {}
-        if "_meta" in record:
-            raise ValidationError(
-                f"{path}:{lineno}: a _meta header must be the first record "
-                "and hold no other field"
-            )
-        yield lineno, record
+            record = _json_object(line, path, lineno)
+            if header_due:
+                header_due = False
+                if record.keys() == {"_meta"}:
+                    yield lineno, _fields(record, _HEADER_FIELDS, path, lineno)[0]
+                    continue
+                yield 0, {}
+            if "_meta" in record:
+                raise ValidationError(
+                    f"{path}:{lineno}: a _meta header must be the first record "
+                    "and hold no other field"
+                )
+            yield lineno, record
     if header_due:
         yield 0, {}
 
 
 # Field tables: (key, accepted types, message when missing or null, message
-# when of another type).  A field with no missing message is optional.  No
-# field accepts a boolean, although bool is a subclass of int.  The values go
-# on positionally: the candidate table ends with Candidate's fields and the pair
+# when of another type).  A field with no missing message is optional.  Types
+# are matched exactly, as ``json`` builds only the exact built-in types, so no
+# field accepts a boolean although bool is a subclass of int.  The values go on
+# positionally: the candidate table ends with Candidate's fields and the pair
 # table holds PreferencePair's, each in constructor order.
 _MISSING_LOGPROB = "missing logprob (CR scores require reference-policy likelihoods)"
-_HEADER_FIELDS = (("_meta", dict, "_meta must be a JSON object", "_meta must be a JSON object"),)
+_STR = (str,)
+_NUMBER = (int, float)
+_HEADER_FIELDS = (("_meta", (dict,), "_meta must be a JSON object", "_meta must be a JSON object"),)
 _CANDIDATE_FIELDS = (
-    ("source_id", str, "missing field 'source_id'", "ids must be strings"),
-    ("source_text", str, "missing field 'source_text'", "texts must be strings"),
-    ("direction", str, "missing field 'direction'", "direction must be a string tag"),
-    ("candidate_id", str, "missing field 'candidate_id'", "ids must be strings"),
-    ("text", str, "missing field 'text'", "texts must be strings"),
-    ("logprob", (int, float), _MISSING_LOGPROB, "logprob must be a number"),
-    ("rewards", dict, "missing field 'rewards'", "rewards must be an object"),
-    ("token_count", int, None, "token_count must be a positive integer"),
+    ("source_id", _STR, "missing field 'source_id'", "ids must be strings"),
+    ("source_text", _STR, "missing field 'source_text'", "texts must be strings"),
+    ("direction", _STR, "missing field 'direction'", "direction must be a string tag"),
+    ("candidate_id", _STR, "missing field 'candidate_id'", "ids must be strings"),
+    ("text", _STR, "missing field 'text'", "texts must be strings"),
+    ("logprob", _NUMBER, _MISSING_LOGPROB, "logprob must be a number"),
+    ("rewards", (dict,), "missing field 'rewards'", "rewards must be an object"),
+    ("token_count", (int,), None, "token_count must be a positive integer"),
 )
 _PAIR_FIELDS = (
-    ("source_id", str, "missing field 'source_id'", "ids must be strings"),
-    ("chosen_id", str, "missing field 'chosen_id'", "ids must be strings"),
-    ("rejected_id", str, "missing field 'rejected_id'", "ids must be strings"),
-    ("score", (int, float), "missing field 'score'", "score must be a number"),
-    ("method", str, "missing field 'method'", "method must be a string"),
-    ("extras", dict, None, "extras must be an object"),
+    ("source_id", _STR, "missing field 'source_id'", "ids must be strings"),
+    ("chosen_id", _STR, "missing field 'chosen_id'", "ids must be strings"),
+    ("rejected_id", _STR, "missing field 'rejected_id'", "ids must be strings"),
+    ("score", _NUMBER, "missing field 'score'", "score must be a number"),
+    ("method", _STR, "missing field 'method'", "method must be a string"),
+    ("extras", (dict,), None, "extras must be an object"),
 )
 _SFT_FIELDS = (
-    ("source_id", str, "missing field 'source_id'", "ids must be strings"),
-    ("sft_target", str, "missing field 'sft_target'", "ids must be strings"),
+    ("source_id", _STR, "missing field 'source_id'", "ids must be strings"),
+    ("sft_target", _STR, "missing field 'sft_target'", "ids must be strings"),
 )
 _MATRIX_HEADER_FIELDS = (
-    ("source_id", str, "block header needs source_id and ids", "source_id must be a string"),
-    ("ids", list, "block header needs source_id and ids", "ids must be a list of strings"),
+    ("source_id", _STR, "block header needs source_id and ids", "source_id must be a string"),
+    ("ids", (list,), "block header needs source_id and ids", "ids must be a list of strings"),
 )
 
 
@@ -158,9 +191,9 @@ def _fields(record: dict, fields: tuple, path: str | Path, lineno: int) -> list:
     """The values of ``fields`` in ``record``, checked against the table;
     an absent optional field reads as None."""
     values = []
-    for key, kind, missing, wrong in fields:
+    for key, kinds, missing, wrong in fields:
         value = record.get(key)
-        if isinstance(value, kind) and value is not True and value is not False:
+        if type(value) in kinds:
             values.append(value)
         elif value is None and missing is None:
             values.append(None)
@@ -169,6 +202,26 @@ def _fields(record: dict, fields: tuple, path: str | Path, lineno: int) -> list:
     return values
 
 
+def _collector_paused(reader: Callable) -> Callable:
+    """``reader`` with the cyclic garbage collector paused while it builds
+    its records, which hold no reference cycles, and then restored to the
+    state it was in.  ``gc.freeze`` is not used: it would also freeze the
+    caller's objects."""
+
+    @functools.wraps(reader)
+    def read(path: str | Path):
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return reader(path)
+        finally:
+            if collecting:
+                gc.enable()
+
+    return read
+
+
+@_collector_paused
 def ingest_candidates(path: str | Path) -> list[CandidateSet]:
     """Read and validate a candidate file, grouping records by source.
 
@@ -213,31 +266,37 @@ def ingest_candidates(path: str | Path) -> list[CandidateSet]:
     return sets
 
 
+# One encoder for every record the writers emit; ``json.dumps`` would build a
+# new one per call, as ``ensure_ascii=False`` is not its default.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def emit_pairs(dataset: PreferenceDataset, path: str | Path) -> None:
     """Write a preference dataset: header, pair records, SFT-target records."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(
-            json.dumps({"_meta": dict(dataset.provenance)}, ensure_ascii=False) + "\n"
+        handle.write(_encode({"_meta": dict(dataset.provenance)}) + "\n")
+        handle.writelines(
+            _encode(
+                {
+                    "source_id": pair.source_id,
+                    "chosen_id": pair.chosen_id,
+                    "rejected_id": pair.rejected_id,
+                    "method": pair.method,
+                    "score": pair.score,
+                    "extras": dict(pair.extras),
+                }
+            )
+            + "\n"
+            for pair in dataset.pairs
         )
-        for pair in dataset.pairs:
-            record = {
-                "source_id": pair.source_id,
-                "chosen_id": pair.chosen_id,
-                "rejected_id": pair.rejected_id,
-                "method": pair.method,
-                "score": pair.score,
-                "extras": dict(pair.extras),
-            }
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-        for source_id, candidate_id in dataset.sft_targets:
-            record = {
-                "source_id": source_id,
-                "sft_target": candidate_id,
-                "method": "qe_best",
-            }
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+        handle.writelines(
+            _encode({"source_id": source_id, "sft_target": candidate_id, "method": "qe_best"})
+            + "\n"
+            for source_id, candidate_id in dataset.sft_targets
+        )
 
 
+@_collector_paused
 def load_pairs(path: str | Path) -> PreferenceDataset:
     """Read a pair file back into a PreferenceDataset."""
     pairs: list[PreferencePair] = []
@@ -367,7 +426,7 @@ def save_utility_matrices(
     with open(path, "w", encoding="utf-8") as handle:
         for source_id, matrix in entries:
             header = {"source_id": source_id, "ids": list(matrix.ids)}
-            handle.write(json.dumps(header, ensure_ascii=False) + "\n")
+            handle.write(_encode(header) + "\n")
             for row in matrix.values:
                 handle.write(" ".join(repr(float(v)) for v in row) + "\n")
 

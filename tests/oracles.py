@@ -17,6 +17,11 @@
 - ``random_pair_outcome`` builds the random-pair control's pair by hand; the
   ``crpo.selectors`` version, labeled through ``_Pool.by_reward``, must match
   it except for the ``confidence_gap`` extra it adds.
+- ``ingest_candidates`` and ``load_pairs`` are the plain JSONL readers: one
+  ``json.loads`` per line through two generator layers, isinstance field
+  checks, the cyclic collector left running.  They share crpo's field tables,
+  and the ``crpo.dataio`` readers must return equal results or raise the
+  same ``ValidationError`` message on every file.
 """
 
 from __future__ import annotations
@@ -27,11 +32,24 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from crpo.core import CandidateSet, PreferencePair, ValidationError
+from crpo.core import (
+    Candidate,
+    CandidateSet,
+    PreferenceDataset,
+    PreferencePair,
+    ValidationError,
+)
+from crpo.dataio import (
+    _CANDIDATE_FIELDS,
+    _HEADER_FIELDS,
+    _PAIR_FIELDS,
+    _SFT_FIELDS,
+    parse_direction,
+)
 from crpo.losses import LossConfig, _sigmoid, log_softmax
 from crpo.scoring import _BETA_SQ, _NGRAM_ORDER
 from crpo.selectors import RSO_MAX_DRAW_FACTOR, RsoSample, SelectionOutcome
@@ -336,4 +354,133 @@ def rso_subsample(
         proposals=proposals,
         acceptances=acceptances,
         n_filled=n_filled,
+    )
+
+
+def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Numbered lines of a UTF-8 text file, split on newlines only (not on
+    U+2028 or U+0085, which ``json.dumps`` writes unescaped in ids).  Bad
+    bytes decode to lone surrogates, so the line that holds one is named."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
+            yield lineno, line
+
+
+def _json_object(line: str, path: str | Path, lineno: int) -> dict:
+    # ValueError is JSONDecodeError or an int of over 4300 digits.
+    try:
+        record = json.loads(line)
+    except (ValueError, RecursionError) as err:
+        raise ValidationError(f"{path}:{lineno}: invalid JSON: {err}") from None
+    if not isinstance(record, dict):
+        raise ValidationError(f"{path}:{lineno}: record must be a JSON object")
+    return record
+
+
+def _read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """``(line, header)``, then ``(line, record)`` for every other non-blank
+    line.  The header is the object of a ``{"_meta": {...}}`` first record,
+    or ``(0, {})`` without one; ``_meta`` anywhere else is an error."""
+    header_due = True
+    for lineno, line in _lines(path):
+        if line.isspace():
+            continue
+        record = _json_object(line, path, lineno)
+        if header_due:
+            header_due = False
+            if record.keys() == {"_meta"}:
+                yield lineno, _fields(record, _HEADER_FIELDS, path, lineno)[0]
+                continue
+            yield 0, {}
+        if "_meta" in record:
+            raise ValidationError(
+                f"{path}:{lineno}: a _meta header must be the first record "
+                "and hold no other field"
+            )
+        yield lineno, record
+    if header_due:
+        yield 0, {}
+
+
+def _fields(record: dict, fields: tuple, path: str | Path, lineno: int) -> list:
+    """The values of ``fields`` in ``record``, checked against the table;
+    an absent optional field reads as None."""
+    values = []
+    for key, kind, missing, wrong in fields:
+        value = record.get(key)
+        if isinstance(value, kind) and value is not True and value is not False:
+            values.append(value)
+        elif value is None and missing is None:
+            values.append(None)
+        else:
+            raise ValidationError(f"{path}:{lineno}: {wrong if value is not None else missing}")
+    return values
+
+
+def ingest_candidates(path: str | Path) -> list[CandidateSet]:
+    """Read and validate a candidate file, grouping records by source.
+
+    Records for one source need not be contiguous; groups keep first-
+    appearance order and each set holds its candidates in id order.  Every
+    malformed record is reported with its line number, and a malformed
+    source with the line of its first record.
+    """
+    # source_id -> (source_text, direction, candidates by id, first line)
+    groups: dict[str, tuple[str, tuple[str, str], dict[str, Candidate], int]] = {}
+    records = _read_json_lines(path)
+    next(records)  # the _meta header, which ingest does not use
+    for lineno, record in records:
+        source_id, source_text, direction_tag, *fields = _fields(
+            record, _CANDIDATE_FIELDS, path, lineno
+        )
+        try:
+            direction = parse_direction(direction_tag)
+            candidate = Candidate(*fields)
+        except ValidationError as err:
+            raise ValidationError(f"{path}:{lineno}: {err}") from None
+        group = groups.get(source_id)
+        if group is None:
+            group = groups[source_id] = (source_text, direction, {}, lineno)
+        elif group[0] != source_text or group[1] != direction:
+            raise ValidationError(
+                f"{path}:{lineno}: source {source_id!r} has inconsistent "
+                "source_text or direction across records"
+            )
+        if candidate.id in group[2]:
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate candidate id {candidate.id!r} "
+                f"for source {source_id!r}"
+            )
+        group[2][candidate.id] = candidate
+    sets = []
+    for source_id, (text, direction, candidates, lineno) in groups.items():
+        try:
+            sets.append(CandidateSet(source_id, text, direction, tuple(candidates.values())))
+        except ValidationError as err:
+            raise ValidationError(f"{path}:{lineno}: {err}") from None
+    return sets
+
+
+def load_pairs(path: str | Path) -> PreferenceDataset:
+    """Read a pair file back into a PreferenceDataset."""
+    pairs: list[PreferencePair] = []
+    sft_targets: list[tuple[str, str]] = []
+    records = _read_json_lines(path)
+    _, provenance = next(records)
+    for lineno, record in records:
+        if "sft_target" in record:
+            sft_targets.append(tuple(_fields(record, _SFT_FIELDS, path, lineno)))
+            continue
+        *fields, extras = _fields(record, _PAIR_FIELDS, path, lineno)
+        try:
+            pairs.append(PreferencePair(*fields, extras=extras or {}))
+        except ValidationError as err:
+            raise ValidationError(f"{path}:{lineno}: {err}") from None
+    return PreferenceDataset(
+        pairs=tuple(pairs), sft_targets=tuple(sft_targets), provenance=provenance
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -269,6 +270,40 @@ class TestIngestCandidates:
         with pytest.raises(ValidationError, match=r":2: duplicate candidate id 'A'"):
             ingest_candidates(path)
 
+    def test_bad_direction_in_a_later_record_reports_the_tag(self, tmp_path):
+        path = tmp_path / "cands.jsonl"
+        write_lines(path, [candidate_record(), candidate_record(candidate_id="B", direction="ende")])
+        with pytest.raises(ValidationError, match=r":2: invalid direction tag 'ende'"):
+            ingest_candidates(path)
+
+    def test_bad_candidate_reported_before_a_direction_mismatch(self, tmp_path):
+        path = tmp_path / "cands.jsonl"
+        write_lines(
+            path,
+            [candidate_record(), candidate_record(candidate_id="B", direction="de-en", logprob=1.0)],
+        )
+        with pytest.raises(ValidationError, match=r":2: candidate 'B': logprob must be finite"):
+            ingest_candidates(path)
+
+    @pytest.mark.parametrize("space", ["\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028"])
+    def test_trailing_non_json_whitespace_is_extra_data(self, tmp_path, space):
+        path = tmp_path / "cands.jsonl"
+        write_lines(path, [candidate_record(), candidate_record(candidate_id="B") + space])
+        with pytest.raises(ValidationError, match=r"cands\.jsonl:2: invalid JSON: Extra data"):
+            ingest_candidates(path)
+
+    def test_leading_spaces_and_crlf_line_ends_load(self, tmp_path):
+        path = tmp_path / "cands.jsonl"
+        records = [candidate_record(), " \t" + candidate_record(candidate_id="B") + " \t"]
+        path.write_bytes("".join(line + "\r\n" for line in records).encode())
+        assert [c.id for c in ingest_candidates(path)[0].candidates] == ["A", "B"]
+
+    def test_byte_order_mark_reports_line(self, tmp_path):
+        path = tmp_path / "cands.jsonl"
+        write_lines(path, ["\ufeff" + candidate_record()])
+        with pytest.raises(ValidationError, match=r"cands\.jsonl:1: invalid JSON: Unexpected UTF-8 BOM"):
+            ingest_candidates(path)
+
     def test_inconsistent_source_metadata_rejected(self, tmp_path):
         path = tmp_path / "cands.jsonl"
         write_lines(
@@ -280,6 +315,42 @@ class TestIngestCandidates:
         )
         with pytest.raises(ValidationError, match="inconsistent"):
             ingest_candidates(path)
+
+
+class TestCollectorState:
+    """The readers pause the cyclic garbage collector while they build their
+    records and leave it as they found it, also when a record is bad."""
+
+    @pytest.fixture(params=["candidates", "pairs"])
+    def read(self, request, tmp_path):
+        good = tmp_path / "good.jsonl"
+        if request.param == "candidates":
+            write_lines(good, [candidate_record(), candidate_record(candidate_id="B")])
+            bad = [candidate_record(), "{not json", candidate_record(candidate_id="B")]
+            reader = ingest_candidates
+        else:
+            write_lines(good, [json.dumps(PAIR_RECORD)])
+            bad = [json.dumps(PAIR_RECORD), json.dumps({**PAIR_RECORD, "score": "x"})]
+            reader = load_pairs
+        write_lines(tmp_path / "bad.jsonl", bad)
+        return reader
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def enabled(self, request):
+        """The collector's state for the test, restored afterwards."""
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_state_kept_after_a_read(self, tmp_path, read, enabled):
+        read(tmp_path / "good.jsonl")
+        assert gc.isenabled() is enabled
+
+    def test_state_kept_after_a_bad_record(self, tmp_path, read, enabled):
+        with pytest.raises(ValidationError, match=r"bad\.jsonl:2: "):
+            read(tmp_path / "bad.jsonl")
+        assert gc.isenabled() is enabled
 
 
 class TestEmitIngestRoundTrip:

@@ -1,10 +1,12 @@
 """Property tests of the candidate and pair JSONL readers.
 
 A valid file is corrupted (bytes flipped, lines truncated, field values
-swapped for arbitrary JSON, ``_meta`` lines added, lines nested too deep)
-and read back.  It either loads into well-typed records or is rejected with
-a ``ValidationError`` that names the file: no other exception may escape,
-since the CLI turns any other one into an ``internal error`` exit.
+swapped for arbitrary JSON, ``_meta`` lines added, lines nested too deep,
+whitespace or a BOM put around a record) and read back.  It either loads
+into well-typed records or is rejected with a ``ValidationError`` that names
+the file: no other exception may escape, since the CLI turns any other one
+into an ``internal error`` exit.  The readers must also agree with the plain
+ones of ``tests/oracles.py``: equal results, or the same error message.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import oracles  # noqa: E402
 from crpo.core import ValidationError  # noqa: E402
 from crpo.dataio import ingest_candidates, load_pairs  # noqa: E402
 
@@ -38,6 +41,11 @@ JSON_VALUES = st.recursive(
     max_leaves=8,
 )
 DEEP = b"[" * 100_000 + b"]" * 100_000
+# Appended after a record: JSON whitespace, and characters that str.isspace
+# accepts but JSON does not.
+TRAILING = st.sampled_from([" ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028"])
+# Put before a record: JSON whitespace, which json.loads skips, or a BOM.
+LEADING = st.sampled_from([" ", "  \t", "\ufeff"])
 
 
 @st.composite
@@ -45,7 +53,7 @@ def corrupted(draw, original: bytes) -> bytes:
     lines = original.splitlines(keepends=True)
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
-        kind = draw(st.sampled_from(["flip", "truncate", "swap", "meta", "deep"]))
+        kind = draw(st.sampled_from(["flip", "truncate", "swap", "meta", "deep", "space"]))
         if kind == "flip":
             at = draw(st.integers(0, len(lines[i]) - 1))
             byte = draw(st.sampled_from([0xFF, 0x80, 0xC3, 0x00, 0x0D]) | st.integers(0, 255))
@@ -60,13 +68,19 @@ def corrupted(draw, original: bytes) -> bytes:
             if not isinstance(record, dict) or not record:
                 continue
             key = draw(st.sampled_from(sorted(record)))
-            record[key] = draw(JSON_VALUES)
+            # Strings often, so that a bad direction tag or id turns up.
+            record[key] = draw(TEXT | JSON_VALUES)
             lines[i] = json.dumps(record, ensure_ascii=False).encode() + b"\n"
         elif kind == "meta":
             meta = json.dumps({"_meta": draw(JSON_VALUES)}).encode() + b"\n"
             lines.insert(draw(st.integers(0, len(lines))), meta)
-        else:
+        elif kind == "deep":
             lines[i] = DEEP + b"\n"
+        elif draw(st.booleans()):
+            record = lines[i].rstrip(b"\r\n")
+            lines[i] = record + draw(TRAILING).encode() + lines[i][len(record) :]
+        else:
+            lines[i] = draw(LEADING).encode() + lines[i]
     return b"".join(lines)
 
 
@@ -82,6 +96,29 @@ def _load_or_reject(read, path: Path, data: bytes):
     except ValidationError as err:
         assert "data.jsonl" in str(err)
         return None
+
+
+def _outcome(read, path: Path) -> str:
+    """The repr of what ``read`` returns, or its ValidationError message.  A
+    repr compares NaN extras equal, where ``==`` would not."""
+    try:
+        return repr(read(path))
+    except ValidationError as err:
+        return f"ValidationError: {err}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted(CANDIDATES))
+def test_corrupted_candidate_files_read_as_the_oracle_reads_them(path, data):
+    path.write_bytes(data)
+    assert _outcome(ingest_candidates, path) == _outcome(oracles.ingest_candidates, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted(PAIRS) | corrupted(SFT_PAIRS))
+def test_corrupted_pair_files_read_as_the_oracle_reads_them(path, data):
+    path.write_bytes(data)
+    assert _outcome(load_pairs, path) == _outcome(oracles.load_pairs, path)
 
 
 @settings(max_examples=300, deadline=None)
