@@ -1,8 +1,9 @@
-"""Preference objectives (DPO, CPO, SFT) and their tabular-policy gradients.
+"""The DPO + SFT training objective and its tabular-policy gradient.
 
 ``PairBatch`` checks and indexes a batch of (source, winner, loser) pairs
-once; ``batch_loss_and_grad`` then evaluates the full objective and its
-analytic gradient for a tabular softmax policy (one logit row per source).
+once; ``batch_loss_and_grad`` then evaluates the objective (the DPO loss of
+each pair plus the negative log-likelihood of its winner) and its analytic
+gradient for a tabular softmax policy (one logit row per source).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from .core import ValidationError
 
-LOSS_KINDS = ("dpo", "cpo")
 # Step of the central finite differences in gradient_check.
 _FD_STEP = 1e-5
 
@@ -38,23 +38,13 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Training objective: pairwise kind, beta, and SFT weight on the winner."""
+    """Training objective: the DPO temperature beta."""
 
-    kind: str = "dpo"
     beta: float = 0.1
-    sft_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in LOSS_KINDS:
-            raise ValidationError(
-                f"unknown loss kind {self.kind!r}; valid kinds: {', '.join(LOSS_KINDS)}"
-            )
         if not math.isfinite(self.beta) or self.beta <= 0:
             raise ValidationError(f"beta must be finite and > 0, got {self.beta!r}")
-        if not math.isfinite(self.sft_weight) or self.sft_weight < 0:
-            raise ValidationError(
-                f"sft_weight must be finite and >= 0, got {self.sft_weight!r}"
-            )
 
 
 # Most rounds of fancy-indexed adds per SFT term in one ``batch_loss_and_grad``
@@ -166,10 +156,9 @@ def batch_loss_and_grad(
     """Mean objective over ``batch`` and its exact gradient w.r.t. the policy
     logit table, which has the batch's shape.
 
-    The pairwise term only moves the winner and loser logits of each row;
-    the SFT term additionally pulls the whole row toward the winner; only
-    the DPO margin reads the reference.  An empty batch yields loss 0 and a
-    zero gradient.
+    The DPO term only moves the winner and loser logits of each row; the SFT
+    term additionally pulls the whole row toward the winner.  An empty batch
+    yields loss 0 and a zero gradient.
     """
     if np.shape(logits) != batch.shape:
         raise ValidationError(
@@ -181,13 +170,10 @@ def batch_loss_and_grad(
         return 0.0, np.zeros(batch.shape)
     logp = log_softmax(logits)
     theta_w, theta_l = logp.take(batch.cells[:n]), logp.take(batch.cells[n : 2 * n])
-    if config.kind == "dpo":
-        margin = (theta_w - batch.ref_w) - (theta_l - batch.ref_l)
-    else:
-        margin = theta_w - theta_l
-    z = config.beta * margin
-    losses = np.logaddexp(0.0, -z)
+    z = config.beta * ((theta_w - batch.ref_w) - (theta_l - batch.ref_l))
+    losses = np.logaddexp(0.0, -z) - theta_w
     dloss_dz = -_sigmoid(-z)
+    sft_row = np.exp(logp)
     # Each cell sums its terms in the order of one np.add.at call per term
     # (winner, loser, SFT row, SFT winner, each in pair order), bit for bit.
     # bincount adds its weights in input order: the pairwise terms, then the
@@ -195,27 +181,20 @@ def batch_loss_and_grad(
     # values, so the rounds over distinct rows and cells that follow add the
     # other rows' SFT terms in that order too, with no pairs x outputs
     # temporary.
-    cells = batch.cells[: 2 * n]
-    weights = [dloss_dz * config.beta, -dloss_dz * config.beta]
-    if config.sft_weight > 0:
-        losses = losses + config.sft_weight * (-theta_w)
-        sft_row = np.exp(logp)
-        sft_row *= config.sft_weight
-        if len(batch.deep_s):
-            cells = batch.cells
-            weights += [
-                sft_row.take(batch.deep_s, axis=0).ravel(),
-                np.full(len(batch.deep_s), -config.sft_weight),
-            ]
+    weights = np.concatenate([
+        dloss_dz * config.beta,
+        -dloss_dz * config.beta,
+        sft_row.take(batch.deep_s, axis=0).ravel(),
+        np.full(len(batch.deep_s), -1.0),
+    ])
     grad = np.bincount(
-        cells, weights=np.concatenate(weights), minlength=batch.shape[0] * batch.shape[1]
+        batch.cells, weights=weights, minlength=batch.shape[0] * batch.shape[1]
     ).reshape(batch.shape)
-    if config.sft_weight > 0:
-        for rows in batch.row_rounds:
-            np.add(grad, sft_row, out=grad, where=rows)
-        flat = grad.reshape(-1)
-        for winners in batch.winner_rounds:
-            flat[winners] -= config.sft_weight
+    for rows in batch.row_rounds:
+        np.add(grad, sft_row, out=grad, where=rows)
+    flat = grad.reshape(-1)
+    for winners in batch.winner_rounds:
+        flat[winners] -= 1.0
     loss = float(losses.sum() / n)
     if not math.isfinite(loss):
         raise ValidationError("non-finite loss")
@@ -223,20 +202,16 @@ def batch_loss_and_grad(
     return loss, grad
 
 
-def gradient_check(seed: int = 0, n_instances: int = 100) -> dict[str, float]:
+def gradient_check(seed: int = 0, n_instances: int = 100) -> float:
     """Max relative error of the analytic gradient against central finite
-    differences, per objective variant, over random tabular instances."""
+    differences over random tabular instances."""
     if not isinstance(seed, int) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     if not isinstance(n_instances, int) or n_instances < 1:
         raise ValidationError(f"instances must be a positive integer, got {n_instances!r}")
     rng = np.random.default_rng(seed)
-    worst = {
-        "dpo": 0.0,
-        "dpo+sft": 0.0,
-        "cpo": 0.0,
-        "cpo+sft": 0.0,
-    }
+    config = LossConfig()
+    worst = 0.0
     for _ in range(n_instances):
         n_sources = int(rng.integers(1, 4))
         n_outputs = int(rng.integers(3, 9))
@@ -249,22 +224,16 @@ def gradient_check(seed: int = 0, n_instances: int = 100) -> dict[str, float]:
             w, l = rng.choice(n_outputs, size=2, replace=False).tolist()
             pairs.append((s, int(w), int(l)))
         batch = PairBatch.of(pairs, ref_logp)
-        for name, config in (
-            ("dpo", LossConfig(kind="dpo", sft_weight=0.0)),
-            ("dpo+sft", LossConfig(kind="dpo", sft_weight=1.0)),
-            ("cpo", LossConfig(kind="cpo", sft_weight=0.0)),
-            ("cpo+sft", LossConfig(kind="cpo", sft_weight=1.0)),
-        ):
-            _, grad = batch_loss_and_grad(logits, batch, config)
-            fd = np.zeros_like(grad)
-            for i in range(n_sources):
-                for j in range(n_outputs):
-                    bumped = logits.copy()
-                    bumped[i, j] += _FD_STEP
-                    up, _ = batch_loss_and_grad(bumped, batch, config)
-                    bumped[i, j] -= 2 * _FD_STEP
-                    down, _ = batch_loss_and_grad(bumped, batch, config)
-                    fd[i, j] = (up - down) / (2 * _FD_STEP)
-            rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)
-            worst[name] = max(worst[name], float(rel.max()))
+        _, grad = batch_loss_and_grad(logits, batch, config)
+        fd = np.zeros_like(grad)
+        for i in range(n_sources):
+            for j in range(n_outputs):
+                bumped = logits.copy()
+                bumped[i, j] += _FD_STEP
+                up, _ = batch_loss_and_grad(bumped, batch, config)
+                bumped[i, j] -= 2 * _FD_STEP
+                down, _ = batch_loss_and_grad(bumped, batch, config)
+                fd[i, j] = (up - down) / (2 * _FD_STEP)
+        rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)
+        worst = max(worst, float(rel.max()))
     return worst

@@ -84,15 +84,6 @@ def dpo_loss(pair: PairLogits) -> float:
     return softplus(-pair.beta * margin)
 
 
-def cpo_loss(logp_theta_w: float, logp_theta_l: float, beta: float = 0.1) -> float:
-    """Reference-free pairwise loss: -log sigmoid(beta * (logp_theta_w - logp_theta_l))."""
-    if not math.isfinite(beta) or beta <= 0:
-        raise ValidationError(f"beta must be finite and > 0, got {beta!r}")
-    if not (math.isfinite(logp_theta_w) and math.isfinite(logp_theta_l)):
-        raise ValidationError("non-finite policy log-likelihood")
-    return softplus(-beta * (logp_theta_w - logp_theta_l))
-
-
 def sft_term(logp_theta_w: float) -> float:
     """Negative log-likelihood of the chosen candidate."""
     if not math.isfinite(logp_theta_w) or logp_theta_w > 0:
@@ -130,20 +121,14 @@ def sequential_scatter_loss_and_grad(
     order winner, loser, SFT row, SFT winner."""
     s, w, l = np.asarray(pairs, dtype=np.int64).T
     logp = log_softmax(logits)
-    if cfg.kind == "dpo":
-        margin = (logp[s, w] - ref_logp[s, w]) - (logp[s, l] - ref_logp[s, l])
-    else:
-        margin = logp[s, w] - logp[s, l]
-    z = cfg.beta * margin
-    losses = np.logaddexp(0.0, -z)
+    z = cfg.beta * ((logp[s, w] - ref_logp[s, w]) - (logp[s, l] - ref_logp[s, l]))
+    losses = np.logaddexp(0.0, -z) - logp[s, w]
     dloss_dz = -_sigmoid(-z)
     expected = np.zeros_like(logits)
     np.add.at(expected, (s, w), dloss_dz * cfg.beta)
     np.add.at(expected, (s, l), -dloss_dz * cfg.beta)
-    if cfg.sft_weight > 0:
-        losses = losses + cfg.sft_weight * (-logp[s, w])
-        np.add.at(expected, s, cfg.sft_weight * np.exp(logp)[s])
-        np.add.at(expected, (s, w), -cfg.sft_weight)
+    np.add.at(expected, s, np.exp(logp)[s])
+    np.add.at(expected, (s, w), -1.0)
     return float(losses.sum() / len(pairs)), expected / len(pairs)
 
 

@@ -180,13 +180,12 @@ def test_criterion_4_gradient_correctness(capsys):
     start = time.perf_counter()
     worst = gradient_check(seed=0, n_instances=100)
     elapsed = time.perf_counter() - start
-    worst_rel = max(worst.values())
-    ok = worst_rel < 1e-4 and elapsed < 5.0
+    ok = worst < 1e-4 and elapsed < 5.0
     report(
         capsys, 4, "analytic gradients vs finite differences", ok,
-        f"100 instances, worst relative error {worst_rel:.2e}, {elapsed:.1f}s",
+        f"100 instances, worst relative error {worst:.2e}, {elapsed:.1f}s",
     )
-    assert worst_rel < 1e-4, worst
+    assert worst < 1e-4, worst
     assert elapsed < 5.0
 
 

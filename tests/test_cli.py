@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -368,10 +369,9 @@ class TestLossesCommand:
     def test_check_grad_passes(self, capsys):
         rc = main(["losses", "check-grad", "--instances", "5"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "gradient check passed" in out
-        for name in ("dpo", "dpo+sft", "cpo", "cpo+sft"):
-            assert f"{name}: max relative error" in out
+        error, passed = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"max relative error \d\.\d{3}e[+-]\d+ \[ok\]", error)
+        assert passed == "gradient check passed over 5 instances"
 
     @pytest.mark.parametrize("instances", ["0", "-3"])
     def test_no_instances_is_a_validation_error(self, instances, capsys):
