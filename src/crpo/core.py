@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 # Method tags accepted by the selectors and the CLI.
@@ -74,7 +74,7 @@ def direction_class(direction: tuple[str, str]) -> str:
     return INTO_EN if direction[1] == "en" else OUT_OF_EN
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Candidate:
     """One sampled output with its reference-policy log-likelihood and rewards.
 
@@ -91,24 +91,47 @@ class Candidate:
     token_count: int | None = None
     reward_agg: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(
+        self,
+        id: str,
+        text: str,
+        logprob: float,
+        rewards: Mapping[str, float],
+        token_count: int | None = None,
+    ) -> None:
+        if not id:
             raise ValidationError("candidate id must be a non-empty string")
-        logprob = self.logprob
         if not _is_number(logprob):
-            raise ValidationError(f"candidate {self.id!r}: logprob must be a number")
+            raise ValidationError(f"candidate {id!r}: logprob must be a number")
         if not -_FLOAT_MAX <= logprob <= 0.0:
             raise ValidationError(
-                f"candidate {self.id!r}: logprob must be finite and <= 0, got {logprob!r}"
+                f"candidate {id!r}: logprob must be finite and <= 0, got {logprob!r}"
             )
-        object.__setattr__(self, "reward_agg", aggregate_reward(self.rewards))
-        token_count = self.token_count
+        reward_agg = aggregate_reward(rewards)
         if token_count is not None and not (
             isinstance(token_count, int)
             and type(token_count) is not bool
             and 1 <= token_count <= _FLOAT_MAX
         ):
-            raise ValidationError(f"candidate {self.id!r}: token_count must be a positive integer")
+            raise ValidationError(f"candidate {id!r}: token_count must be a positive integer")
+        _set_id(self, id)
+        _set_text(self, text)
+        _set_logprob(self, logprob)
+        _set_rewards(self, rewards)
+        _set_token_count(self, token_count)
+        _set_reward_agg(self, reward_agg)
+
+
+# The slots' own setters, which ``Candidate.__init__`` calls past the frozen
+# ``__setattr__`` without the attribute lookup of ``object.__setattr__``.
+(
+    _set_id,
+    _set_text,
+    _set_logprob,
+    _set_rewards,
+    _set_token_count,
+    _set_reward_agg,
+) = (Candidate.__dict__[f.name].__set__ for f in fields(Candidate))
 
 
 @dataclass(frozen=True)

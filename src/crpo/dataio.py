@@ -28,12 +28,14 @@ import gc
 import hashlib
 import itertools
 import json
+import operator
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (
+    _FLOAT_MAX,
     Candidate,
     CandidateSet,
     PreferenceDataset,
@@ -72,12 +74,12 @@ def parse_direction(tag: str) -> tuple[str, str]:
 
 
 def _check_utf8(line: str, path: str | Path, lineno: int) -> None:
-    """Reject a line that holds a lone surrogate, the decoding of a bad byte."""
-    if not line.isascii():
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
+    """Reject a line that holds a lone surrogate, the decoding of a bad byte.
+    Callers skip an ASCII line, which holds none."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
 
 
 def _open_text(path: str | Path):
@@ -91,7 +93,8 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Numbered lines of a UTF-8 text file, each checked by ``_check_utf8``."""
     with _open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
-            _check_utf8(line, path, lineno)
+            if not line.isascii():
+                _check_utf8(line, path, lineno)
             yield lineno, line
 
 
@@ -102,51 +105,65 @@ _scan_once = json.JSONDecoder().scan_once
 _skip_whitespace = json.decoder.WHITESPACE.match
 
 
-def _json_object(line: str, path: str | Path, lineno: int) -> dict:
-    """The JSON object on ``line``, which must hold nothing else but JSON
-    whitespace.  A line the scanner does not take whole (leading whitespace, a
-    BOM, extra data, bad syntax) goes to ``json.loads``, which parses it or
-    raises its own error."""
+def _loads(line: str, path: str | Path, lineno: int) -> object:
+    """``json.loads(line)``, its error named with the line."""
+    # ValueError is JSONDecodeError or an int of over 4300 digits.
     try:
-        record, end = _scan_once(line, 0)
-    except (StopIteration, ValueError, RecursionError):
-        end = -1
-    if end < 0 or _skip_whitespace(line, end).end() != len(line):
-        # ValueError is JSONDecodeError or an int of over 4300 digits.
-        try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as err:
-            raise ValidationError(f"{path}:{lineno}: invalid JSON: {err}") from None
+        return json.loads(line)
+    except (ValueError, RecursionError) as err:
+        raise ValidationError(f"{path}:{lineno}: invalid JSON: {err}") from None
+
+
+def _json_object(line: str, path: str | Path, lineno: int) -> dict:
+    """The JSON object on a line that is not a JSONL record (a utility-matrix
+    block header), which ``json.loads`` parses or rejects."""
+    record = _loads(line, path, lineno)
     if type(record) is not dict:
         raise ValidationError(f"{path}:{lineno}: record must be a JSON object")
     return record
 
 
-def _read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """``(line, header)``, then ``(line, record)`` for every other non-blank
-    line.  The header is the object of a ``{"_meta": {...}}`` first record,
-    or ``(0, {})`` without one; ``_meta`` anywhere else is an error."""
-    header_due = True
+def _read_records(path: str | Path, add: Callable[[dict, int], None]) -> dict:
+    """Call ``add(record, lineno)`` for the object on every non-blank line of
+    a JSONL file, and return the object of its ``{"_meta": {...}}`` header,
+    or ``{}`` without one; ``_meta`` anywhere but in a first record that holds
+    nothing else is an error.
+
+    Each line costs one scanner call.  A line the scanner does not take whole
+    (leading whitespace, a BOM, extra data, bad syntax, or a record followed
+    by anything but JSON whitespace) goes to ``json.loads``, which parses it
+    or raises its own error; the whitespace after a record is matched only
+    when the record does not end just before the newline.
+    """
+    header = None
     with _open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
-            _check_utf8(line, path, lineno)
-            if line.isspace():
-                continue
-            record = _json_object(line, path, lineno)
-            if header_due:
-                header_due = False
-                if record.keys() == {"_meta"}:
-                    yield lineno, _fields(record, _HEADER_FIELDS, path, lineno)[0]
+            if not line.isascii():
+                _check_utf8(line, path, lineno)
+            try:
+                record, end = _scan_once(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            if end < 0 or (
+                line[end:] != "\n" and _skip_whitespace(line, end).end() != len(line)
+            ):
+                if line.isspace():
                     continue
-                yield 0, {}
+                record = _loads(line, path, lineno)
+            if type(record) is not dict:
+                raise ValidationError(f"{path}:{lineno}: record must be a JSON object")
+            if header is None:
+                header = {}
+                if record.keys() == {"_meta"}:
+                    header = _fields(record, _HEADER_FIELDS, path, lineno)[0]
+                    continue
             if "_meta" in record:
                 raise ValidationError(
                     f"{path}:{lineno}: a _meta header must be the first record "
                     "and hold no other field"
                 )
-            yield lineno, record
-    if header_due:
-        yield 0, {}
+            add(record, lineno)
+    return header or {}
 
 
 # Field tables: (key, accepted types, message when missing or null, message
@@ -154,7 +171,10 @@ def _read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
 # are matched exactly, as ``json`` builds only the exact built-in types, so no
 # field accepts a boolean although bool is a subclass of int.  The values go on
 # positionally: the candidate table ends with Candidate's fields and the pair
-# table holds PreferencePair's, each in constructor order.
+# table holds PreferencePair's, each in constructor order.  The candidate, pair
+# and SFT tables are mirrored by the exact-type tests in ``ingest_candidates``
+# and ``load_pairs``, which must accept exactly what the tables accept: change
+# both together.
 _MISSING_LOGPROB = "missing logprob (CR scores require reference-policy likelihoods)"
 _STR = (str,)
 _NUMBER = (int, float)
@@ -185,6 +205,16 @@ _MATRIX_HEADER_FIELDS = (
     ("source_id", _STR, "block header needs source_id and ids", "source_id must be a string"),
     ("ids", (list,), "block header needs source_id and ids", "ids must be a list of strings"),
 )
+
+
+def _required(fields: tuple) -> Callable[[dict], tuple]:
+    """One lookup of a table's required fields, in table order, which raises
+    KeyError when one is absent.  Each table lists its optional field last."""
+    return operator.itemgetter(*(key for key, _, missing, _ in fields if missing is not None))
+
+
+_candidate_values = _required(_CANDIDATE_FIELDS)
+_pair_values = _required(_PAIR_FIELDS)
 
 
 def _fields(record: dict, fields: tuple, path: str | Path, lineno: int) -> list:
@@ -232,15 +262,35 @@ def ingest_candidates(path: str | Path) -> list[CandidateSet]:
     """
     # source_id -> (source_text, direction, candidates by id, first line)
     groups: dict[str, tuple[str, tuple[str, str], dict[str, Candidate], int]] = {}
-    records = _read_json_lines(path)
-    next(records)  # the _meta header, which ingest does not use
-    for lineno, record in records:
-        source_id, source_text, direction_tag, *fields = _fields(
-            record, _CANDIDATE_FIELDS, path, lineno
-        )
+    directions: dict[str, tuple[str, str]] = {}  # each distinct tag, parsed once
+
+    def add(record: dict, lineno: int) -> None:
         try:
-            direction = parse_direction(direction_tag)
-            candidate = Candidate(*fields)
+            source_id, source_text, tag, candidate_id, text, logprob, rewards = (
+                _candidate_values(record)
+            )
+            token_count = record.get("token_count")
+            typed = (
+                type(source_id) is str
+                and type(source_text) is str
+                and type(tag) is str
+                and type(candidate_id) is str
+                and type(text) is str
+                and (type(logprob) is float or type(logprob) is int)
+                and type(rewards) is dict
+                and (token_count is None or type(token_count) is int)
+            )
+        except KeyError:
+            typed = False
+        if not typed:  # the table accepts what the test does: it raises the message
+            source_id, source_text, tag, candidate_id, text, logprob, rewards, token_count = (
+                _fields(record, _CANDIDATE_FIELDS, path, lineno)
+            )
+        try:
+            direction = directions.get(tag)
+            if direction is None:
+                direction = directions[tag] = parse_direction(tag)
+            candidate = Candidate(candidate_id, text, logprob, rewards, token_count)
         except ValidationError as err:
             raise ValidationError(f"{path}:{lineno}: {err}") from None
         group = groups.get(source_id)
@@ -251,12 +301,14 @@ def ingest_candidates(path: str | Path) -> list[CandidateSet]:
                 f"{path}:{lineno}: source {source_id!r} has inconsistent "
                 "source_text or direction across records"
             )
-        if candidate.id in group[2]:
+        if candidate_id in group[2]:
             raise ValidationError(
-                f"{path}:{lineno}: duplicate candidate id {candidate.id!r} "
+                f"{path}:{lineno}: duplicate candidate id {candidate_id!r} "
                 f"for source {source_id!r}"
             )
-        group[2][candidate.id] = candidate
+        group[2][candidate_id] = candidate
+
+    _read_records(path, add)  # returns the _meta header, which ingest does not use
     sets = []
     for source_id, (text, direction, candidates, lineno) in groups.items():
         try:
@@ -301,17 +353,38 @@ def load_pairs(path: str | Path) -> PreferenceDataset:
     """Read a pair file back into a PreferenceDataset."""
     pairs: list[PreferencePair] = []
     sft_targets: list[tuple[str, str]] = []
-    records = _read_json_lines(path)
-    _, provenance = next(records)
-    for lineno, record in records:
+
+    def add(record: dict, lineno: int) -> None:
         if "sft_target" in record:
-            sft_targets.append(tuple(_fields(record, _SFT_FIELDS, path, lineno)))
-            continue
-        *fields, extras = _fields(record, _PAIR_FIELDS, path, lineno)
+            target = (record.get("source_id"), record["sft_target"])
+            if not (type(target[0]) is str and type(target[1]) is str):
+                target = tuple(_fields(record, _SFT_FIELDS, path, lineno))
+            sft_targets.append(target)
+            return
         try:
-            pairs.append(PreferencePair(*fields, extras=extras or {}))
+            source_id, chosen_id, rejected_id, score, method = _pair_values(record)
+            extras = record.get("extras")
+            typed = (
+                type(source_id) is str
+                and type(chosen_id) is str
+                and type(rejected_id) is str
+                and (type(score) is float or type(score) is int)
+                and type(method) is str
+                and (extras is None or type(extras) is dict)
+            )
+        except KeyError:
+            typed = False
+        if not typed:  # the table accepts what the test does: it raises the message
+            source_id, chosen_id, rejected_id, score, method, extras = _fields(
+                record, _PAIR_FIELDS, path, lineno
+            )
+        try:
+            pair = PreferencePair(source_id, chosen_id, rejected_id, score, method, extras or {})
         except ValidationError as err:
             raise ValidationError(f"{path}:{lineno}: {err}") from None
+        pairs.append(pair)
+
+    provenance = _read_records(path, add)
     return PreferenceDataset(
         pairs=tuple(pairs), sft_targets=tuple(sft_targets), provenance=provenance
     )
@@ -364,7 +437,12 @@ def emit_stats(
         raise ValidationError("no candidates to summarize")
     lo, hi = min(all_logprobs), max(all_logprobs)
     if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
+        # One value: a range of 1 around it, or of 2**-23 of its magnitude when
+        # that is wider, so that every edge stays above the last even where a
+        # unit is below the value's ulp (-1e300 - 0.5 == -1e300).  The low edge
+        # stops at the most negative float.
+        half = max(0.5, abs(lo) * 2.0**-24)
+        lo, hi = max(lo - half, -_FLOAT_MAX), hi + half
     report = {
         "bins": bins,
         "reward_edges": np.linspace(0.0, 1.0, bins + 1).tolist(),

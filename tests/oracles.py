@@ -17,11 +17,15 @@
 - ``random_pair_outcome`` builds the random-pair control's pair by hand; the
   ``crpo.selectors`` version, labeled through ``_Pool.by_reward``, must match
   it except for the ``confidence_gap`` extra it adds.
+- ``Candidate`` is the candidate record as a plain frozen, slotted dataclass
+  whose ``__post_init__`` runs the checks one by one, with its own
+  ``aggregate_reward``; ``crpo.core.Candidate`` must accept the same values
+  and reject the others with the same message.
 - ``ingest_candidates`` and ``load_pairs`` are the plain JSONL readers: one
   ``json.loads`` per line through two generator layers, isinstance field
-  checks, the cyclic collector left running.  They share crpo's field tables,
-  and the ``crpo.dataio`` readers must return equal results or raise the
-  same ``ValidationError`` message on every file.
+  checks, the oracle ``Candidate``, the cyclic collector left running.  They
+  share crpo's field tables, and the ``crpo.dataio`` readers must return
+  equal results or raise the same ``ValidationError`` message on every file.
 """
 
 from __future__ import annotations
@@ -29,15 +33,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from crpo.core import (
-    Candidate,
     CandidateSet,
     PreferenceDataset,
     PreferencePair,
@@ -53,6 +57,57 @@ from crpo.dataio import (
 from crpo.losses import LossConfig, _sigmoid, log_softmax
 from crpo.scoring import _BETA_SQ, _NGRAM_ORDER
 from crpo.selectors import RSO_MAX_DRAW_FACTOR, RsoSample, SelectionOutcome
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _is_number(value: object) -> bool:
+    """True for an int or a float, subclasses included, but not for a bool.
+    The exact-type tests settle the common case without an isinstance call."""
+    kind = type(value)
+    return kind is float or kind is int or (isinstance(value, (int, float)) and kind is not bool)
+
+
+def aggregate_reward(rewards: Mapping[str, float]) -> float:
+    """Unweighted mean of the per-model reward scores for one candidate."""
+    if not rewards:
+        raise ValidationError("no reward sources")
+    for name, value in rewards.items():
+        if not (_is_number(value) and 0.0 <= value <= 1.0):
+            raise ValidationError(f"reward out of range: {name}={value!r}")
+    return math.fsum(rewards.values()) / len(rewards)
+
+
+@dataclass(frozen=True, slots=True)
+class Candidate:
+    """One sampled output with its reference-policy log-likelihood and rewards."""
+
+    id: str
+    text: str
+    logprob: float
+    rewards: Mapping[str, float]
+    token_count: int | None = None
+    reward_agg: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not self.id:
+            raise ValidationError("candidate id must be a non-empty string")
+        logprob = self.logprob
+        if not _is_number(logprob):
+            raise ValidationError(f"candidate {self.id!r}: logprob must be a number")
+        if not -_FLOAT_MAX <= logprob <= 0.0:
+            raise ValidationError(
+                f"candidate {self.id!r}: logprob must be finite and <= 0, got {logprob!r}"
+            )
+        object.__setattr__(self, "reward_agg", aggregate_reward(self.rewards))
+        token_count = self.token_count
+        if token_count is not None and not (
+            isinstance(token_count, int)
+            and type(token_count) is not bool
+            and 1 <= token_count <= _FLOAT_MAX
+        ):
+            raise ValidationError(f"candidate {self.id!r}: token_count must be a positive integer")
 
 
 def softplus(x: float) -> float:

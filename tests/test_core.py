@@ -95,6 +95,20 @@ class TestCandidateSet:
                 candidates=(cand, cand),
             )
 
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            # One NaN object twice: equal as a dict key, unequal to itself.
+            [float("nan")] * 2,
+            # Partially ordered ids, which sorting need not put side by side.
+            [frozenset({1}), frozenset({2}), frozenset({1})],
+        ],
+    )
+    def test_duplicate_unordered_ids_rejected(self, ids):
+        cands = tuple(Candidate(id=i, text="t", logprob=-1.0, rewards={"a": 0.5}) for i in ids)
+        with pytest.raises(ValidationError, match="duplicate candidate id"):
+            CandidateSet(source_id="s", source_text="x", direction=("en", "de"), candidates=cands)
+
     def test_empty_set_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
             CandidateSet(

@@ -7,6 +7,7 @@ import gc
 import hashlib
 import json
 import math
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +23,7 @@ from crpo.core import (
     ValidationError,
 )
 from crpo.dataio import (
+    MAX_BINS,
     digest_file,
     emit_pairs,
     emit_stats,
@@ -610,6 +612,30 @@ class TestStats:
         report = emit_stats(dataset, sets, bins=2)
         assert report["logprob_edges"][0] == -5.5
         assert report["logprob_edges"][-1] == -4.5
+
+    @pytest.mark.parametrize("logprob", [-1e300, -(2.0**53), -1e15, -sys.float_info.max])
+    @pytest.mark.parametrize("bins", [1, 20, MAX_BINS])
+    def test_degenerate_range_of_a_huge_logprob_has_increasing_edges(self, logprob, bins):
+        # A unit is below the ulp of these values, so a range of lo - 0.5 to
+        # hi + 0.5 would have equal edges and put every count in the last bin.
+        sets = [make_set([("A", 0.9, logprob), ("B", 0.1, logprob)])]
+        dataset = PreferenceDataset(
+            pairs=(
+                PreferencePair(
+                    source_id="s1", chosen_id="A", rejected_id="B", score=0.8, method="minmax_r"
+                ),
+            )
+        )
+        report = emit_stats(dataset, sets, bins=bins)
+        edges = report["logprob_edges"]
+        assert len(edges) == bins + 1
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+        assert all(math.isfinite(edge) for edge in edges)
+        stats = report["methods"]["minmax_r"]
+        for series in ("chosen_logprob_hist", "rejected_logprob_hist"):
+            (held,) = [i for i, count in enumerate(stats[series]) if count]
+            assert stats[series][held] == 1
+            assert edges[held] <= logprob <= edges[held + 1]
 
     def test_means_are_finite_and_np_mean_bit_for_bit_when_it_is(self):
         # Log-likelihoods reach -1.8e308, so a plain sum of two can overflow.

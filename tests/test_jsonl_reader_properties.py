@@ -1,8 +1,10 @@
 """Property tests of the candidate and pair JSONL readers.
 
 A valid file is corrupted (bytes flipped, lines truncated, field values
-swapped for arbitrary JSON, ``_meta`` lines added, lines nested too deep,
-whitespace or a BOM put around a record) and read back.  It either loads
+swapped for arbitrary JSON, fields dropped or set to null, ``_meta`` lines
+added, lines nested too deep, whitespace or a BOM put around a record) and
+read back.  Dropped and null fields reach every fallback of the readers'
+exact-type test to the field tables.  It either loads
 into well-typed records or is rejected with a ``ValidationError`` that names
 the file: no other exception may escape, since the CLI turns any other one
 into an ``internal error`` exit.  The readers must also agree with the plain
@@ -53,14 +55,16 @@ def corrupted(draw, original: bytes) -> bytes:
     lines = original.splitlines(keepends=True)
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
-        kind = draw(st.sampled_from(["flip", "truncate", "swap", "meta", "deep", "space"]))
+        kind = draw(
+            st.sampled_from(["flip", "truncate", "swap", "drop", "null", "meta", "deep", "space"])
+        )
         if kind == "flip":
             at = draw(st.integers(0, len(lines[i]) - 1))
             byte = draw(st.sampled_from([0xFF, 0x80, 0xC3, 0x00, 0x0D]) | st.integers(0, 255))
             lines[i] = lines[i][:at] + bytes([byte]) + lines[i][at + 1 :]
         elif kind == "truncate":
             lines[i] = lines[i][: draw(st.integers(0, len(lines[i]) - 1))] + b"\n"
-        elif kind == "swap":
+        elif kind in ("swap", "drop", "null"):
             try:
                 record = json.loads(lines[i])
             except (ValueError, RecursionError):
@@ -68,8 +72,13 @@ def corrupted(draw, original: bytes) -> bytes:
             if not isinstance(record, dict) or not record:
                 continue
             key = draw(st.sampled_from(sorted(record)))
-            # Strings often, so that a bad direction tag or id turns up.
-            record[key] = draw(TEXT | JSON_VALUES)
+            if kind == "drop":
+                del record[key]
+            elif kind == "null":
+                record[key] = None
+            else:
+                # Strings often, so that a bad direction tag or id turns up.
+                record[key] = draw(TEXT | JSON_VALUES)
             lines[i] = json.dumps(record, ensure_ascii=False).encode() + b"\n"
         elif kind == "meta":
             meta = json.dumps({"_meta": draw(JSON_VALUES)}).encode() + b"\n"
@@ -119,6 +128,34 @@ def test_corrupted_candidate_files_read_as_the_oracle_reads_them(path, data):
 def test_corrupted_pair_files_read_as_the_oracle_reads_them(path, data):
     path.write_bytes(data)
     assert _outcome(load_pairs, path) == _outcome(oracles.load_pairs, path)
+
+
+# Every field of every record kind, dropped, set to null or given a value of
+# each other JSON type: each reaches the fallback of the readers' exact-type
+# test to the field tables, which the random corruptions hit only by chance.
+_DROP = object()
+_FIELD_VALUES = (_DROP, None, True, False, 0, 3, -2.5, 10**400, "", "x-y", [], ["x"], {}, {"q": 0.5})
+_RECORDS = (
+    (ingest_candidates, oracles.ingest_candidates, CANDIDATES, 1),
+    (load_pairs, oracles.load_pairs, PAIRS, 1),
+    (load_pairs, oracles.load_pairs, SFT_PAIRS, -1),
+)
+
+
+@pytest.mark.parametrize("read, oracle, original, at", _RECORDS)
+def test_every_field_value_reads_as_the_oracle_reads_it(path, read, oracle, original, at):
+    lines = original.splitlines(keepends=True)
+    record = json.loads(lines[at])
+    for key in record:
+        for value in _FIELD_VALUES:
+            changed = dict(record)
+            if value is _DROP:
+                del changed[key]
+            else:
+                changed[key] = value
+            lines[at] = json.dumps(changed, ensure_ascii=False).encode() + b"\n"
+            path.write_bytes(b"".join(lines))
+            assert _outcome(read, path) == _outcome(oracle, path), (key, value)
 
 
 @settings(max_examples=300, deadline=None)
