@@ -23,7 +23,6 @@ ingest is lossless, and identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import csv
-import functools
 import gc
 import hashlib
 import itertools
@@ -73,36 +72,27 @@ def parse_direction(tag: str) -> tuple[str, str]:
     return (parts[0], parts[1])
 
 
-def _check_utf8(line: str, path: str | Path, lineno: int) -> None:
-    """Reject a line that holds a lone surrogate, the decoding of a bad byte.
-    Callers skip an ASCII line, which holds none."""
-    try:
-        line.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
-
-
-def _open_text(path: str | Path):
-    """A UTF-8 text file whose lines split on newlines only (not on U+2028 or
-    U+0085, which ``json.dumps`` writes unescaped in ids).  Bad bytes decode
-    to lone surrogates, so ``_check_utf8`` can name the line that holds one."""
-    return open(path, encoding="utf-8", errors="surrogateescape")
-
-
 def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Numbered lines of a UTF-8 text file, each checked by ``_check_utf8``."""
-    with _open_text(path) as handle:
+    """Numbered lines of a UTF-8 file, split on ``\\n`` only: a CR, which is
+    JSON whitespace, stays in its line, as do U+2028 and U+0085, which
+    ``json.dumps`` writes unescaped in ids.  A line that is not strict UTF-8
+    is named in the error."""
+    with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.isascii():
-                _check_utf8(line, path, lineno)
-            yield lineno, line
+            try:
+                text = line.decode()
+            except UnicodeDecodeError:
+                raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
+            yield lineno, text
 
 
 # The scanner of a default decoder parses a record in one call.  ``json.loads``
 # reaches the same scanner through ``decode`` and ``raw_decode``, matching
-# whitespace before and after the record.
+# whitespace before and after the record, which it need not match when the
+# record ends just before a line break.
 _scan_once = json.JSONDecoder().scan_once
 _skip_whitespace = json.decoder.WHITESPACE.match
+_LINE_BREAKS = ("\n", "\r\n")
 
 
 def _loads(line: str, path: str | Path, lineno: int) -> object:
@@ -133,36 +123,33 @@ def _read_records(path: str | Path, add: Callable[[dict, int], None]) -> dict:
     (leading whitespace, a BOM, extra data, bad syntax, or a record followed
     by anything but JSON whitespace) goes to ``json.loads``, which parses it
     or raises its own error; the whitespace after a record is matched only
-    when the record does not end just before the newline.
+    when the record does not end just before the line break.
     """
     header = None
-    with _open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.isascii():
-                _check_utf8(line, path, lineno)
-            try:
-                record, end = _scan_once(line, 0)
-            except (StopIteration, ValueError, RecursionError):
-                end = -1
-            if end < 0 or (
-                line[end:] != "\n" and _skip_whitespace(line, end).end() != len(line)
-            ):
-                if line.isspace():
-                    continue
-                record = _loads(line, path, lineno)
-            if type(record) is not dict:
-                raise ValidationError(f"{path}:{lineno}: record must be a JSON object")
-            if header is None:
-                header = {}
-                if record.keys() == {"_meta"}:
-                    header = _fields(record, _HEADER_FIELDS, path, lineno)[0]
-                    continue
-            if "_meta" in record:
-                raise ValidationError(
-                    f"{path}:{lineno}: a _meta header must be the first record "
-                    "and hold no other field"
-                )
-            add(record, lineno)
+    for lineno, line in _lines(path):
+        try:
+            record, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end < 0 or (
+            line[end:] not in _LINE_BREAKS and _skip_whitespace(line, end).end() != len(line)
+        ):
+            if line.isspace():
+                continue
+            record = _loads(line, path, lineno)
+        if type(record) is not dict:
+            raise ValidationError(f"{path}:{lineno}: record must be a JSON object")
+        if header is None:
+            header = {}
+            if record.keys() == {"_meta"}:
+                header = _fields(record, _HEADER_FIELDS, path, lineno)[0]
+                continue
+        if "_meta" in record:
+            raise ValidationError(
+                f"{path}:{lineno}: a _meta header must be the first record "
+                "and hold no other field"
+            )
+        add(record, lineno)
     return header or {}
 
 
@@ -232,26 +219,6 @@ def _fields(record: dict, fields: tuple, path: str | Path, lineno: int) -> list:
     return values
 
 
-def _collector_paused(reader: Callable) -> Callable:
-    """``reader`` with the cyclic garbage collector paused while it builds
-    its records, which hold no reference cycles, and then restored to the
-    state it was in.  ``gc.freeze`` is not used: it would also freeze the
-    caller's objects."""
-
-    @functools.wraps(reader)
-    def read(path: str | Path):
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            return reader(path)
-        finally:
-            if collecting:
-                gc.enable()
-
-    return read
-
-
-@_collector_paused
 def ingest_candidates(path: str | Path) -> list[CandidateSet]:
     """Read and validate a candidate file, grouping records by source.
 
@@ -308,14 +275,25 @@ def ingest_candidates(path: str | Path) -> list[CandidateSet]:
             )
         group[2][candidate_id] = candidate
 
-    _read_records(path, add)  # returns the _meta header, which ingest does not use
-    sets = []
-    for source_id, (text, direction, candidates, lineno) in groups.items():
-        try:
-            sets.append(CandidateSet(source_id, text, direction, tuple(candidates.values())))
-        except ValidationError as err:
-            raise ValidationError(f"{path}:{lineno}: {err}") from None
-    return sets
+    # The cyclic garbage collector is paused while the records and sets, which
+    # hold no reference cycles, are built, and then restored to the state it
+    # was in.  A collection after the records but before the sets would walk
+    # every record.  ``gc.freeze`` is not used: it would also freeze the
+    # caller's objects.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        _read_records(path, add)  # returns the _meta header, which ingest does not use
+        sets = []
+        for source_id, (text, direction, candidates, lineno) in groups.items():
+            try:
+                sets.append(CandidateSet(source_id, text, direction, tuple(candidates.values())))
+            except ValidationError as err:
+                raise ValidationError(f"{path}:{lineno}: {err}") from None
+        return sets
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # One encoder for every record the writers emit; ``json.dumps`` would build a
@@ -348,7 +326,6 @@ def emit_pairs(dataset: PreferenceDataset, path: str | Path) -> None:
         )
 
 
-@_collector_paused
 def load_pairs(path: str | Path) -> PreferenceDataset:
     """Read a pair file back into a PreferenceDataset."""
     pairs: list[PreferencePair] = []
@@ -384,7 +361,13 @@ def load_pairs(path: str | Path) -> PreferenceDataset:
             raise ValidationError(f"{path}:{lineno}: {err}") from None
         pairs.append(pair)
 
-    provenance = _read_records(path, add)
+    collecting = gc.isenabled()
+    gc.disable()  # as in ingest_candidates
+    try:
+        provenance = _read_records(path, add)
+    finally:
+        if collecting:
+            gc.enable()
     return PreferenceDataset(
         pairs=tuple(pairs), sft_targets=tuple(sft_targets), provenance=provenance
     )

@@ -398,10 +398,11 @@ def rso_subsample(
 
 
 def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Numbered lines of a UTF-8 text file, split on newlines only (not on
-    U+2028 or U+0085, which ``json.dumps`` writes unescaped in ids).  Bad
-    bytes decode to lone surrogates, so the line that holds one is named."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+    """Numbered lines of a UTF-8 text file, split on ``\\n`` only (not on a
+    lone CR, which is JSON whitespace, nor on U+2028 or U+0085, which
+    ``json.dumps`` writes unescaped in ids).  Bad bytes decode to lone
+    surrogates, so the line that holds one is named."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.isascii():
                 try:

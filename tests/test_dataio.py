@@ -37,6 +37,7 @@ from crpo.dataio import (
 )
 from crpo.scoring import UtilityMatrix
 
+import oracles
 from conftest import make_set
 from oracles import emit_candidates, format_direction
 
@@ -176,6 +177,41 @@ class TestIngestCandidates:
         path.write_bytes(candidate_record().encode() + b"\n" + second + b"\n")
         with pytest.raises(ValidationError, match=r"cands\.jsonl:2: not valid UTF-8"):
             ingest_candidates(path)
+
+    def test_bad_byte_after_characters_across_8_kib_reports_its_line(self, tmp_path):
+        path = tmp_path / "cands.jsonl"
+
+        def line(n: int, text: str) -> bytes:
+            record = json.loads(candidate_record(candidate_id=f"c{n:02}", text=text))
+            return json.dumps(record, ensure_ascii=False).encode() + b"\n"
+
+        # A first text of 18 KiB of three-byte characters, padded until one of
+        # them straddles byte 8192.
+        for pad in ("", "x", "xx"):
+            lines = [line(0, pad + "大小" * 3072)]
+            lines += [line(n, "Größe 大小 " * 40) for n in range(1, 30)]
+            if b"".join(lines)[8192] & 0xC0 == 0x80:
+                break
+        else:
+            pytest.fail("no padding puts a character across byte 8192")
+        path.write_bytes(b"".join(lines))
+        assert len(ingest_candidates(path)[0].candidates) == 30
+        lines[24] = lines[24].replace("大".encode(), b"\xff", 1)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValidationError, match=r"cands\.jsonl:25: not valid UTF-8") as err:
+            ingest_candidates(path)
+        with pytest.raises(ValidationError) as oracle_err:
+            oracles.ingest_candidates(path)
+        assert str(err.value) == str(oracle_err.value)
+
+    def test_lone_cr_is_whitespace_not_a_line_break(self, tmp_path):
+        path = tmp_path / "cands.jsonl"
+        first = candidate_record().replace(', "text"', ',\r"text"')
+        write_lines(path, [first, candidate_record(candidate_id="B"), "{not json"])
+        with pytest.raises(ValidationError, match=r"cands\.jsonl:3: invalid JSON"):
+            ingest_candidates(path)
+        write_lines(path, [first, candidate_record(candidate_id="B")])
+        assert [c.id for c in ingest_candidates(path)[0].candidates] == ["A", "B"]
 
     def test_deeply_nested_line_reports_line(self, tmp_path):
         path = tmp_path / "cands.jsonl"

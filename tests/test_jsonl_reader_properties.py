@@ -9,6 +9,9 @@ into well-typed records or is rejected with a ``ValidationError`` that names
 the file: no other exception may escape, since the CLI turns any other one
 into an ``internal error`` exit.  The readers must also agree with the plain
 ones of ``tests/oracles.py``: equal results, or the same error message.
+A line ends at ``\\n`` only, so a CR put where JSON allows whitespace, in a
+record or in a utility-matrix block header, changes no result and no later
+line number.
 """
 
 from __future__ import annotations
@@ -24,13 +27,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import oracles  # noqa: E402
 from crpo.core import ValidationError  # noqa: E402
-from crpo.dataio import ingest_candidates, load_pairs  # noqa: E402
+from crpo.dataio import ingest_candidates, load_pairs, load_utility_matrices  # noqa: E402
 
 HERE = Path(__file__).parent
 FIXTURE = HERE / "fixtures" / "candidates_small.jsonl"
 CANDIDATES = FIXTURE.read_bytes()
 PAIRS = (HERE / "golden" / "pairs_cr_plus.jsonl").read_bytes()
 SFT_PAIRS = (HERE / "golden" / "pairs_qe_best.jsonl").read_bytes()
+UTILITY = (HERE / "golden" / "utility_small.txt").read_bytes()
 
 # Surrogates cannot be written as UTF-8, so no file could hold them.
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
@@ -189,3 +193,54 @@ def test_corrupted_pair_files_load_or_raise_validation_error(path, data):
         dataset.validate_against(ingest_candidates(FIXTURE))
     except ValidationError:
         pass
+
+
+def _read_matrices(path: Path) -> dict:
+    """``load_utility_matrices`` with each matrix as ids and exact values."""
+    return {key: (m.ids, m.values.tolist()) for key, m in load_utility_matrices(path).items()}
+
+
+def _outcome_of(read, path: Path, lines: list[bytes]) -> str:
+    path.write_bytes(b"".join(lines))
+    return _outcome(read, path)
+
+
+def _parses_to(text: str, record: object) -> bool:
+    try:
+        return json.loads(text) == record
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize(
+    "read, original",
+    [
+        (ingest_candidates, CANDIDATES),
+        (load_pairs, PAIRS),
+        (load_pairs, SFT_PAIRS),
+        (_read_matrices, UTILITY),
+    ],
+    ids=["candidates", "pairs", "sft_pairs", "utility_matrix"],
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_cr_in_json_whitespace_changes_no_result_and_no_later_line(path, read, original, data):
+    lines = original.splitlines(keepends=True)
+    # Every JSONL line is a record; of a utility-matrix file, only the block
+    # headers are JSON.
+    i = data.draw(st.sampled_from([n for n, line in enumerate(lines) if line.startswith(b"{")]))
+    line = lines[i].decode()
+    record = json.loads(line)
+    # The positions where JSON allows whitespace, up to the one before "\n".
+    spots = [at for at in range(len(line)) if _parses_to(line[:at] + "\r" + line[at:], record)]
+    at = data.draw(st.sampled_from(spots))
+    changed = list(lines)
+    changed[i] = (line[:at] + "\r" + line[at:]).encode()
+    assert _outcome_of(read, path, changed) == _outcome_of(read, path, lines)
+    if i + 1 < len(lines):
+        # A bad line later on is named by the same number.
+        j = data.draw(st.integers(i + 1, len(lines) - 1))
+        lines[j] = changed[j] = b"[]\n"
+        message = _outcome_of(read, path, lines)
+        assert message.startswith(f"ValidationError: {path}:{j + 1}: ")
+        assert _outcome_of(read, path, changed) == message
