@@ -7,6 +7,7 @@ errors), 1 for internal failures.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import Sequence
@@ -208,6 +209,11 @@ def _cmd_utility_matrix(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # The cyclic collector stays off for the command: crpo builds no cycles
+    # worth a pass, and the collector would walk every record it keeps.  The
+    # caller's setting comes back afterwards.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.run(args)
     except (ValidationError, OSError) as err:
@@ -216,6 +222,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as err:  # internal failure
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

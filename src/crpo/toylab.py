@@ -11,9 +11,14 @@ Pairs come from crpo's own selectors (``run_selector``, and
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import signal
+import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,10 +37,10 @@ COMPARE_METHODS = METHODS + ("random_pair",)
 MAX_WORLD_CELLS = 1_000_000
 
 # Largest number of candidates a comparison samples (seeds x sources x K).
-# Each one is a ``Candidate`` object of about 0.6 KB.  Only one seed's
-# candidates are kept at a time, but the bound also caps the sampling and
-# selection work that sizes taken from the command line can ask for; it is
-# about forty times the benchmark's.
+# Each one is a ``Candidate`` object of about 0.6 KB.  Each worker process
+# keeps only the candidates of the seed it is running, but the bound also
+# caps the sampling and selection work that sizes taken from the command line
+# can ask for; it is about forty times the benchmark's.
 MAX_COMPARE_CANDIDATES = 1_000_000
 
 # Largest K a comparison samples per source.  ``rs_dpo`` and the MBR methods
@@ -51,8 +56,9 @@ MAX_COMPARE_K = 1000
 # source, each a ``PreferencePair`` of about 0.5 KB until training, and a
 # training step handles about 24 bytes per cell (the index and two
 # temporaries), so the bound keeps sizes taken from the command line within a
-# few hundred MB.  ``rs_dpo`` at the benchmark's size (160 sources x 64
-# outputs, K=16) needs 1.3 million cells.
+# few hundred MB per worker process: each worker trains one run at a time.
+# ``rs_dpo`` at the benchmark's size (160 sources x 64 outputs, K=16) needs
+# 1.3 million cells.
 MAX_COMPARE_PAIR_CELLS = 2_000_000
 
 # The one training schedule of ``train_dpo``: full-batch steps and step size.
@@ -328,6 +334,98 @@ def _max_pairs_per_source(method: str, k: int) -> int:
     return 3 if method == "mbr_bmw" else 1
 
 
+def _seed_gains(
+    world: ToyWorld, methods: Sequence[str], k: int, base_reward: float, seed: int
+) -> list[tuple[float, str | None]]:
+    """One seed of ``run_comparison``: sample ``k`` candidates per source,
+    then select with each method in order and train on its pairs.  Returns
+    each method's (gain over ``base_reward``, flag).  This seed's sets and
+    pairs are freed when it returns."""
+    sets = [
+        sample_candidates(world, s, k=k, rng=np.random.default_rng([world.seed, seed, s]))
+        for s in range(world.n_sources)
+    ]
+    runs: list[tuple[float, str | None]] = []
+    for method in methods:
+        if method == "random_pair":
+            outcomes = [
+                random_pair_outcome(cset, np.random.default_rng([world.seed, seed, s, 1]))
+                for s, cset in enumerate(sets)
+            ]
+        else:
+            config = SelectionConfig(method=method, seed=seed)
+            outcomes = [run_selector(cset, config) for cset in sets]
+        pairs = resolve_pairs(sets, outcomes)
+        if pairs:
+            result = train_dpo(world, pairs)
+            runs.append((expected_reward(result.policy, world) - base_reward, None))
+        else:
+            runs.append((0.0, "no_pairs"))
+    return runs
+
+
+# The task of this worker process, set by ``_start_worker``.  A forked worker
+# inherits the task, world included, from the parent instead of unpickling a
+# copy per seed, so the world's sampler cache lasts across the seeds that the
+# worker runs.
+_worker_task: Callable[[int], list] | None = None
+
+# The prctl(2) option that has the kernel signal a process when the thread
+# that forked it exits.
+_PR_SET_PDEATHSIG = 1
+
+
+def _start_worker(task: Callable[[int], list], parent: int) -> None:
+    """Set up a forked worker: keep ``task``, and have the kernel kill the
+    worker when its parent dies.  A worker whose parent was killed would
+    otherwise wait for its next seed forever."""
+    global _worker_task
+    _worker_task = task
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    # Best effort, so the result is not checked: the call fails only for an
+    # invalid signal or where a sandbox forbids prctl, and a worker it failed
+    # for merely outlives a killed parent.
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:  # the parent died before the prctl call
+        os._exit(1)
+
+
+def _run_worker_task(seed: int) -> list:
+    return _worker_task(seed)
+
+
+def _map_seeds(task: Callable[[int], list], seeds: Sequence[int]) -> list[list]:
+    """``task`` of every seed, in seed order.  On Linux the seeds run in a
+    pool of forked workers, one per CPU this process may use and at most one
+    per seed; elsewhere, or when one worker would do, they run here.  The
+    workers are joined before this returns or raises."""
+    # Fork only on Linux, where it is the default start method and numpy's
+    # OpenBLAS registers fork handlers for its threads.  The pool forks all its
+    # workers before it starts threads of its own; a worker would still
+    # inherit a lock that a caller's other thread held at the fork.
+    workers = 1
+    if sys.platform == "linux":
+        workers = min(len(seeds), len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return [task(seed) for seed in seeds]
+    # Imported here, so that the commands that never start a pool do not load
+    # it: the import costs every process about 1.2 MB.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(task, os.getpid()),
+    )
+    try:
+        return list(pool.map(_run_worker_task, seeds))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_comparison(
     world: ToyWorld,
     methods: Sequence[str],
@@ -340,7 +438,9 @@ def run_comparison(
     select pairs with the default ``SelectionConfig``, train with
     ``train_dpo`` and record the gain of the trained policy over the
     reference.  Methods that produce zero pairs on every source are recorded
-    with gain 0 and a "no_pairs" flag, not an error.
+    with gain 0 and a "no_pairs" flag, not an error.  On Linux the seeds run
+    in forked worker processes (``_map_seeds``); the report is the same for
+    any number of them.
 
     Returns the report ``toy compare`` writes: ``gains`` and ``flags`` rows,
     ``means`` and ``stderrs`` are parallel to ``methods``;
@@ -375,40 +475,13 @@ def run_comparison(
             f"up to {pairs_per_seed} pairs per seed x {world.n_outputs} outputs "
             f"exceeds {MAX_COMPARE_PAIR_CELLS} training cells"
         )
-    base = ToyPolicy(world.ref_logits)
-    base_reward = expected_reward(base, world)
-
-    gains: list[list[float]] = [[] for _ in methods]
-    flags: list[list[str | None]] = [[] for _ in methods]
-    for seed in seeds:
-        sets = [
-            sample_candidates(
-                world, s, k=k, rng=np.random.default_rng([world.seed, seed, s])
-            )
-            for s in range(world.n_sources)
-        ]
-        for method, method_gains, method_flags in zip(methods, gains, flags):
-            if method == "random_pair":
-                outcomes = [
-                    random_pair_outcome(
-                        cset, np.random.default_rng([world.seed, seed, s, 1])
-                    )
-                    for s, cset in enumerate(sets)
-                ]
-            else:
-                config = SelectionConfig(method=method, seed=seed)
-                outcomes = [run_selector(cset, config) for cset in sets]
-            pairs = resolve_pairs(sets, outcomes)
-            if pairs:
-                result = train_dpo(world, pairs)
-                method_gains.append(expected_reward(result.policy, world) - base_reward)
-                method_flags.append(None)
-            else:
-                method_gains.append(0.0)
-                method_flags.append("no_pairs")
-        # Free this seed's candidates and pairs before the next seed samples,
-        # so the comparison's peak memory holds one seed's sets.
-        del sets, outcomes, pairs
+    base_reward = expected_reward(ToyPolicy(world.ref_logits), world)
+    per_seed = _map_seeds(
+        functools.partial(_seed_gains, world, methods, k, base_reward), seeds
+    )
+    by_method = list(zip(*per_seed))
+    gains = [[gain for gain, _ in runs] for runs in by_method]
+    flags = [[flag for _, flag in runs] for runs in by_method]
 
     return {
         "methods": list(methods),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -628,6 +629,33 @@ def test_module_entry_point_prints_help():
     )
     assert proc.returncode == 0
     assert "select" in proc.stdout
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize(
+    "instances, code", [("1", 0), ("0", 2)], ids=["exit-0", "exit-2"]
+)
+def test_main_runs_with_the_collector_off_and_restores_it(
+    monkeypatch, collecting, instances, code
+):
+    import crpo.cli
+
+    check = crpo.cli.gradient_check
+    during = []
+
+    def recorded(**kwargs):
+        during.append(gc.isenabled())
+        return check(**kwargs)
+
+    monkeypatch.setattr(crpo.cli, "gradient_check", recorded)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(["losses", "check-grad", "--instances", instances]) == code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]
 
 
 def _limit_address_space():

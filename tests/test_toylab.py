@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from crpo import toylab
+from crpo.cli import main
 from crpo.core import SelectionConfig, ValidationError
 from crpo.losses import (
     MAX_SFT_ROUNDS,
@@ -605,6 +613,136 @@ class TestRunComparison:
         ):
             with pytest.raises(ValidationError, match=message):
                 run_comparison(world, ("random_pair",), seeds=seeds)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="seeds run in forked workers on Linux only")
+class TestComparisonWorkers:
+    """``run_comparison`` maps its seeds over forked workers, one per usable
+    CPU: the report must not depend on how many there are."""
+
+    ARGS = ["toy", "compare", "--methods", "cr_plus,qe_best,random_pair", "--seeds", "4",
+            "--sources", "6", "--outputs", "8", "--k", "6", "--world-seed", "3"]
+
+    @pytest.fixture
+    def pids(self, monkeypatch, tmp_path):
+        """The ids of the processes that sampled candidates, read back after a run."""
+        log = tmp_path / "pids.txt"
+        sample = toylab.sample_candidates
+
+        def logged(*args, **kwargs):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(toylab, "sample_candidates", logged)
+
+        def read() -> set[int]:
+            found = {int(line) for line in log.read_text(encoding="utf-8").split()}
+            log.unlink()
+            return found
+
+        return read
+
+    def report_bytes(self, tmp_path, name: str) -> bytes:
+        out = tmp_path / name
+        assert main(self.ARGS + ["--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        return out.read_bytes()
+
+    def test_report_bytes_do_not_depend_on_the_worker_count(self, monkeypatch, tmp_path, pids):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one = self.report_bytes(tmp_path, "one.json")
+        assert pids() == {os.getpid()}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        three = self.report_bytes(tmp_path, "three.json")
+        workers = pids()
+        assert os.getpid() not in workers and len(workers) <= 3
+        assert one == three
+        assert json.loads(three)["flags"][1] == ["no_pairs"] * 4
+
+    def test_without_fork_the_seeds_run_in_process(self, monkeypatch, tmp_path, pids):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        pooled = self.report_bytes(tmp_path, "pooled.json")
+        assert os.getpid() not in pids()
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert self.report_bytes(tmp_path, "plain.json") == pooled
+        assert pids() == {os.getpid()}
+
+    def test_a_failing_seed_fails_the_run_and_leaves_no_worker(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # The first training call, in whichever process, fails: one seed.
+        marker = tmp_path / "failed"
+        train = toylab.train_dpo
+
+        def fail_once(world, pairs):
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return train(world, pairs)
+            raise ValidationError("training failed on one seed")
+
+        monkeypatch.setattr(toylab, "train_dpo", fail_once)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        world = make_world(n_sources=6, n_outputs=8, seed=3)
+        with pytest.raises(ValidationError, match="^training failed on one seed$"):
+            run_comparison(world, ("cr_plus",), seeds=(0, 1, 2, 3), k=6)
+        assert multiprocessing.active_children() == []
+
+        marker.unlink()
+        out = tmp_path / "report.json"
+        assert main(self.ARGS + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: training failed on one seed\n"
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
+
+    def test_workers_die_with_a_killed_parent(self, tmp_path):
+        # A parent whose two workers block in training is killed: the kernel
+        # must end the workers too, or they would wait for work forever.
+        log = tmp_path / "pids.txt"
+        script = (
+            "import os, time\n"
+            "from crpo import toylab\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "def blocked(world, pairs):\n"
+            f"    with open({str(log)!r}, 'a') as handle:\n"
+            "        handle.write(f'{os.getpid()}\\n')\n"
+            "    time.sleep(600)\n"
+            "toylab.train_dpo = blocked\n"
+            "world = toylab.make_world(n_sources=4, n_outputs=4, seed=0)\n"
+            "toylab.run_comparison(world, ('cr_plus',), seeds=(0, 1), k=4)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(toylab.__file__).parents[1]))
+        parent = subprocess.Popen([sys.executable, "-c", script], env=env)
+        workers: list[int] = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                if log.exists():
+                    workers = [int(line) for line in log.read_text().split()]
+            assert len(workers) == 2
+            parent.kill()
+            parent.wait()
+            deadline = time.monotonic() + 10
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, workers))
+        finally:
+            parent.kill()
+            parent.wait()
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and has not exited."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
 
 
 def test_compare_methods_cover_every_selector_plus_control():
