@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
@@ -134,6 +135,9 @@ class Candidate:
 ) = (Candidate.__dict__[f.name].__set__ for f in fields(Candidate))
 
 
+_candidate_id = operator.attrgetter("id")
+
+
 @dataclass(frozen=True)
 class CandidateSet:
     """All candidates sampled for one source segment, held in candidate id order."""
@@ -154,16 +158,26 @@ class CandidateSet:
                 f"source {self.source_id!r}: direction must be a (src, tgt) tag pair"
             )
         object.__setattr__(self, "direction", tuple(self.direction))
-        object.__setattr__(self, "candidates", tuple(sorted(self.candidates, key=lambda c: c.id)))
-        if not self.candidates:
+        candidates = tuple(self.candidates)
+        if not candidates:
             raise ValidationError(f"source {self.source_id!r}: empty candidate list")
+        # The types are checked before the sort, which mixed ids would fail
+        # with a TypeError: ``Candidate.__init__`` leaves them to the readers,
+        # which type-check every record, and to this check for library callers.
         index = {}
-        for cand in self.candidates:
-            if cand.id in index:
+        for cand in candidates:
+            cid = cand.id
+            if not (type(cid) is str and type(cand.text) is str) and not (
+                isinstance(cid, str) and isinstance(cand.text, str)
+            ):
                 raise ValidationError(
-                    f"source {self.source_id!r}: duplicate candidate id {cand.id!r}"
+                    f"source {self.source_id!r}: candidate {cid!r} needs a string id "
+                    "and a string text"
                 )
-            index[cand.id] = cand
+            if cid in index:
+                raise ValidationError(f"source {self.source_id!r}: duplicate candidate id {cid!r}")
+            index[cid] = cand
+        object.__setattr__(self, "candidates", tuple(sorted(candidates, key=_candidate_id)))
         object.__setattr__(self, "_index", index)
 
     def candidate(self, candidate_id: str) -> Candidate:

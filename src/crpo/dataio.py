@@ -204,6 +204,21 @@ _candidate_values = _required(_CANDIDATE_FIELDS)
 _pair_values = _required(_PAIR_FIELDS)
 
 
+def _check_encodable(path: str | Path, lineno: int, **values: str) -> None:
+    """Reject a field that crpo writes back out when it holds a lone surrogate:
+    a JSON escape such as ``"\\ud800"`` reads as one, and no UTF-8 writer can
+    encode it.  Texts may hold them, since the utility encodes them with
+    ``surrogatepass``; only the ids and method tags are checked."""
+    for key, value in values.items():
+        if not value.isascii():
+            try:
+                value.encode()
+            except UnicodeEncodeError:
+                raise ValidationError(
+                    f"{path}:{lineno}: {key} holds a lone surrogate, which UTF-8 cannot encode"
+                ) from None
+
+
 def _fields(record: dict, fields: tuple, path: str | Path, lineno: int) -> list:
     """The values of ``fields`` in ``record``, checked against the table;
     an absent optional field reads as None."""
@@ -253,6 +268,8 @@ def ingest_candidates(path: str | Path) -> list[CandidateSet]:
             source_id, source_text, tag, candidate_id, text, logprob, rewards, token_count = (
                 _fields(record, _CANDIDATE_FIELDS, path, lineno)
             )
+        if not (source_id.isascii() and candidate_id.isascii()):
+            _check_encodable(path, lineno, source_id=source_id, candidate_id=candidate_id)
         try:
             direction = directions.get(tag)
             if direction is None:
@@ -336,6 +353,8 @@ def load_pairs(path: str | Path) -> PreferenceDataset:
             target = (record.get("source_id"), record["sft_target"])
             if not (type(target[0]) is str and type(target[1]) is str):
                 target = tuple(_fields(record, _SFT_FIELDS, path, lineno))
+            if not (target[0].isascii() and target[1].isascii()):
+                _check_encodable(path, lineno, source_id=target[0], sft_target=target[1])
             sft_targets.append(target)
             return
         try:
@@ -354,6 +373,20 @@ def load_pairs(path: str | Path) -> PreferenceDataset:
         if not typed:  # the table accepts what the test does: it raises the message
             source_id, chosen_id, rejected_id, score, method, extras = _fields(
                 record, _PAIR_FIELDS, path, lineno
+            )
+        if not (
+            source_id.isascii()
+            and chosen_id.isascii()
+            and rejected_id.isascii()
+            and method.isascii()
+        ):
+            _check_encodable(
+                path,
+                lineno,
+                source_id=source_id,
+                chosen_id=chosen_id,
+                rejected_id=rejected_id,
+                method=method,
             )
         try:
             pair = PreferencePair(source_id, chosen_id, rejected_id, score, method, extras or {})
@@ -510,7 +543,11 @@ def load_utility_matrices(path: str | Path) -> dict[str, UtilityMatrix]:
             parts = row.split()
             if len(parts) != k:
                 raise ValidationError(f"{path}:{row_no}: expected {k} values, got {len(parts)}")
+            # ``float`` also reads spellings crpo never writes: "1_0" and
+            # non-ASCII digits such as "\u0661" or "\uff11".
             try:
+                if "_" in row or not all(map(str.isascii, parts)):
+                    raise ValueError
                 rows.append([float(p) for p in parts])
             except ValueError:
                 raise ValidationError(f"{path}:{row_no}: non-numeric matrix entry") from None

@@ -15,6 +15,7 @@ import ctypes
 import functools
 import math
 import os
+import pickle
 import signal
 import sys
 from dataclasses import dataclass, field
@@ -37,10 +38,11 @@ COMPARE_METHODS = METHODS + ("random_pair",)
 MAX_WORLD_CELLS = 1_000_000
 
 # Largest number of candidates a comparison samples (seeds x sources x K).
-# Each one is a ``Candidate`` object of about 0.6 KB.  Each worker process
-# keeps only the candidates of the seed it is running, but the bound also
-# caps the sampling and selection work that sizes taken from the command line
-# can ask for; it is about forty times the benchmark's.
+# Each one is a ``Candidate`` object of about 0.6 KB.  A worker process keeps
+# only the candidates of the seed it is running, and the parent, which only
+# waits for the workers, keeps none.  So the bound caps the sampling and
+# selection work that sizes taken from the command line can ask for; it is
+# about forty times the benchmark's.
 MAX_COMPARE_CANDIDATES = 1_000_000
 
 # Largest K a comparison samples per source.  ``rs_dpo`` and the MBR methods
@@ -364,23 +366,15 @@ def _seed_gains(
     return runs
 
 
-# The task of this worker process, set by ``_start_worker``.  A forked worker
-# inherits the task, world included, from the parent instead of unpickling a
-# copy per seed, so the world's sampler cache lasts across the seeds that the
-# worker runs.
-_worker_task: Callable[[int], list] | None = None
-
 # The prctl(2) option that has the kernel signal a process when the thread
 # that forked it exits.
 _PR_SET_PDEATHSIG = 1
 
 
-def _start_worker(task: Callable[[int], list], parent: int) -> None:
-    """Set up a forked worker: keep ``task``, and have the kernel kill the
-    worker when its parent dies.  A worker whose parent was killed would
-    otherwise wait for its next seed forever."""
-    global _worker_task
-    _worker_task = task
+def _start_worker(parent: int) -> None:
+    """Have the kernel kill this forked worker when its parent dies.  A
+    worker whose parent was killed would otherwise run the rest of its seeds
+    for nobody."""
     prctl = ctypes.CDLL(None).prctl
     prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
     # Best effort, so the result is not checked: the call fails only for an
@@ -391,39 +385,98 @@ def _start_worker(task: Callable[[int], list], parent: int) -> None:
         os._exit(1)
 
 
-def _run_worker_task(seed: int) -> list:
-    return _worker_task(seed)
+def _run_stripe(task: Callable[[int], list], seeds: Sequence[int], first: int, step: int) -> bytes:
+    """The pickled outcome of ``task`` over ``seeds[first::step]``, run in
+    order: ``(results, None)``, or ``(None, (index, error))`` for the first
+    seed that raises, ``index`` being its position in ``seeds``.  An error
+    that does not survive pickling travels as ``RuntimeError(repr(error))``."""
+    results = []
+    for index in range(first, len(seeds), step):
+        try:
+            results.append(task(seeds[index]))
+        except BaseException as err:
+            try:
+                failure = pickle.dumps((None, (index, err)))
+                pickle.loads(failure)
+            except Exception:
+                failure = pickle.dumps((None, (index, RuntimeError(repr(err)))))
+            return failure
+    return pickle.dumps((results, None))
 
 
 def _map_seeds(task: Callable[[int], list], seeds: Sequence[int]) -> list[list]:
-    """``task`` of every seed, in seed order.  On Linux the seeds run in a
-    pool of forked workers, one per CPU this process may use and at most one
-    per seed; elsewhere, or when one worker would do, they run here.  The
-    workers are joined before this returns or raises."""
+    """``task`` of every seed, in seed order.  On Linux the seeds run in
+    forked workers, one per CPU this process may use and at most one per
+    seed; elsewhere, or when one worker would do, they run here.  Worker w
+    runs ``seeds[w::workers]`` and sends its outcome back through a pipe; the
+    error of the first seed that fails is raised, as the loop here would.
+    No worker is left running or unreaped when this returns or raises."""
     # Fork only on Linux, where it is the default start method and numpy's
-    # OpenBLAS registers fork handlers for its threads.  The pool forks all its
-    # workers before it starts threads of its own; a worker would still
+    # OpenBLAS registers fork handlers for its threads.  A worker would still
     # inherit a lock that a caller's other thread held at the fork.
     workers = 1
     if sys.platform == "linux":
         workers = min(len(seeds), len(os.sched_getaffinity(0)))
     if workers <= 1:
         return [task(seed) for seed in seeds]
-    # Imported here, so that the commands that never start a pool do not load
-    # it: the import costs every process about 1.2 MB.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(task, os.getpid()),
-    )
+    parent = os.getpid()
+    reads: list[int] = []  # each worker's pipe, in worker order
+    running: dict[int, int] = {}  # worker by pid, until it is reaped
+    outcomes = []
     try:
-        return list(pool.map(_run_worker_task, seeds))
+        for first in range(workers):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(write)
+                raise
+            if pid == 0:
+                # The worker inherits ``task``, world included, so the world's
+                # sampler cache lasts across its seeds.  It closes the read
+                # ends it inherited, its own included, and never returns into
+                # the caller's frames.
+                status = 1
+                try:
+                    for fd in reads:
+                        os.close(fd)
+                    _start_worker(parent)
+                    with open(write, "wb") as pipe:
+                        pipe.write(_run_stripe(task, seeds, first, workers))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            running[pid] = first
+        # The parent only waits: a seed run here would add its working set to
+        # this process's peak memory.
+        for pid, first in list(running.items()):
+            with open(reads[first], "rb", closefd=False) as pipe:
+                outcome = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del running[pid]
+            if not outcome:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise RuntimeError(f"seed worker {first} died ({how}) before sending its results")
+            outcomes.append(pickle.loads(outcome))
     finally:
-        pool.shutdown(cancel_futures=True)
+        for read in reads:
+            os.close(read)
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results: list = [None] * len(seeds)
+    failures = []
+    for first, (done, failure) in enumerate(outcomes):
+        if failure is None:
+            results[first::workers] = done
+        else:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
 
 
 def run_comparison(

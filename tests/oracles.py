@@ -26,6 +26,8 @@
   checks, the oracle ``Candidate``, the cyclic collector left running.  They
   share crpo's field tables, and the ``crpo.dataio`` readers must return
   equal results or raise the same ``ValidationError`` message on every file.
+  The ids and method tags, which crpo writes back out, may not hold a lone
+  surrogate; texts may.
 """
 
 from __future__ import annotations
@@ -463,6 +465,17 @@ def _fields(record: dict, fields: tuple, path: str | Path, lineno: int) -> list:
     return values
 
 
+def _check_written(record: dict, keys: Sequence[str], path: str | Path, lineno: int) -> None:
+    """A field that crpo writes back out may not hold a lone surrogate (a code
+    point in U+D800..U+DFFF), which a JSON escape can spell but UTF-8 cannot
+    encode."""
+    for key in keys:
+        if any(0xD800 <= ord(ch) <= 0xDFFF for ch in record[key]):
+            raise ValidationError(
+                f"{path}:{lineno}: {key} holds a lone surrogate, which UTF-8 cannot encode"
+            )
+
+
 def ingest_candidates(path: str | Path) -> list[CandidateSet]:
     """Read and validate a candidate file, grouping records by source.
 
@@ -479,6 +492,7 @@ def ingest_candidates(path: str | Path) -> list[CandidateSet]:
         source_id, source_text, direction_tag, *fields = _fields(
             record, _CANDIDATE_FIELDS, path, lineno
         )
+        _check_written(record, ("source_id", "candidate_id"), path, lineno)
         try:
             direction = parse_direction(direction_tag)
             candidate = Candidate(*fields)
@@ -516,8 +530,12 @@ def load_pairs(path: str | Path) -> PreferenceDataset:
     for lineno, record in records:
         if "sft_target" in record:
             sft_targets.append(tuple(_fields(record, _SFT_FIELDS, path, lineno)))
+            _check_written(record, ("source_id", "sft_target"), path, lineno)
             continue
         *fields, extras = _fields(record, _PAIR_FIELDS, path, lineno)
+        _check_written(
+            record, ("source_id", "chosen_id", "rejected_id", "method"), path, lineno
+        )
         try:
             pairs.append(PreferencePair(*fields, extras=extras or {}))
         except ValidationError as err:

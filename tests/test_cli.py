@@ -526,6 +526,56 @@ class TestLoneSurrogateTexts:
         assert load_pairs(out).pairs == expected.pairs
 
 
+class TestLoneSurrogateIds:
+    """A JSON "\\ud800" escape in a field crpo writes back out (an id or a
+    method tag) exits 2 at read time with the line, before any output file is
+    opened: no UTF-8 writer could encode it."""
+
+    def with_surrogate(self, source: Path, dest: Path, line: int, key: str) -> Path:
+        lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[line - 1])
+        record[key] = record[key][:1] + "\ud800"
+        lines[line - 1] = json.dumps(record) + "\n"  # ASCII: the surrogate as an escape
+        dest.write_text("".join(lines), encoding="utf-8")
+        return dest
+
+    def assert_rejected(self, argv, out: Path, where: str, key: str, capsys) -> None:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {where}: {key} holds a lone surrogate, which UTF-8 cannot encode\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["source_id", "candidate_id"])
+    @pytest.mark.parametrize("method", ["cr_plus", "qe_best", "mbr_bw", "rso"])
+    def test_select_rejects_a_candidate_id(self, tmp_path, method, key, capsys):
+        bad = self.with_surrogate(FIXTURE, tmp_path / "cands.jsonl", 3, key)
+        out = tmp_path / "pairs.jsonl"
+        argv = ["select", "--in", str(bad), "--out", str(out), "--method", method]
+        self.assert_rejected(argv, out, f"{bad}:3", key, capsys)
+
+    def test_utility_matrix_rejects_a_candidate_id(self, tmp_path, capsys):
+        bad = self.with_surrogate(FIXTURE, tmp_path / "cands.jsonl", 5, "candidate_id")
+        out = tmp_path / "util.txt"
+        argv = ["utility", "matrix", "--in", str(bad), "--out", str(out)]
+        self.assert_rejected(argv, out, f"{bad}:5", "candidate_id", capsys)
+
+    @pytest.mark.parametrize(
+        "golden, line, key",
+        [
+            ("pairs_cr_plus.jsonl", 2, "method"),
+            ("pairs_cr_plus.jsonl", 3, "chosen_id"),
+            ("pairs_cr_plus.jsonl", 2, "rejected_id"),
+            ("pairs_qe_best.jsonl", 2, "sft_target"),
+            ("pairs_qe_best.jsonl", 3, "source_id"),
+        ],
+    )
+    def test_stats_rejects_a_pair_id_or_method(self, tmp_path, golden, line, key, capsys):
+        bad = self.with_surrogate(GOLDEN / golden, tmp_path / "pairs.jsonl", line, key)
+        out = tmp_path / "stats.json"
+        argv = ["stats", "--pairs", str(bad), "--candidates", str(FIXTURE), "--out", str(out)]
+        self.assert_rejected(argv, out, f"{bad}:{line}", key, capsys)
+
+
 class TestUtilityCommand:
     def test_matches_golden_bytes(self, tmp_path):
         out = tmp_path / "util.txt"

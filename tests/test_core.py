@@ -96,17 +96,24 @@ class TestCandidateSet:
             )
 
     @pytest.mark.parametrize(
-        "ids",
+        "ids, texts",
         [
             # One NaN object twice: equal as a dict key, unequal to itself.
-            [float("nan")] * 2,
+            ([float("nan")] * 2, ["t", "t"]),
             # Partially ordered ids, which sorting need not put side by side.
-            [frozenset({1}), frozenset({2}), frozenset({1})],
+            ([frozenset({1}), frozenset({2}), frozenset({1})], ["t", "t", "t"]),
+            # Ids that do not sort together, and ids that sort but are not text.
+            ([1.0, "a"], ["t", "t"]),
+            ([2, 1], ["t", "t"]),
+            (["a", "b"], ["t", 5]),
         ],
+        ids=["nan_twice", "partially_ordered", "mixed", "ints", "int_text"],
     )
-    def test_duplicate_unordered_ids_rejected(self, ids):
-        cands = tuple(Candidate(id=i, text="t", logprob=-1.0, rewards={"a": 0.5}) for i in ids)
-        with pytest.raises(ValidationError, match="duplicate candidate id"):
+    def test_non_string_ids_or_texts_rejected_before_sorting(self, ids, texts):
+        cands = tuple(
+            Candidate(id=i, text=t, logprob=-1.0, rewards={"a": 0.5}) for i, t in zip(ids, texts)
+        )
+        with pytest.raises(ValidationError, match="needs a string id and a string text$"):
             CandidateSet(source_id="s", source_text="x", direction=("en", "de"), candidates=cands)
 
     def test_empty_set_rejected(self):

@@ -788,6 +788,20 @@ class TestUtilityMatrixFiles:
         with pytest.raises(ValidationError, match="non-numeric"):
             load_utility_matrices(path)
 
+    @pytest.mark.parametrize("entry", ["1_0", "0_5", "\u0661", "\uff11", "0.\u0665"])
+    def test_entries_float_reads_but_crpo_never_writes_are_rejected(self, tmp_path, entry):
+        # float() reads "1_0" as 10.0, and Arabic-Indic and fullwidth digits
+        # as numbers; crpo writes ASCII reprs only.
+        float(entry)
+        path = tmp_path / "util.txt"
+        path.write_text(
+            json.dumps({"source_id": "s1", "ids": ["A", "B"]})
+            + f"\n1.0 0.5\n0.5 {entry}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValidationError, match=r"util\.txt:3: non-numeric matrix entry$"):
+            load_utility_matrices(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "util.txt"
         path.write_text('{"ids": ["A"]}\n1.0\n', encoding="utf-8")

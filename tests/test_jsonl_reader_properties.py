@@ -11,7 +11,8 @@ into an ``internal error`` exit.  The readers must also agree with the plain
 ones of ``tests/oracles.py``: equal results, or the same error message.
 A line ends at ``\\n`` only, so a CR put where JSON allows whitespace, in a
 record or in a utility-matrix block header, changes no result and no later
-line number.
+line number.  A lone surrogate, which a JSON escape can spell, is rejected in
+every id and method tag, the fields crpo writes back out, and read in texts.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ PAIRS = (HERE / "golden" / "pairs_cr_plus.jsonl").read_bytes()
 SFT_PAIRS = (HERE / "golden" / "pairs_qe_best.jsonl").read_bytes()
 UTILITY = (HERE / "golden" / "utility_small.txt").read_bytes()
 
-# Surrogates cannot be written as UTF-8, so no file could hold them.
+# Surrogates cannot be written as UTF-8, so no file could hold them raw; a
+# record holds them as JSON escapes (see ``_record_line``).
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+LONE_SURROGATES = st.sampled_from(["\ud800", "a\udfff", "\udc80b"])
 # Ints beyond the float range are valid JSON but no float field may hold one.
 HUGE_INTS = st.sampled_from([10**400, -(10**400)])
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | HUGE_INTS | st.floats() | TEXT
@@ -82,8 +85,8 @@ def corrupted(draw, original: bytes) -> bytes:
                 record[key] = None
             else:
                 # Strings often, so that a bad direction tag or id turns up.
-                record[key] = draw(TEXT | JSON_VALUES)
-            lines[i] = json.dumps(record, ensure_ascii=False).encode() + b"\n"
+                record[key] = draw(TEXT | LONE_SURROGATES | JSON_VALUES)
+            lines[i] = _record_line(record)
         elif kind == "meta":
             meta = json.dumps({"_meta": draw(JSON_VALUES)}).encode() + b"\n"
             lines.insert(draw(st.integers(0, len(lines))), meta)
@@ -95,6 +98,12 @@ def corrupted(draw, original: bytes) -> bytes:
         else:
             lines[i] = draw(LEADING).encode() + lines[i]
     return b"".join(lines)
+
+
+def _record_line(record: dict) -> bytes:
+    """A JSONL line of ``record`` as crpo writes one, except that a lone
+    surrogate, which UTF-8 cannot encode, is written as its JSON escape."""
+    return json.dumps(record, ensure_ascii=False).encode(errors="backslashreplace") + b"\n"
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +147,10 @@ def test_corrupted_pair_files_read_as_the_oracle_reads_them(path, data):
 # each other JSON type: each reaches the fallback of the readers' exact-type
 # test to the field tables, which the random corruptions hit only by chance.
 _DROP = object()
-_FIELD_VALUES = (_DROP, None, True, False, 0, 3, -2.5, 10**400, "", "x-y", [], ["x"], {}, {"q": 0.5})
+_FIELD_VALUES = (
+    _DROP, None, True, False, 0, 3, -2.5, 10**400, "", "x-y", "\ud800", "x-\udfff", [], ["x"],
+    {}, {"q": 0.5},
+)
 _RECORDS = (
     (ingest_candidates, oracles.ingest_candidates, CANDIDATES, 1),
     (load_pairs, oracles.load_pairs, PAIRS, 1),
@@ -157,9 +169,48 @@ def test_every_field_value_reads_as_the_oracle_reads_it(path, read, oracle, orig
                 del changed[key]
             else:
                 changed[key] = value
-            lines[at] = json.dumps(changed, ensure_ascii=False).encode() + b"\n"
+            lines[at] = _record_line(changed)
             path.write_bytes(b"".join(lines))
             assert _outcome(read, path) == _outcome(oracle, path), (key, value)
+
+
+# The fields crpo writes back out, by record kind (the pair file's ids and
+# method, and the candidate ids that pair files and utility matrices hold),
+# then the texts, which are only read.
+_WRITTEN = (
+    (ingest_candidates, CANDIDATES, 1, ("source_id", "candidate_id"), ("text",)),
+    (load_pairs, PAIRS, 1, ("source_id", "chosen_id", "rejected_id", "method"), ()),
+    (load_pairs, SFT_PAIRS, -1, ("source_id", "sft_target"), ()),
+)
+
+
+@pytest.mark.parametrize(
+    "read, original, at, written, texts", _WRITTEN, ids=["candidates", "pairs", "sft"]
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_lone_surrogate_is_rejected_in_written_fields_and_read_in_texts(
+    path, read, original, at, written, texts, data
+):
+    lines = original.splitlines(keepends=True)
+    record = json.loads(lines[at])
+    key = data.draw(st.sampled_from(written + texts))
+    value = record[key]
+    cut = data.draw(st.integers(0, len(value)))
+    record[key] = value[:cut] + data.draw(LONE_SURROGATES) + value[cut:]
+    lines[at] = _record_line(record)
+    assert b"\\u" in lines[at]  # the file is valid UTF-8: the surrogate is an escape
+    message = _outcome_of(read, path, lines)
+    if key in written:
+        line = at + 1 if at >= 0 else len(lines)
+        assert message == (
+            f"ValidationError: {path}:{line}: {key} holds a lone surrogate, "
+            "which UTF-8 cannot encode"
+        )
+    else:
+        assert not message.startswith("ValidationError"), message
+    oracle = {ingest_candidates: oracles.ingest_candidates, load_pairs: oracles.load_pairs}
+    assert _outcome(oracle[read], path) == message
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -646,7 +645,7 @@ class TestComparisonWorkers:
     def report_bytes(self, tmp_path, name: str) -> bytes:
         out = tmp_path / name
         assert main(self.ARGS + ["--out", str(out)]) == 0
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
         return out.read_bytes()
 
     def test_report_bytes_do_not_depend_on_the_worker_count(self, monkeypatch, tmp_path, pids):
@@ -687,18 +686,87 @@ class TestComparisonWorkers:
         world = make_world(n_sources=6, n_outputs=8, seed=3)
         with pytest.raises(ValidationError, match="^training failed on one seed$"):
             run_comparison(world, ("cr_plus",), seeds=(0, 1, 2, 3), k=6)
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
 
         marker.unlink()
         out = tmp_path / "report.json"
         assert main(self.ARGS + ["--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: training failed on one seed\n"
-        assert multiprocessing.active_children() == []
+        _assert_no_child_left()
         assert not out.exists()
+
+    def test_a_killed_worker_fails_the_run_and_leaves_no_child(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # Worker 0 kills itself at its first seed, seed 0, while worker 1 may
+        # still be running seeds 1 and 3: it must be ended and reaped too.
+        def config(**kwargs):
+            if kwargs["seed"] == 0:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return SelectionConfig(**kwargs)
+
+        monkeypatch.setattr(toylab, "SelectionConfig", config)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        world = make_world(n_sources=6, n_outputs=8, seed=3)
+        with pytest.raises(RuntimeError, match=r"^seed worker 0 died \(killed by signal 9\)"):
+            run_comparison(world, ("cr_plus",), seeds=(0, 1, 2, 3), k=6)
+        _assert_no_child_left()
+
+        out = tmp_path / "report.json"
+        assert main(self.ARGS + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "internal error: RuntimeError: seed worker 0 died (killed by signal 9) "
+            "before sending its results\n"
+        )
+        _assert_no_child_left()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("failing, reported", [({1, 2}, 1), ({0, 3}, 0)])
+    def test_the_first_failing_seed_is_reported_whichever_worker_ran_it(
+        self, monkeypatch, failing, reported
+    ):
+        # Two workers: worker 0 runs seeds 0 and 2, worker 1 runs 1 and 3, so
+        # the two failures happen in different workers.
+        def task(seed):
+            if seed in failing:
+                raise ValidationError(f"seed {seed} failed")
+            return [seed]
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(ValidationError, match=f"^seed {reported} failed$"):
+            toylab._map_seeds(task, (0, 1, 2, 3))
+        _assert_no_child_left()
+
+    def test_each_worker_runs_a_stripe_and_results_come_back_in_seed_order(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        results = toylab._map_seeds(lambda seed: [seed * seed, os.getpid()], (7, 3, 9, 1, 4))
+        _assert_no_child_left()
+        assert [square for square, _ in results] == [49, 9, 81, 1, 16]
+        pids = [pid for _, pid in results]
+        assert pids[0] == pids[2] == pids[4] != pids[1] == pids[3]
+        assert os.getpid() not in pids
+
+    @pytest.mark.parametrize("kind", ["local", "two_args"])
+    def test_an_error_that_does_not_pickle_arrives_as_its_repr(self, monkeypatch, kind):
+        class LocalError(Exception):  # a local class, which pickle cannot name
+            pass
+
+        error = LocalError("no pickle") if kind == "local" else _TwoArgError("no", "unpickle")
+
+        def task(seed):
+            if seed == 1:
+                raise error
+            return [seed]
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(RuntimeError) as raised:
+            toylab._map_seeds(task, (0, 1, 2))
+        assert str(raised.value) == repr(error)
+        _assert_no_child_left()
 
     def test_workers_die_with_a_killed_parent(self, tmp_path):
         # A parent whose two workers block in training is killed: the kernel
-        # must end the workers too, or they would wait for work forever.
+        # must end the workers too, or they would run on for nobody.
         log = tmp_path / "pids.txt"
         script = (
             "import os, time\n"
@@ -734,6 +802,20 @@ class TestComparisonWorkers:
             for pid in workers:
                 if _running(pid):
                     os.kill(pid, signal.SIGKILL)
+
+
+class _TwoArgError(Exception):
+    """Pickles, but does not unpickle: its args hold one message, and its
+    constructor takes two."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+def _assert_no_child_left() -> None:
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _running(pid: int) -> bool:
