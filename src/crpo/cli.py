@@ -2,6 +2,11 @@
 
 Exit codes: 0 on success, 2 for input/validation problems (including usage
 errors), 1 for internal failures.
+
+Importing this module loads no numpy: ``losses`` and ``toylab`` load when a
+``losses`` or ``toy`` command calls ``gradient_check``, ``make_world`` or
+``run_comparison`` below, and ``scoring``, ``selectors`` and ``dataio``
+import numpy inside the functions that compute with arrays.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from .core import (
     GATE_MODES,
     INTO_EN,
     LOGPROB_NORMS,
+    MAX_COMPARE_CANDIDATES,
     METHODS,
     OUT_OF_EN,
     UTILITY_RANKED_METHODS,
@@ -34,12 +40,30 @@ from .dataio import (
     save_stats_csv,
     save_utility_matrices,
 )
-from .losses import gradient_check
 from .scoring import utility_matrix_for_set
 from .selectors import select_dataset
-from .toylab import MAX_COMPARE_CANDIDATES, make_world, run_comparison
 
 GRADIENT_TOLERANCE = 1e-4
+
+
+# The handlers call these three through their names here, so a caller can
+# replace them in this module; each loads its module on first call.
+def gradient_check(*args, **kwargs):
+    from .losses import gradient_check
+
+    return gradient_check(*args, **kwargs)
+
+
+def make_world(*args, **kwargs):
+    from .toylab import make_world
+
+    return make_world(*args, **kwargs)
+
+
+def run_comparison(*args, **kwargs):
+    from .toylab import run_comparison
+
+    return run_comparison(*args, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:

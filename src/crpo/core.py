@@ -37,6 +37,15 @@ DEFAULT_ETA = {OUT_OF_EN: 0.6, INTO_EN: 0.5}
 # (picks beyond K only repeat candidates).
 MAX_RSO_SAMPLES = 1024
 
+# Largest number of candidates ``toy compare`` samples (seeds x sources x K).
+# Each one is a ``Candidate`` object of about 0.6 KB.  A worker process keeps
+# only the candidates of the seed it is running, and the parent, which only
+# waits for the workers, keeps none.  So the bound caps the sampling and
+# selection work that sizes taken from the command line can ask for; it is
+# about forty times the benchmark's.  It lives here, not in ``toylab``, so the
+# command line checks it before it loads the toy lab and numpy.
+MAX_COMPARE_CANDIDATES = 1_000_000
+
 # Selectors that rank candidates by expected utility rather than by reward.
 # Their pairs are labeled by utility rank, so the chosen-reward >=
 # rejected-reward check does not apply to them.
@@ -257,6 +266,16 @@ class PreferenceDataset:
         return resolved
 
 
+# A bool is an int to Python, but True is not the number a pair file's
+# provenance should record, so the numeric knobs of ``SelectionConfig`` reject it.
+def _finite_knob(value: object) -> bool:
+    return type(value) is not bool and math.isfinite(value)
+
+
+def _integer_knob(value: object) -> bool:
+    return isinstance(value, int) and type(value) is not bool
+
+
 @dataclass(frozen=True)
 class SelectionConfig:
     """Knobs shared by all selectors.
@@ -284,25 +303,25 @@ class SelectionConfig:
             raise ValidationError(
                 f"unknown method {self.method!r}; valid tags: {', '.join(METHODS)}"
             )
-        if not math.isfinite(self.k_trust) or self.k_trust <= 0:
+        if not _finite_knob(self.k_trust) or self.k_trust <= 0:
             raise ValidationError(f"k_trust must be finite and > 0, got {self.k_trust!r}")
-        if not math.isfinite(self.beta) or self.beta <= 0:
+        if not _finite_knob(self.beta) or self.beta <= 0:
             raise ValidationError(f"beta must be finite and > 0, got {self.beta!r}")
         for key, value in self.eta.items():
-            if not math.isfinite(value) or not 0.0 < value < 1.0:
+            if not _finite_knob(value) or not 0.0 < value < 1.0:
                 raise ValidationError(f"eta[{key!r}] must lie in (0, 1), got {value!r}")
         if self.gate_mode not in GATE_MODES:
             raise ValidationError(
                 f"unknown gate mode {self.gate_mode!r}; valid modes: {', '.join(GATE_MODES)}"
             )
-        if not math.isfinite(self.epsilon) or self.epsilon < 0:
+        if not _finite_knob(self.epsilon) or self.epsilon < 0:
             raise ValidationError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
-        if not isinstance(self.rso_samples, int) or not 2 <= self.rso_samples <= MAX_RSO_SAMPLES:
+        if not _integer_knob(self.rso_samples) or not 2 <= self.rso_samples <= MAX_RSO_SAMPLES:
             raise ValidationError(
                 f"rso_samples must be an integer in [2, {MAX_RSO_SAMPLES}], "
                 f"got {self.rso_samples!r}"
             )
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _integer_knob(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.logprob_norm not in LOGPROB_NORMS:
             raise ValidationError(

@@ -18,6 +18,10 @@ record may hold ``_meta``.  Every reader decodes UTF-8, parses and type-checks
 through one path, so every malformed line is reported as ``file:line``.  Floats
 are written in Python's shortest round-trip representation, so emit followed by
 ingest is lossless, and identical inputs produce byte-identical outputs.
+
+Only ``emit_stats`` and ``load_utility_matrices`` compute with arrays; they
+import numpy when called, so reading candidates and writing pairs does not
+load it.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ import json
 import operator
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
-
-import numpy as np
 
 from .core import (
     _FLOAT_MAX,
@@ -420,6 +422,8 @@ def _finite_mean(values: Sequence[float]) -> float:
     """``np.mean`` of finite values, rescaled by the largest magnitude when the
     plain sum overflows (log-likelihoods near -1.8e308 do); each rescaled
     partial sum is at most its count, so the mean stays finite."""
+    import numpy as np
+
     with np.errstate(over="ignore"):
         mean = np.mean(values)
     if not np.isfinite(mean):
@@ -441,6 +445,8 @@ def emit_stats(
     selector normalized them: by the ``logprob_norm`` of the dataset's
     provenance config (``sum`` if absent).
     """
+    import numpy as np
+
     if not 1 <= bins <= MAX_BINS:
         raise ValidationError(f"bins must lie in [1, {MAX_BINS}], got {bins}")
     resolved = dataset.validate_against(sets)
@@ -527,6 +533,8 @@ def save_utility_matrices(
 
 def load_utility_matrices(path: str | Path) -> dict[str, UtilityMatrix]:
     """Read utility-matrix blocks back into per-source matrices."""
+    import numpy as np
+
     matrices: dict[str, UtilityMatrix] = {}
     lines = _lines(path)
     for lineno, line in lines:

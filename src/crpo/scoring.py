@@ -1,13 +1,19 @@
 """MBR utilities: the utility matrix type, expected utilities and the
-built-in character n-gram utility."""
+built-in character n-gram utility.
+
+numpy is imported inside the functions that use it, so importing this
+module (as ``selectors`` and ``dataio`` do) does not load it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import CandidateSet, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Character n-gram settings of the built-in utility: orders 1..6 with recall
 # weighted twice as heavily as precision (beta = 2).
@@ -30,6 +36,8 @@ class UtilityMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         object.__setattr__(self, "ids", tuple(self.ids))
         if not all(isinstance(c, str) for c in self.ids):
             raise ValidationError("utility matrix ids must be strings")
@@ -50,6 +58,8 @@ class UtilityMatrix:
 
 def mbr_scores(matrix: UtilityMatrix) -> np.ndarray:
     """Expected utility of every candidate, self-utility excluded."""
+    import numpy as np
+
     k = len(matrix.ids)
     if k < 2:
         raise ValidationError("expected utility needs at least 2 candidates")
@@ -69,6 +79,8 @@ def _clipped_matches(
     diagonal and are dropped.  E is built _TABLE_CELLS cells (K x block
     width) at a time; a block may split a gram's columns.
     """
+    import numpy as np
+
     holders = np.bincount(gram)
     shared = holders[gram] >= 2
     gram, text, count = gram[shared], text[shared], count[shared]
@@ -114,6 +126,8 @@ def utility_matrix_for_set(cset: CandidateSet) -> UtilityMatrix:
     few K x K tables, and one block of at most _TABLE_CELLS cells of a
     threshold table.
     """
+    import numpy as np
+
     texts = ["".join(cand.text.split()) for cand in cset.candidates]
     k = len(texts)
     lengths = np.array([len(text) for text in texts], dtype=np.int64)

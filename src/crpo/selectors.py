@@ -8,6 +8,11 @@ break toward the lexicographically smallest candidate id.
 
 ``random_pair_outcome`` is the random-pair control of ``toy compare``; like
 the reward-labeled selectors, it labels its pair with ``_Pool.by_reward``.
+
+The reward and confidence selectors compute on Python floats: a pool holds
+K floats and each score is one correctly rounded float64 operation per
+candidate, the same as numpy's.  numpy is imported only inside the RSO and
+MBR functions, so a command that runs neither never loads it.
 """
 
 from __future__ import annotations
@@ -17,9 +22,7 @@ import itertools
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import (
     CandidateSet,
@@ -32,14 +35,13 @@ from .core import (
 )
 from .scoring import UtilityMatrix, mbr_scores, utility_matrix_for_set
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # Draw budget of the stochastic subsampler, as a multiple of the target
 # number of acceptances.
 RSO_MAX_DRAW_FACTOR = 64
 
-# Constants of the PCG64 word replay in ``_rso_proposals``.
-_LOW32 = np.uint64(0xFFFF_FFFF)
-_U32 = np.uint64(32)
-_U11 = np.uint64(11)
 _TWO_M53 = 2.0**-53  # ``Generator.random()`` is (word >> 11) * 2**-53
 
 # The configuration ``random_pair_outcome`` labels its pairs under.
@@ -62,20 +64,20 @@ class SelectionOutcome:
 @dataclass(frozen=True)
 class _Pool:
     """One candidate set with its aggregate rewards and effective
-    log-likelihoods, both indexed like ``cset.candidates`` (id order), and
-    ``best``: the index of the reward argmax (the smallest id on ties), which
-    is the chosen side of every reward-labeled selector."""
+    log-likelihoods, both lists of floats indexed like ``cset.candidates``
+    (id order), and ``best``: the index of the reward argmax (the smallest id
+    on ties), which is the chosen side of every reward-labeled selector."""
 
     cset: CandidateSet
-    reward: np.ndarray
-    logp: np.ndarray
+    reward: list[float]
+    logp: list[float]
     best: int
 
     @classmethod
     def of(cls, cset: CandidateSet, config: SelectionConfig) -> _Pool:
-        reward = np.array([c.reward_agg for c in cset.candidates], dtype=np.float64)
-        logp = np.array([effective_logprob(c, config) for c in cset.candidates])
-        return cls(cset, reward, logp, int(np.argmax(reward)))
+        reward = [c.reward_agg for c in cset.candidates]
+        logp = [effective_logprob(c, config) for c in cset.candidates]
+        return cls(cset, reward, logp, reward.index(max(reward)))
 
     def pair(
         self,
@@ -88,7 +90,7 @@ class _Pool:
         winner, loser = self.cset.candidates[chosen], self.cset.candidates[rejected]
         extras = {
             "reward_gap": winner.reward_agg - loser.reward_agg,
-            "confidence_gap": float(self.logp[rejected] - self.logp[chosen]),
+            "confidence_gap": self.logp[rejected] - self.logp[chosen],
         }
         if extra:
             extras.update(extra)
@@ -113,21 +115,24 @@ class _Pool:
     def select(
         self,
         method: str,
-        scores: np.ndarray,
+        scores: Sequence[float],
         skip_reason: str,
-        mask: np.ndarray | None = None,
+        among: Sequence[int] | None = None,
     ) -> SelectionOutcome:
         """Pair the reward argmax with the first argmax of ``scores`` among
-        the other candidates that ``mask`` keeps and whose score is strictly
-        positive; skip with ``skip_reason`` when there is none."""
-        keep = scores > 0.0
-        keep[self.best] = False
-        if mask is not None:
-            keep &= mask
-        if not keep.any():
+        the other candidates whose score is strictly positive, taken from the
+        ascending indices ``among`` (all of them when None); skip with
+        ``skip_reason`` when there is none."""
+        best = self.best
+        keep = [
+            j for j in (range(len(scores)) if among is None else among)
+            if scores[j] > 0.0 and j != best
+        ]
+        if not keep:
             return SelectionOutcome(skipped_reason=skip_reason)
-        rejected = int(np.argmax(np.where(keep, scores, -np.inf)))
-        pair = self.pair(self.best, rejected, float(scores[rejected]), method)
+        # max returns the first of equal maxima: the smallest index, as argmax.
+        rejected = max(keep, key=scores.__getitem__)
+        pair = self.pair(best, rejected, scores[rejected], method)
         return SelectionOutcome(pairs=(pair,))
 
 
@@ -146,15 +151,17 @@ def random_pair_outcome(cset: CandidateSet, rng: np.random.Generator) -> Selecti
     return SelectionOutcome(pairs=(pair,))
 
 
-def _likelihood_gate(pool: _Pool, config: SelectionConfig) -> np.ndarray | None:
-    """Competitors that pass the likelihood gate, or None when it is off."""
+def _likelihood_gate(pool: _Pool, config: SelectionConfig) -> list[int] | None:
+    """Indices of the candidates that pass the likelihood gate, ascending, or
+    None when it is off."""
     if config.gate_mode == "off":
         return None
     if config.gate_mode == "log_space":
         likelihood = pool.logp
     else:
-        likelihood = np.array([math.exp(lp) for lp in pool.logp])
-    return likelihood - likelihood[pool.best] + config.epsilon > 0.0
+        likelihood = [math.exp(lp) for lp in pool.logp]
+    floor, epsilon = likelihood[pool.best], config.epsilon
+    return [j for j, value in enumerate(likelihood) if value - floor + epsilon > 0.0]
 
 
 def _crpo(pool: _Pool, config: SelectionConfig, _utility: object) -> SelectionOutcome:
@@ -168,12 +175,13 @@ def _crpo(pool: _Pool, config: SelectionConfig, _utility: object) -> SelectionOu
     ``cr_plus`` and ``cr_times`` oracles in ``tests/oracles.py``, so they
     match those references exactly.
     """
-    gap = pool.reward[pool.best] - pool.reward
-    logp_gap = pool.logp - pool.logp[pool.best]
+    top_reward, top_logp = pool.reward[pool.best], pool.logp[pool.best]
+    pool_pairs = zip(pool.reward, pool.logp)
     if config.method == "cr_plus":
-        scores = config.k_trust * gap + logp_gap
+        k_trust = config.k_trust
+        scores = [k_trust * (top_reward - r) + (lp - top_logp) for r, lp in pool_pairs]
     else:
-        scores = gap * logp_gap
+        scores = [(top_reward - r) * (lp - top_logp) for r, lp in pool_pairs]
     return pool.select(
         config.method, scores, "no positive CR score", _likelihood_gate(pool, config)
     )
@@ -197,6 +205,8 @@ class RsoSample:
 
 def rso_acceptance_probs(agg_rewards: Sequence[float], beta: float) -> np.ndarray:
     """Per-candidate acceptance probability exp((r - r_max) / beta)."""
+    import numpy as np
+
     if beta <= 0 or not math.isfinite(beta):
         raise ValidationError(f"beta must be finite and > 0, got {beta!r}")
     rewards = np.asarray(agg_rewards, dtype=np.float64)
@@ -215,6 +225,8 @@ class _Pcg64Words:
     """
 
     def __init__(self, rng: np.random.Generator) -> None:
+        import numpy as np
+
         self._bitgen = rng.bit_generator
         state = self._bitgen.state
         if state["bit_generator"] != "PCG64":
@@ -227,6 +239,8 @@ class _Pcg64Words:
 
     def ahead(self, n: int) -> np.ndarray:
         """The next ``n`` unread words, left unread."""
+        import numpy as np
+
         short = self.pos + n - len(self._words)
         if short > 0:
             self._words = np.concatenate((self._words, self._bitgen.random_raw(short)))
@@ -277,6 +291,9 @@ def _rso_proposals(
     double from twice the expected number of proposals, so the words drawn
     stay within a small multiple of the words the loop reads.
     """
+    import numpy as np
+
+    low32, u32, u11 = np.uint64(0xFFFF_FFFF), np.uint64(32), np.uint64(11)
     k = len(probs)
     stream = _Pcg64Words(rng)
     if min(budget, n_samples) <= 0:
@@ -311,13 +328,13 @@ def _rso_proposals(
             # The low and high halves of the I words, in that order.
             u = words[:, 0].astype("<u8").view("<u4")[:t]
             m = np.multiply(u, np.uint64(k), dtype=np.uint64)
-            j = (m >> _U32).astype(np.intp)
+            j = (m >> u32).astype(np.intp)
             doubles = words[:, 1:].ravel()[:t]
             if threshold:
-                redraws = ((m & _LOW32) < threshold).nonzero()[0]
+                redraws = ((m & low32) < threshold).nonzero()[0]
                 if len(redraws):
                     t, word_by_word = int(redraws[0]), True
-        ok = (doubles[:t] >> _U11) * _TWO_M53 < probs[j[:t]]
+        ok = (doubles[:t] >> u11) * _TWO_M53 < probs[j[:t]]
         hits = ok.nonzero()[0]
         need = n_samples - n_accepted
         if len(hits) >= need:
@@ -331,9 +348,9 @@ def _rso_proposals(
         else:
             stream.pos += 3 * (t // 2) + 2 * (t % 2)
             if t % 2:
-                stream.has, stream.uint = 1, int(words[t // 2, 0] >> _U32)
+                stream.has, stream.uint = 1, int(words[t // 2, 0] >> u32)
             elif t:
-                stream.uint = int(words[t // 2 - 1, 0] >> _U32)
+                stream.uint = int(words[t // 2 - 1, 0] >> u32)
     stream.close()
     return np.concatenate(proposed), np.concatenate(accepted)
 
@@ -354,6 +371,8 @@ def rso_subsample(
     come from ``rng``, which must be a PCG64 ``Generator``, exactly as
     ``rng.integers(K)`` then ``rng.random()`` per proposal would take them.
     """
+    import numpy as np
+
     probs = np.asarray(acceptance_probs, dtype=np.float64)
     k = len(probs)
     proposed, accepted = _rso_proposals(probs, n_samples, max_draw_factor * n_samples, rng)
@@ -410,8 +429,13 @@ def _rsdpo(pool: _Pool, config: SelectionConfig, _utility: object) -> SelectionO
         )
     eta = config.eta[klass]
     # Keeps (chosen i, rejected j) with r_i - r_j > eta > 0, in id order.
-    wide = pool.reward[:, None] - pool.reward[None, :] > eta
-    pairs = [pool.by_reward(i, j, "rs_dpo") for i, j in zip(*np.nonzero(wide))]
+    reward = pool.reward
+    pairs = [
+        pool.by_reward(i, j, "rs_dpo")
+        for i, high in enumerate(reward)
+        for j, low in enumerate(reward)
+        if high - low > eta
+    ]
     if not pairs:
         return SelectionOutcome(skipped_reason="no reward gap above eta")
     return SelectionOutcome(pairs=tuple(pairs))
@@ -420,6 +444,8 @@ def _rsdpo(pool: _Pool, config: SelectionConfig, _utility: object) -> SelectionO
 def _mbr_scores(pool: _Pool, matrix: UtilityMatrix | None) -> np.ndarray:
     """Expected utility of every candidate in id order: of ``matrix``
     permuted into id order, or of the built-in utility without one."""
+    import numpy as np
+
     if matrix is None:
         return mbr_scores(utility_matrix_for_set(pool.cset))
     ids = tuple(c.id for c in pool.cset.candidates)
@@ -442,6 +468,8 @@ def _mbr(pool: _Pool, config: SelectionConfig, utility: UtilityMatrix | None) ->
     precomputed matrix over the set's ids; without one the built-in utility
     is used.
     """
+    import numpy as np
+
     method = config.method
     score = _mbr_scores(pool, utility)
     ranked = [int(j) for j in np.argsort(-score, kind="stable")]
@@ -477,30 +505,31 @@ def _reward_extremes(pool: _Pool, config: SelectionConfig, _utility: object) -> 
     min(rso_samples, K) for ``top_scores``.
 
     The argmin is taken on the rewards, not on the gaps: two distinct low
-    rewards can round to the same gap below the best one.
+    rewards can round to the same gap below the best one.  The n kept are
+    the first n of a stable descending sort, so a tie at the cut keeps its
+    smallest ids; ``min`` returns the first of equal minima.
     """
-    n = len(pool.reward)
-    if config.method == "top_scores":
-        n = min(config.rso_samples, n)
-    kept = np.argsort(-pool.reward, kind="stable")[:n]
-    worst = np.zeros(len(pool.reward), dtype=bool)
-    worst[kept[np.argmin(pool.reward[kept])]] = True
-    return pool.select(
-        config.method, pool.reward[pool.best] - pool.reward, "zero reward gap", worst
-    )
+    reward = pool.reward
+    if config.method == "top_scores" and config.rso_samples < len(reward):
+        kept = sorted(range(len(reward)), key=reward.__getitem__, reverse=True)
+        worst = min(kept[: config.rso_samples], key=reward.__getitem__)
+    else:
+        worst = reward.index(min(reward))
+    top = reward[pool.best]
+    return pool.select(config.method, [top - r for r in reward], "zero reward gap", (worst,))
 
 
 def _minmax_p(pool: _Pool, config: SelectionConfig, _utility: object) -> SelectionOutcome:
     """Reward-free variant: best-reward candidate versus the competitor the
     reference policy is most (strictly more) confident in."""
-    return pool.select(
-        "minmax_p", pool.logp - pool.logp[pool.best], "no positive confidence gap"
-    )
+    top = pool.logp[pool.best]
+    return pool.select("minmax_p", [lp - top for lp in pool.logp], "no positive confidence gap")
 
 
 def _minmax_po(pool: _Pool, config: SelectionConfig, _utility: object) -> SelectionOutcome:
     """Pair the most and least likely candidates, chosen by higher reward."""
-    most, least = int(np.argmax(pool.logp)), int(np.argmin(pool.logp))
+    logp = pool.logp
+    most, least = logp.index(max(logp)), logp.index(min(logp))
     if most == least:
         return SelectionOutcome(skipped_reason="degenerate likelihood range")
     pair = pool.by_reward(most, least, "minmax_po")
@@ -511,6 +540,8 @@ def _minmax_po(pool: _Pool, config: SelectionConfig, _utility: object) -> Select
 
 def per_source_rng(seed: int, source_id: str) -> np.random.Generator:
     """Generator that is stable per (seed, source) regardless of set order."""
+    import numpy as np
+
     return np.random.default_rng([seed, zlib.crc32(source_id.encode("utf-8"))])
 
 

@@ -23,7 +23,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import METHODS, Candidate, CandidateSet, SelectionConfig, ValidationError
+from .core import (
+    MAX_COMPARE_CANDIDATES,
+    METHODS,
+    Candidate,
+    CandidateSet,
+    SelectionConfig,
+    ValidationError,
+)
 from .losses import LossConfig, PairBatch, batch_loss_and_grad, log_softmax
 from .selectors import SelectionOutcome, random_pair_outcome, run_selector
 
@@ -37,18 +44,14 @@ COMPARE_METHODS = METHODS + ("random_pair",)
 # hundred times the benchmark world.
 MAX_WORLD_CELLS = 1_000_000
 
-# Largest number of candidates a comparison samples (seeds x sources x K).
-# Each one is a ``Candidate`` object of about 0.6 KB.  A worker process keeps
-# only the candidates of the seed it is running, and the parent, which only
-# waits for the workers, keeps none.  So the bound caps the sampling and
-# selection work that sizes taken from the command line can ask for; it is
-# about forty times the benchmark's.
-MAX_COMPARE_CANDIDATES = 1_000_000
+# The cap on the candidates a comparison samples is ``MAX_COMPARE_CANDIDATES``,
+# imported from ``core``, where the command line checks it before it loads
+# this module.
 
-# Largest K a comparison samples per source.  ``rs_dpo`` and the MBR methods
-# build a K x K float64 table per pool, which stays under 8 MB at this bound;
-# it also keeps the candidate ids k000..k999 at three digits, so their id order
-# is their sampling order.
+# Largest K a comparison samples per source.  ``rs_dpo`` compares all K x K
+# reward pairs of a pool and the MBR methods build a K x K float64 table per
+# pool, which stays under 8 MB at this bound; it also keeps the candidate ids
+# k000..k999 at three digits, so their id order is their sampling order.
 MAX_COMPARE_K = 1000
 
 # Largest worst-case training batch of one (method, seed) run, counted as

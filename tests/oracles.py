@@ -28,6 +28,11 @@
   equal results or raise the same ``ValidationError`` message on every file.
   The ids and method tags, which crpo writes back out, may not hold a lone
   surrogate; texts may.
+- ``ArrayPool`` and ``array_select`` are the reward and confidence selectors
+  on numpy arrays (``np.argmax``, boolean masks, a stable ``np.argsort``), as
+  ``crpo.selectors`` ran them before it moved to Python lists; the list
+  selectors must give the same outcome, with every score and extra equal bit
+  for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +52,10 @@ from crpo.core import (
     CandidateSet,
     PreferenceDataset,
     PreferencePair,
+    SelectionConfig,
     ValidationError,
+    direction_class,
+    effective_logprob,
 )
 from crpo.dataio import (
     _CANDIDATE_FIELDS,
@@ -543,3 +551,162 @@ def load_pairs(path: str | Path) -> PreferenceDataset:
     return PreferenceDataset(
         pairs=tuple(pairs), sft_targets=tuple(sft_targets), provenance=provenance
     )
+
+
+@dataclass(frozen=True)
+class ArrayPool:
+    """One candidate set with its aggregate rewards and effective
+    log-likelihoods, both indexed like ``cset.candidates`` (id order), and
+    ``best``: the index of the reward argmax (the smallest id on ties), which
+    is the chosen side of every reward-labeled selector."""
+
+    cset: CandidateSet
+    reward: np.ndarray
+    logp: np.ndarray
+    best: int
+
+    @classmethod
+    def of(cls, cset: CandidateSet, config: SelectionConfig) -> ArrayPool:
+        reward = np.array([c.reward_agg for c in cset.candidates], dtype=np.float64)
+        logp = np.array([effective_logprob(c, config) for c in cset.candidates])
+        return cls(cset, reward, logp, int(np.argmax(reward)))
+
+    def pair(
+        self,
+        chosen: int,
+        rejected: int,
+        score: float,
+        method: str,
+        extra: Mapping[str, float] | None = None,
+    ) -> PreferencePair:
+        winner, loser = self.cset.candidates[chosen], self.cset.candidates[rejected]
+        extras = {
+            "reward_gap": winner.reward_agg - loser.reward_agg,
+            "confidence_gap": float(self.logp[rejected] - self.logp[chosen]),
+        }
+        if extra:
+            extras.update(extra)
+        return PreferencePair(
+            source_id=self.cset.source_id,
+            chosen_id=winner.id,
+            rejected_id=loser.id,
+            score=score,
+            method=method,
+            extras=extras,
+        )
+
+    def by_reward(self, a: int, b: int, method: str) -> PreferencePair | None:
+        """Candidates ``a`` and ``b`` paired with the higher reward chosen and
+        scored by the reward gap, or None when their rewards are equal."""
+        gap = self.cset.candidates[a].reward_agg - self.cset.candidates[b].reward_agg
+        if gap == 0.0:
+            return None
+        chosen, rejected = (a, b) if gap > 0.0 else (b, a)
+        return self.pair(chosen, rejected, abs(gap), method)
+
+    def select(
+        self,
+        method: str,
+        scores: np.ndarray,
+        skip_reason: str,
+        mask: np.ndarray | None = None,
+    ) -> SelectionOutcome:
+        """Pair the reward argmax with the first argmax of ``scores`` among
+        the other candidates that ``mask`` keeps and whose score is strictly
+        positive; skip with ``skip_reason`` when there is none."""
+        keep = scores > 0.0
+        keep[self.best] = False
+        if mask is not None:
+            keep &= mask
+        if not keep.any():
+            return SelectionOutcome(skipped_reason=skip_reason)
+        rejected = int(np.argmax(np.where(keep, scores, -np.inf)))
+        pair = self.pair(self.best, rejected, float(scores[rejected]), method)
+        return SelectionOutcome(pairs=(pair,))
+
+
+def _likelihood_gate(pool: ArrayPool, config: SelectionConfig) -> np.ndarray | None:
+    """Competitors that pass the likelihood gate, or None when it is off."""
+    if config.gate_mode == "off":
+        return None
+    if config.gate_mode == "log_space":
+        likelihood = pool.logp
+    else:
+        likelihood = np.array([math.exp(lp) for lp in pool.logp])
+    return likelihood - likelihood[pool.best] + config.epsilon > 0.0
+
+
+def _crpo(pool: ArrayPool, config: SelectionConfig) -> SelectionOutcome:
+    gap = pool.reward[pool.best] - pool.reward
+    logp_gap = pool.logp - pool.logp[pool.best]
+    if config.method == "cr_plus":
+        scores = config.k_trust * gap + logp_gap
+    else:
+        scores = gap * logp_gap
+    return pool.select(
+        config.method, scores, "no positive CR score", _likelihood_gate(pool, config)
+    )
+
+
+def _rsdpo(pool: ArrayPool, config: SelectionConfig) -> SelectionOutcome:
+    klass = direction_class(pool.cset.direction)
+    if klass not in config.eta:
+        raise ValidationError(
+            f"source {pool.cset.source_id!r}: no eta threshold for direction class {klass!r}"
+        )
+    eta = config.eta[klass]
+    # Keeps (chosen i, rejected j) with r_i - r_j > eta > 0, in id order.
+    wide = pool.reward[:, None] - pool.reward[None, :] > eta
+    pairs = [pool.by_reward(i, j, "rs_dpo") for i, j in zip(*np.nonzero(wide))]
+    if not pairs:
+        return SelectionOutcome(skipped_reason="no reward gap above eta")
+    return SelectionOutcome(pairs=tuple(pairs))
+
+
+def _reward_extremes(pool: ArrayPool, config: SelectionConfig) -> SelectionOutcome:
+    n = len(pool.reward)
+    if config.method == "top_scores":
+        n = min(config.rso_samples, n)
+    kept = np.argsort(-pool.reward, kind="stable")[:n]
+    worst = np.zeros(len(pool.reward), dtype=bool)
+    worst[kept[np.argmin(pool.reward[kept])]] = True
+    return pool.select(
+        config.method, pool.reward[pool.best] - pool.reward, "zero reward gap", worst
+    )
+
+
+def _minmax_p(pool: ArrayPool, config: SelectionConfig) -> SelectionOutcome:
+    return pool.select(
+        "minmax_p", pool.logp - pool.logp[pool.best], "no positive confidence gap"
+    )
+
+
+def _minmax_po(pool: ArrayPool, config: SelectionConfig) -> SelectionOutcome:
+    most, least = int(np.argmax(pool.logp)), int(np.argmin(pool.logp))
+    if most == least:
+        return SelectionOutcome(skipped_reason="degenerate likelihood range")
+    pair = pool.by_reward(most, least, "minmax_po")
+    if pair is None:
+        return SelectionOutcome(skipped_reason="zero reward gap")
+    return SelectionOutcome(pairs=(pair,))
+
+
+_ARRAY_SELECTORS = {
+    "cr_plus": _crpo,
+    "cr_times": _crpo,
+    "rs_dpo": _rsdpo,
+    "top_scores": _reward_extremes,
+    "minmax_r": _reward_extremes,
+    "minmax_p": _minmax_p,
+    "minmax_po": _minmax_po,
+}
+
+# The methods ``array_select`` runs: every selector that reads only rewards
+# and log-likelihoods, and needs no random draws or utilities.
+ARRAY_METHODS = tuple(_ARRAY_SELECTORS)
+
+
+def array_select(cset: CandidateSet, config: SelectionConfig) -> SelectionOutcome:
+    """``config.method``'s outcome on one set of two or more candidates, from
+    the array selectors."""
+    return _ARRAY_SELECTORS[config.method](ArrayPool.of(cset, config), config)

@@ -767,3 +767,57 @@ def test_oversized_flag_is_rejected_before_allocating(tmp_path, argv, flag):
     assert proc.stderr.startswith("error: ")
     assert flag in proc.stderr
     assert not out.exists()
+
+
+# The commands whose selectors compute on Python floats and load no numpy.
+NUMPY_FREE_METHODS = (
+    "cr_plus", "cr_times", "rs_dpo", "qe_best", "top_scores", "minmax_r", "minmax_p", "minmax_po"
+)
+NUMPY_FREE_GATES = ("log_space", "probability")
+
+
+def _run_python(script, *args):
+    # Run from src/ so the package under test is found without installing it.
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        cwd=HERE.parent / "src",
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestStartupWithoutNumpy:
+    def test_import_loads_no_numpy(self):
+        proc = _run_python("import json, sys, crpo.cli; print(json.dumps(list(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        assert "crpo.selectors" in loaded
+        assert not [name for name in loaded if name.split(".")[0] == "numpy"]
+
+    def test_reward_and_confidence_selectors_run_where_numpy_cannot_load(self, tmp_path):
+        runs = {f"{method}.jsonl": [method] for method in NUMPY_FREE_METHODS}
+        for gate in NUMPY_FREE_GATES:
+            runs[f"cr_plus_{gate}.jsonl"] = ["cr_plus", "--gate", gate]
+        argvs = [
+            ["select", "--in", str(FIXTURE), "--out", str(tmp_path / name), "--method", *args]
+            for name, args in runs.items()
+        ]
+        proc = _run_python(
+            "import json, sys\n"
+            "sys.modules['numpy'] = None  # every import of numpy now fails\n"
+            "from crpo.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps(codes), file=sys.stderr)\n",
+            json.dumps(argvs),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stderr.splitlines()[-1]) == [0] * len(argvs), proc.stderr
+        for method in NUMPY_FREE_METHODS:
+            golden = GOLDEN / f"pairs_{method}.jsonl"
+            assert (tmp_path / f"{method}.jsonl").read_bytes() == golden.read_bytes(), method
+        for gate in NUMPY_FREE_GATES:
+            with_numpy = tmp_path / f"with_numpy_{gate}.jsonl"
+            assert run_select(with_numpy, "cr_plus", ["--gate", gate]) == 0
+            blocked = tmp_path / f"cr_plus_{gate}.jsonl"
+            assert blocked.read_bytes() == with_numpy.read_bytes(), gate

@@ -228,6 +228,18 @@ class TestSelectionConfig:
         with pytest.raises(ValidationError):
             SelectionConfig(**kwargs)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("knob", ["seed", "rso_samples", "k_trust", "beta", "epsilon", "eta"])
+    def test_bool_is_not_a_number(self, knob, flag):
+        # True would pass as 1 and be recorded as true in the provenance.
+        kwargs = {"eta": {"out_of_en": flag}} if knob == "eta" else {knob: flag}
+        with pytest.raises(ValidationError, match=knob):
+            SelectionConfig(**kwargs)
+
+    def test_ints_still_accepted_where_bools_are_not(self):
+        config = SelectionConfig(seed=1, k_trust=1, beta=1, epsilon=0, rso_samples=2)
+        assert (config.seed, config.k_trust, config.beta, config.epsilon) == (1, 1, 1, 0)
+
 
 class TestEffectiveLogprob:
     def test_sum_mode_passthrough(self):
