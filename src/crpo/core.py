@@ -69,6 +69,12 @@ def _is_number(value: object) -> bool:
     return kind is float or kind is int or (isinstance(value, (int, float)) and kind is not bool)
 
 
+def is_finite_number(value: object) -> bool:
+    """True for an int or a float, but not a bool, within the float range: the
+    check every numeric knob makes before its own range test."""
+    return _is_number(value) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
 def aggregate_reward(rewards: Mapping[str, float]) -> float:
     """Unweighted mean of the per-model reward scores for one candidate."""
     if not rewards:
@@ -266,12 +272,6 @@ class PreferenceDataset:
         return resolved
 
 
-# A bool is an int to Python, but True is not the number a pair file's
-# provenance should record, so the numeric knobs of ``SelectionConfig`` reject it.
-def _finite_knob(value: object) -> bool:
-    return type(value) is not bool and math.isfinite(value)
-
-
 def _integer_knob(value: object) -> bool:
     return isinstance(value, int) and type(value) is not bool
 
@@ -303,18 +303,20 @@ class SelectionConfig:
             raise ValidationError(
                 f"unknown method {self.method!r}; valid tags: {', '.join(METHODS)}"
             )
-        if not _finite_knob(self.k_trust) or self.k_trust <= 0:
+        if not is_finite_number(self.k_trust) or self.k_trust <= 0:
             raise ValidationError(f"k_trust must be finite and > 0, got {self.k_trust!r}")
-        if not _finite_knob(self.beta) or self.beta <= 0:
+        if not is_finite_number(self.beta) or self.beta <= 0:
             raise ValidationError(f"beta must be finite and > 0, got {self.beta!r}")
+        if not isinstance(self.eta, Mapping):
+            raise ValidationError(f"eta must map direction classes to gaps, got {self.eta!r}")
         for key, value in self.eta.items():
-            if not _finite_knob(value) or not 0.0 < value < 1.0:
+            if not is_finite_number(value) or not 0.0 < value < 1.0:
                 raise ValidationError(f"eta[{key!r}] must lie in (0, 1), got {value!r}")
         if self.gate_mode not in GATE_MODES:
             raise ValidationError(
                 f"unknown gate mode {self.gate_mode!r}; valid modes: {', '.join(GATE_MODES)}"
             )
-        if not _finite_knob(self.epsilon) or self.epsilon < 0:
+        if not is_finite_number(self.epsilon) or self.epsilon < 0:
             raise ValidationError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
         if not _integer_knob(self.rso_samples) or not 2 <= self.rso_samples <= MAX_RSO_SAMPLES:
             raise ValidationError(

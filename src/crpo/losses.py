@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, is_finite_number
 
 # Step of the central finite differences in gradient_check.
 _FD_STEP = 1e-5
@@ -43,15 +43,8 @@ class LossConfig:
     beta: float = 0.1
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.beta) or self.beta <= 0:
+        if not is_finite_number(self.beta) or self.beta <= 0:
             raise ValidationError(f"beta must be finite and > 0, got {self.beta!r}")
-
-
-# Most rounds of fancy-indexed adds per SFT term in one ``batch_loss_and_grad``
-# step.  ``rso`` makes up to 4 pairs per source at the default ``rso_samples``
-# and ``mbr_bmw`` up to 3; rows with more pairs get their SFT terms from the
-# kernel's ``np.bincount`` instead (see ``PairBatch``).
-MAX_SFT_ROUNDS = 4
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -67,32 +60,19 @@ class PairBatch:
     triples against the reference log-probability table and keeps what every
     evaluation of ``batch_loss_and_grad`` reads: the source rows, the
     reference log-probabilities of winners and losers, the flat cells of the
-    gradient scatter, and the rounds that add the SFT terms.
-
-    Every pair adds the same SFT row vector to its row, and the same constant
-    to its winner cell, so the c pairs of one row are c rounds of adds over
-    distinct rows: round k covers the rows with more than k pairs.  Rows with
-    more than ``MAX_SFT_ROUNDS`` pairs ("deep" rows) take no rounds: the
-    kernel's one ``np.bincount`` adds their SFT terms after the pairwise
-    terms, so no step runs more than ``MAX_SFT_ROUNDS`` rounds per term.
+    gradient scatter, and the number of pairs in each row.
     """
 
     shape: tuple[int, int]
     s: np.ndarray
     ref_w: np.ndarray
     ref_l: np.ndarray
-    # Flat cells of the kernel's bincount, in the order of their weights: the
-    # winner cells, then the loser cells, of every pair; then, for each pair
-    # in a deep row, its row's cells; then those pairs' winner cells.
+    # Flat cells of the kernel's bincount, in the order of its weights: the
+    # winner cells, the loser cells, then the winner cells again for the SFT
+    # term, each in pair order.
     cells: np.ndarray
-    # The row of each pair in a deep row, in pair order.
-    deep_s: np.ndarray
-    # Round k of the SFT row term: a (rows, 1) mask of the rows that are not
-    # deep and have more than k pairs, or True when that is every row.
-    row_rounds: tuple[np.ndarray | bool, ...]
-    # Round k of the SFT winner term: the distinct flat winner cells of more
-    # than k pairs outside the deep rows.
-    winner_rounds: tuple[np.ndarray, ...]
+    # A (rows, 1) float column: the number of pairs in each row.
+    per_row: np.ndarray
 
     @classmethod
     def of(cls, pairs: Sequence[tuple[int, int, int]], ref_logp: np.ndarray) -> PairBatch:
@@ -123,30 +103,14 @@ class PairBatch:
             raise ValidationError("pair index out of range for the logit table")
         row = s * n_outputs
         win = row + w
-        per_row = np.bincount(s, minlength=n_sources)
-        deep = per_row[s] > MAX_SFT_ROUNDS
-        shallow_per_row = np.where(per_row > MAX_SFT_ROUNDS, 0, per_row)
-        row_rounds = []
-        for k in range(int(shallow_per_row.max(initial=0))):
-            rows = shallow_per_row[:, None] > k
-            row_rounds.append(True if rows.all() else _frozen(rows))
-        # A winner cell has at most as many pairs as its row.
-        cell, per_cell = np.unique(win[~deep], return_counts=True)
-        winner_rounds = tuple(
-            _frozen(cell[per_cell > k]) for k in range(int(per_cell.max(initial=0)))
-        )
-        cells = np.concatenate(
-            [win, row + l, (row[deep, None] + np.arange(n_outputs)).ravel(), win[deep]]
-        )
+        per_row = np.bincount(s, minlength=n_sources).astype(np.float64)
         return cls(
             shape=(n_sources, n_outputs),
             s=_frozen(s.copy()),
             ref_w=_frozen(ref_logp[s, w]),
             ref_l=_frozen(ref_logp[s, l]),
-            cells=_frozen(cells),
-            deep_s=_frozen(s[deep]),
-            row_rounds=tuple(row_rounds),
-            winner_rounds=winner_rounds,
+            cells=_frozen(np.concatenate([win, row + l, win])),
+            per_row=_frozen(per_row.reshape(-1, 1)),
         )
 
 
@@ -173,28 +137,18 @@ def batch_loss_and_grad(
     z = config.beta * ((theta_w - batch.ref_w) - (theta_l - batch.ref_l))
     losses = np.logaddexp(0.0, -z) - theta_w
     dloss_dz = -_sigmoid(-z)
-    sft_row = np.exp(logp)
-    # Each cell sums its terms in the order of one np.add.at call per term
-    # (winner, loser, SFT row, SFT winner, each in pair order), bit for bit.
-    # bincount adds its weights in input order: the pairwise terms, then the
-    # SFT terms of the deep rows.  Every pair of a row adds the same SFT
-    # values, so the rounds over distinct rows and cells that follow add the
-    # other rows' SFT terms in that order too, with no pairs x outputs
-    # temporary.
-    weights = np.concatenate([
-        dloss_dz * config.beta,
-        -dloss_dz * config.beta,
-        sft_row.take(batch.deep_s, axis=0).ravel(),
-        np.full(len(batch.deep_s), -1.0),
-    ])
+    # bincount adds its weights in input order, so every cell sums its terms
+    # as one np.add.at call per term would (winner, loser, SFT winner, each in
+    # pair order).  Every pair of a row adds the same SFT row term, the row's
+    # probabilities, so the row adds them once, times its number of pairs.
+    weights = np.concatenate(
+        [dloss_dz * config.beta, -dloss_dz * config.beta, np.full(n, -1.0)]
+    )
     grad = np.bincount(
         batch.cells, weights=weights, minlength=batch.shape[0] * batch.shape[1]
     ).reshape(batch.shape)
-    for rows in batch.row_rounds:
-        np.add(grad, sft_row, out=grad, where=rows)
-    flat = grad.reshape(-1)
-    for winners in batch.winner_rounds:
-        flat[winners] -= 1.0
+    probs = np.exp(logp, out=logp)
+    grad += np.multiply(probs, batch.per_row, out=probs)
     loss = float(losses.sum() / n)
     if not math.isfinite(loss):
         raise ValidationError("non-finite loss")

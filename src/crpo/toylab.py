@@ -55,15 +55,15 @@ MAX_WORLD_CELLS = 1_000_000
 MAX_COMPARE_K = 1000
 
 # Largest worst-case training batch of one (method, seed) run, counted as
-# pairs x (outputs + 3): the length of its ``PairBatch`` cell index when every
-# source holds more than ``losses.MAX_SFT_ROUNDS`` pairs, which then adds its
-# SFT terms through that index.  ``rs_dpo`` keeps up to K(K-1)/2 pairs per
-# source, each a ``PreferencePair`` of about 0.5 KB until training, and a
-# training step handles about 24 bytes per cell (the index and two
-# temporaries), so the bound keeps sizes taken from the command line within a
-# few hundred MB per worker process: each worker trains one run at a time.
-# ``rs_dpo`` at the benchmark's size (160 sources x 64 outputs, K=16) needs
-# 1.3 million cells.
+# pairs x (outputs + 3): a table row plus 3 scatter cells per pair, which
+# over-counts a batch whose pairs share rows.  With at least 2 outputs this
+# allows at most 400,000 pairs, and fewer on wider tables.  ``rs_dpo`` keeps
+# up to K(K-1)/2 pairs per source, each a ``PreferencePair`` of about 0.5 KB
+# until training, and a training step holds 3 cells per pair (its
+# ``PairBatch`` cell index and the bincount's weights), so the bound keeps
+# sizes taken from the command line within a few hundred MB per worker
+# process: each worker trains one run at a time.  ``rs_dpo`` at the
+# benchmark's size (160 sources x 64 outputs, K=16) counts 1.3 million cells.
 MAX_COMPARE_PAIR_CELLS = 2_000_000
 
 # The one training schedule of ``train_dpo``: full-batch steps and step size.

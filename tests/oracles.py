@@ -182,8 +182,9 @@ def delta_loss(
 def sequential_scatter_loss_and_grad(
     logits: np.ndarray, ref_logp: np.ndarray, pairs, cfg: LossConfig
 ) -> tuple[float, np.ndarray]:
-    """The batch objective with one np.add.at call per gradient term, in the
-    order winner, loser, SFT row, SFT winner."""
+    """The batch objective with one np.add.at call per pairwise gradient term,
+    in the order winner, loser, SFT winner, then each row's SFT row term as
+    (pairs in the row) x (the row's probabilities)."""
     s, w, l = np.asarray(pairs, dtype=np.int64).T
     logp = log_softmax(logits)
     z = cfg.beta * ((logp[s, w] - ref_logp[s, w]) - (logp[s, l] - ref_logp[s, l]))
@@ -192,8 +193,8 @@ def sequential_scatter_loss_and_grad(
     expected = np.zeros_like(logits)
     np.add.at(expected, (s, w), dloss_dz * cfg.beta)
     np.add.at(expected, (s, l), -dloss_dz * cfg.beta)
-    np.add.at(expected, s, np.exp(logp)[s])
     np.add.at(expected, (s, w), -1.0)
+    expected += np.bincount(s, minlength=len(logits))[:, None] * np.exp(logp)
     return float(losses.sum() / len(pairs)), expected / len(pairs)
 
 

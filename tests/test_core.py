@@ -17,6 +17,7 @@ from crpo.core import (
     direction_class,
     effective_logprob,
 )
+from crpo.losses import LossConfig
 
 from conftest import make_set
 
@@ -239,6 +240,27 @@ class TestSelectionConfig:
     def test_ints_still_accepted_where_bools_are_not(self):
         config = SelectionConfig(seed=1, k_trust=1, beta=1, epsilon=0, rso_samples=2)
         assert (config.seed, config.k_trust, config.beta, config.epsilon) == (1, 1, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "config, kwargs",
+    [
+        (SelectionConfig, {"k_trust": "1"}),
+        (SelectionConfig, {"k_trust": 10**400}),
+        (SelectionConfig, {"beta": None}),
+        (SelectionConfig, {"epsilon": None}),
+        (SelectionConfig, {"eta": {"out_of_en": "0.5"}}),
+        (SelectionConfig, {"eta": [("out_of_en", 0.5)]}),
+        (SelectionConfig, {"eta": 0.5}),
+        (LossConfig, {"beta": True}),
+        (LossConfig, {"beta": "0.1"}),
+        (LossConfig, {"beta": -(10**400)}),
+    ],
+)
+def test_a_knob_that_is_no_finite_number_is_a_validation_error(config, kwargs):
+    (knob,) = kwargs
+    with pytest.raises(ValidationError, match=knob):
+        config(**kwargs)
 
 
 class TestEffectiveLogprob:
