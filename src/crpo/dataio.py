@@ -19,18 +19,20 @@ through one path, so every malformed line is reported as ``file:line``.  Floats
 are written in Python's shortest round-trip representation, so emit followed by
 ingest is lossless, and identical inputs produce byte-identical outputs.
 
-Only ``emit_stats`` and ``load_utility_matrices`` compute with arrays; they
-import numpy when called, so reading candidates and writing pairs does not
-load it.
+No function here loads numpy.  ``emit_stats`` bins and averages on Python
+floats, bit for bit as ``np.linspace``, ``np.histogram`` and ``np.mean``
+did, and the utility-matrix reader keeps each row as Python floats.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import gc
 import hashlib
 import itertools
 import json
+import math
 import operator
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -45,7 +47,7 @@ from .core import (
     ValidationError,
     effective_logprob,
 )
-from .scoring import UtilityMatrix
+from .scoring import UtilityMatrix, pairwise_sum
 
 # Largest histogram resolution of ``emit_stats``.  Each method's report holds
 # four histograms of this many counts, so the bound keeps a size taken from the
@@ -419,17 +421,39 @@ _STATS_SERIES = (
 
 
 def _finite_mean(values: Sequence[float]) -> float:
-    """``np.mean`` of finite values, rescaled by the largest magnitude when the
-    plain sum overflows (log-likelihoods near -1.8e308 do); each rescaled
-    partial sum is at most its count, so the mean stays finite."""
-    import numpy as np
+    """``np.mean`` of finite values, bit for bit, rescaled by the largest
+    magnitude when the plain sum overflows (log-likelihoods near -1.8e308
+    do); each rescaled partial sum is at most its count, so the mean stays
+    finite."""
+    mean = pairwise_sum(values) / len(values)
+    if not math.isfinite(mean):
+        scale = max(map(abs, values))
+        mean = scale * (pairwise_sum([v / scale for v in values]) / len(values))
+    return mean
 
-    with np.errstate(over="ignore"):
-        mean = np.mean(values)
-    if not np.isfinite(mean):
-        scale = np.max(np.abs(values))
-        mean = scale * np.mean(np.divide(values, scale))
-    return float(mean)
+
+def _linspace(lo: float, hi: float, num: int) -> list[float]:
+    """``np.linspace(lo, hi, num).tolist()`` for num >= 2, bit for bit:
+    i * step + lo, or (i / div) * delta + lo when the step underflows to 0,
+    and ``hi`` itself as the last edge."""
+    div = num - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0:
+        edges = [i / div * delta + lo for i in range(num)]
+    else:
+        edges = [i * step + lo for i in range(num)]
+    edges[-1] = hi
+    return edges
+
+
+def _histogram(values: Sequence[float], edges: Sequence[float]) -> list[int]:
+    """``np.histogram(values, bins=edges)[0].tolist()``: the count of values
+    in each [edges[i], edges[i + 1]), the last bin closed on the right."""
+    ordered = sorted(values)
+    below = [bisect.bisect_left(ordered, edge) for edge in edges[:-1]]
+    below.append(bisect.bisect_right(ordered, edges[-1]))
+    return [high - low for low, high in zip(below, below[1:])]
 
 
 def emit_stats(
@@ -445,8 +469,6 @@ def emit_stats(
     selector normalized them: by the ``logprob_norm`` of the dataset's
     provenance config (``sum`` if absent).
     """
-    import numpy as np
-
     if not 1 <= bins <= MAX_BINS:
         raise ValidationError(f"bins must lie in [1, {MAX_BINS}], got {bins}")
     resolved = dataset.validate_against(sets)
@@ -467,8 +489,8 @@ def emit_stats(
         lo, hi = max(lo - half, -_FLOAT_MAX), hi + half
     report = {
         "bins": bins,
-        "reward_edges": np.linspace(0.0, 1.0, bins + 1).tolist(),
-        "logprob_edges": np.linspace(lo, hi, bins + 1).tolist(),
+        "reward_edges": _linspace(0.0, 1.0, bins + 1),
+        "logprob_edges": _linspace(lo, hi, bins + 1),
         "methods": {},
         "n_pairs": len(dataset.pairs),
         "n_sft_targets": len(dataset.sft_targets),
@@ -487,8 +509,7 @@ def emit_stats(
         }
         stats: dict[str, object] = {"n_pairs": len(chosen)}
         for name, edges_key in _STATS_SERIES:
-            counts, _ = np.histogram(series[name], bins=report[edges_key])
-            stats[f"{name}_hist"] = counts.tolist()
+            stats[f"{name}_hist"] = _histogram(series[name], report[edges_key])
             stats[f"{name}_mean"] = _finite_mean(series[name])
         stats["scatter"] = [
             [c.reward_agg - r.reward_agg, c_logprob - r_logprob]
@@ -527,14 +548,12 @@ def save_utility_matrices(
         for source_id, matrix in entries:
             header = {"source_id": source_id, "ids": list(matrix.ids)}
             handle.write(_encode(header) + "\n")
-            for row in matrix.values:
-                handle.write(" ".join(repr(float(v)) for v in row) + "\n")
+            for row in matrix.rows:
+                handle.write(" ".join(map(repr, row)) + "\n")
 
 
 def load_utility_matrices(path: str | Path) -> dict[str, UtilityMatrix]:
     """Read utility-matrix blocks back into per-source matrices."""
-    import numpy as np
-
     matrices: dict[str, UtilityMatrix] = {}
     lines = _lines(path)
     for lineno, line in lines:
@@ -562,7 +581,7 @@ def load_utility_matrices(path: str | Path) -> dict[str, UtilityMatrix]:
         if len(rows) < k:
             raise ValidationError(f"{where}: block for {source_id!r} is truncated")
         try:
-            matrices[source_id] = UtilityMatrix(ids=tuple(ids), values=np.array(rows))
+            matrices[source_id] = UtilityMatrix(ids=tuple(ids), values=rows)
         except ValidationError as err:
             raise ValidationError(f"{where}: {err}") from None
     return matrices

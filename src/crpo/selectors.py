@@ -11,8 +11,9 @@ the reward-labeled selectors, it labels its pair with ``_Pool.by_reward``.
 
 The reward and confidence selectors compute on Python floats: a pool holds
 K floats and each score is one correctly rounded float64 operation per
-candidate, the same as numpy's.  numpy is imported only inside the RSO and
-MBR functions, so a command that runs neither never loads it.
+candidate, the same as numpy's.  The MBR selectors rank Python floats too
+(``scoring.mbr_scores``).  numpy is imported only inside the RSO functions
+and the built-in utility, so a command that runs neither never loads it.
 """
 
 from __future__ import annotations
@@ -441,11 +442,9 @@ def _rsdpo(pool: _Pool, config: SelectionConfig, _utility: object) -> SelectionO
     return SelectionOutcome(pairs=tuple(pairs))
 
 
-def _mbr_scores(pool: _Pool, matrix: UtilityMatrix | None) -> np.ndarray:
+def _mbr_scores(pool: _Pool, matrix: UtilityMatrix | None) -> list[float]:
     """Expected utility of every candidate in id order: of ``matrix``
     permuted into id order, or of the built-in utility without one."""
-    import numpy as np
-
     if matrix is None:
         return mbr_scores(utility_matrix_for_set(pool.cset))
     ids = tuple(c.id for c in pool.cset.candidates)
@@ -454,7 +453,8 @@ def _mbr_scores(pool: _Pool, matrix: UtilityMatrix | None) -> np.ndarray:
         raise ValidationError(
             f"source {pool.cset.source_id!r}: utility matrix ids do not match the set"
         )
-    return mbr_scores(UtilityMatrix(ids, matrix.values[np.ix_(order, order)]))
+    rows = matrix.rows
+    return mbr_scores(UtilityMatrix(ids, [[rows[i][j] for j in order] for i in order]))
 
 
 def _mbr(pool: _Pool, config: SelectionConfig, utility: UtilityMatrix | None) -> SelectionOutcome:
@@ -464,26 +464,29 @@ def _mbr(pool: _Pool, config: SelectionConfig, utility: UtilityMatrix | None) ->
     as pseudo-references.  ``mbr_bw`` pairs the top and bottom of the
     ranking; ``mbr_bmw`` additionally uses the middle candidate (rank
     ceil(K/2)) and emits (best, middle), (best, worst), (middle, worst).
-    Labels follow the utility ranking, not the rewards.  ``utility`` is a
-    precomputed matrix over the set's ids; without one the built-in utility
-    is used.
+    Labels follow the utility ranking, not the rewards; equal expected
+    utilities keep id order.  ``utility`` is a precomputed matrix over the
+    set's ids; without one the built-in utility is used.  A finite matrix
+    can still sum to an infinite or NaN expected utility, which has no rank,
+    so that is rejected.
     """
-    import numpy as np
-
     method = config.method
     score = _mbr_scores(pool, utility)
-    ranked = [int(j) for j in np.argsort(-score, kind="stable")]
+    for j, value in enumerate(score):
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"source {pool.cset.source_id!r}: expected utility of candidate "
+                f"{pool.cset.candidates[j].id!r} is not finite ({value!r})"
+            )
+    ranked = sorted(range(len(score)), key=lambda j: -score[j])
 
     def mbr_pair(chosen: int, rejected: int) -> PreferencePair:
         return pool.pair(
             chosen,
             rejected,
-            float(score[chosen] - score[rejected]),
+            score[chosen] - score[rejected],
             method,
-            extra={
-                "mbr_chosen": float(score[chosen]),
-                "mbr_rejected": float(score[rejected]),
-            },
+            extra={"mbr_chosen": score[chosen], "mbr_rejected": score[rejected]},
         )
 
     best, worst = ranked[0], ranked[-1]

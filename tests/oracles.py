@@ -33,6 +33,12 @@
   ``crpo.selectors`` ran them before it moved to Python lists; the list
   selectors must give the same outcome, with every score and extra equal bit
   for bit.
+- ``mbr_scores`` and ``array_mbr`` rank a pool by expected utility on arrays
+  (row sums with ``ndarray.sum``, the ``np.ix_`` permutation into id order, a
+  stable ``np.argsort``), and ``finite_mean``, ``linspace`` and ``histogram``
+  are the numpy calls of the stats report, as ``crpo.scoring``,
+  ``crpo.selectors`` and ``crpo.dataio`` ran them before they moved to
+  Python floats; the float versions must equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -711,3 +717,56 @@ def array_select(cset: CandidateSet, config: SelectionConfig) -> SelectionOutcom
     """``config.method``'s outcome on one set of two or more candidates, from
     the array selectors."""
     return _ARRAY_SELECTORS[config.method](ArrayPool.of(cset, config), config)
+
+
+def mbr_scores(values: np.ndarray) -> np.ndarray:
+    """Expected utility of every candidate, self-utility excluded."""
+    return (values.sum(axis=1) - np.diag(values)) / (len(values) - 1)
+
+
+def array_mbr(
+    cset: CandidateSet, config: SelectionConfig, matrix_ids: Sequence[str], values: np.ndarray
+) -> SelectionOutcome:
+    """``config.method``'s MBR outcome on ``cset`` for a utility matrix over
+    ``matrix_ids`` (the set's ids in any order)."""
+    order = sorted(range(len(matrix_ids)), key=matrix_ids.__getitem__)
+    score = mbr_scores(np.asarray(values, dtype=np.float64)[np.ix_(order, order)])
+    ranked = [int(j) for j in np.argsort(-score, kind="stable")]
+    pool = ArrayPool.of(cset, config)
+
+    def mbr_pair(chosen: int, rejected: int) -> PreferencePair:
+        return pool.pair(
+            chosen,
+            rejected,
+            float(score[chosen] - score[rejected]),
+            config.method,
+            extra={"mbr_chosen": float(score[chosen]), "mbr_rejected": float(score[rejected])},
+        )
+
+    best, worst = ranked[0], ranked[-1]
+    if config.method == "mbr_bw":
+        return SelectionOutcome(pairs=(mbr_pair(best, worst),))
+    middle = ranked[math.ceil(len(ranked) / 2) - 1]
+    return SelectionOutcome(
+        pairs=(mbr_pair(best, middle), mbr_pair(best, worst), mbr_pair(middle, worst))
+    )
+
+
+def finite_mean(values: Sequence[float]) -> float:
+    """``np.mean`` of finite values, rescaled by the largest magnitude when
+    the plain sum overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.mean(values)
+    if not np.isfinite(mean):
+        scale = np.max(np.abs(values))
+        mean = scale * np.mean(np.divide(values, scale))
+    return float(mean)
+
+
+def linspace(lo: float, hi: float, num: int) -> list[float]:
+    with np.errstate(over="ignore"):  # the last edge, which is set to hi
+        return np.linspace(lo, hi, num).tolist()
+
+
+def histogram(values: Sequence[float], edges: Sequence[float]) -> list[int]:
+    return np.histogram(values, bins=edges)[0].tolist()

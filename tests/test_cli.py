@@ -17,7 +17,13 @@ import pytest
 
 from crpo.cli import main
 from crpo.core import PreferenceDataset, SelectionConfig
-from crpo.dataio import emit_pairs, ingest_candidates, load_pairs, load_utility_matrices
+from crpo.dataio import (
+    emit_pairs,
+    ingest_candidates,
+    load_pairs,
+    load_utility_matrices,
+    save_utility_matrices,
+)
 from crpo.scoring import UtilityMatrix
 from crpo.selectors import run_selector
 
@@ -774,6 +780,7 @@ NUMPY_FREE_METHODS = (
     "cr_plus", "cr_times", "rs_dpo", "qe_best", "top_scores", "minmax_r", "minmax_p", "minmax_po"
 )
 NUMPY_FREE_GATES = ("log_space", "probability")
+UTILITY_METHODS = ("mbr_bw", "mbr_bmw")
 
 
 def _run_python(script, *args):
@@ -785,6 +792,21 @@ def _run_python(script, *args):
         text=True,
         timeout=120,
     )
+
+
+def _main_without_numpy(argvs):
+    """Run ``crpo.cli.main`` on each argv in a fresh process where every
+    import of numpy fails; every run must exit 0."""
+    proc = _run_python(
+        "import json, sys\n"
+        "sys.modules['numpy'] = None  # every import of numpy now fails\n"
+        "from crpo.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps(codes), file=sys.stderr)\n",
+        json.dumps([[str(arg) for arg in argv] for argv in argvs]),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == [0] * len(argvs), proc.stderr
 
 
 class TestStartupWithoutNumpy:
@@ -800,19 +822,10 @@ class TestStartupWithoutNumpy:
         for gate in NUMPY_FREE_GATES:
             runs[f"cr_plus_{gate}.jsonl"] = ["cr_plus", "--gate", gate]
         argvs = [
-            ["select", "--in", str(FIXTURE), "--out", str(tmp_path / name), "--method", *args]
+            ["select", "--in", FIXTURE, "--out", tmp_path / name, "--method", *args]
             for name, args in runs.items()
         ]
-        proc = _run_python(
-            "import json, sys\n"
-            "sys.modules['numpy'] = None  # every import of numpy now fails\n"
-            "from crpo.cli import main\n"
-            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-            "print(json.dumps(codes), file=sys.stderr)\n",
-            json.dumps(argvs),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stderr.splitlines()[-1]) == [0] * len(argvs), proc.stderr
+        _main_without_numpy(argvs)
         for method in NUMPY_FREE_METHODS:
             golden = GOLDEN / f"pairs_{method}.jsonl"
             assert (tmp_path / f"{method}.jsonl").read_bytes() == golden.read_bytes(), method
@@ -821,3 +834,69 @@ class TestStartupWithoutNumpy:
             assert run_select(with_numpy, "cr_plus", ["--gate", gate]) == 0
             blocked = tmp_path / f"cr_plus_{gate}.jsonl"
             assert blocked.read_bytes() == with_numpy.read_bytes(), gate
+
+    def test_mbr_from_a_matrix_file_and_stats_run_where_numpy_cannot_load(self, tmp_path):
+        utility = ["--utility-matrix", str(GOLDEN / "utility_small.txt")]
+        argvs = [
+            ["select", "--in", FIXTURE, "--out", tmp_path / f"{method}.jsonl", "--method", method,
+             *utility]
+            for method in UTILITY_METHODS
+        ]
+        argvs.append(
+            ["stats", "--pairs", GOLDEN / "pairs_cr_plus.jsonl", "--candidates", FIXTURE,
+             "--out", tmp_path / "stats.json", "--bins", "6", "--csv", tmp_path / "stats.csv"]
+        )
+        _main_without_numpy(argvs)
+        for method in UTILITY_METHODS:
+            with_numpy = tmp_path / f"with_numpy_{method}.jsonl"
+            assert run_select(with_numpy, method, utility) == 0
+            blocked = (tmp_path / f"{method}.jsonl").read_bytes()
+            assert blocked == with_numpy.read_bytes(), method
+        golden_bmw = (GOLDEN / "pairs_mbr_bmw.jsonl").read_bytes()
+        assert (tmp_path / "mbr_bmw.jsonl").read_bytes() == golden_bmw
+        for ext in ("json", "csv"):
+            golden = (GOLDEN / f"stats_cr_plus.{ext}").read_bytes()
+            assert (tmp_path / f"stats.{ext}").read_bytes() == golden, ext
+
+
+# Entries of row 0 of a K = 16 matrix.  numpy's sum of 16 values adds entries
+# j and j + 8 into accumulator j, so 1 and 9 make one accumulator +-inf, and
+# 2 and 10 the opposite one: a finite matrix whose expected utility is +-inf
+# or NaN.
+NON_FINITE_ROWS = {
+    "inf": {1: 1e308, 9: 1e308},
+    "-inf": {1: -1e308, 9: -1e308},
+    "nan": {1: 1e308, 9: 1e308, 2: -1e308, 10: -1e308},
+}
+
+
+@pytest.mark.parametrize("method", UTILITY_METHODS)
+@pytest.mark.parametrize("utility", list(NON_FINITE_ROWS))
+def test_non_finite_expected_utility_is_rejected(tmp_path, method, utility):
+    ids = [f"c{j:02d}" for j in range(16)]
+    candidates = tmp_path / "candidates.jsonl"
+    records = [
+        {"source_id": "s_big", "source_text": "x", "direction": "en-de", "candidate_id": cid,
+         "text": cid, "logprob": -1.0, "rewards": {"qe": 0.5}}
+        for cid in ids
+    ]
+    candidates.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    values = [[1.0 if j == m else 0.5 for m in range(16)] for j in range(16)]
+    for m, value in NON_FINITE_ROWS[utility].items():
+        values[0][m] = value
+    matrices = tmp_path / "util.txt"
+    save_utility_matrices([("s_big", UtilityMatrix(tuple(ids), values))], matrices)
+    out = tmp_path / "pairs.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "crpo.cli", "select", "--in", str(candidates), "--out", str(out),
+         "--method", method, "--utility-matrix", str(matrices)],
+        cwd=HERE.parent / "src",
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"error: source 's_big': expected utility of candidate 'c00' is not finite ({utility})"
+    ]
+    assert not out.exists()
