@@ -3,6 +3,11 @@
 Exit codes: 0 on success, 2 for input/validation problems (including usage
 errors), 1 for internal failures.
 
+``main`` is the in-process entry: it returns the exit code and leaves the
+calling process running.  ``run`` is the process entry of ``python -m
+crpo.cli`` and the ``crpo`` console script: it ends the process as soon as
+``main`` has written its outputs, without the interpreter's teardown.
+
 Importing this module loads no numpy: ``losses`` and ``toylab`` load when a
 ``losses`` or ``toy`` command calls ``gradient_check``, ``make_world`` or
 ``run_comparison`` below, and ``scoring``, ``selectors`` and ``dataio``
@@ -14,8 +19,9 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .core import (
     DEFAULT_ETA,
@@ -251,5 +257,41 @@ def main(argv: Sequence[str] | None = None) -> int:
             gc.enable()
 
 
+def _observed() -> bool:
+    """Whether a tracer, profiler or monitoring tool (``trace``, ``cProfile``,
+    coverage, a debugger) is installed: each writes its results while the
+    interpreter shuts down."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6)
+    )
+
+
+def run(argv: Sequence[str] | None = None) -> NoReturn:
+    """Run one command as a process and end it with ``main``'s exit code.
+
+    Every output file is closed and every toy worker reaped when ``main``
+    returns, so after flushing stdout and stderr the process ends with
+    ``os._exit``: module teardown, the final collection and freeing numpy's
+    objects do no crpo work.  Under a tracer or profiler, or when the flush
+    fails, it exits the normal way instead, so the tool writes its results
+    and the interpreter reports the failed flush as it always does.  Usage
+    errors and ``--help`` raise ``SystemExit`` inside ``main`` and exit the
+    normal way too.
+    """
+    code = main(argv)
+    if not _observed():
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (AttributeError, OSError, ValueError):
+            pass  # a closed pipe, a full disk, a closed or missing stream
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

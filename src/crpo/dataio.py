@@ -57,6 +57,10 @@ MAX_BINS = 100_000
 # Read size of ``digest_file``.
 _DIGEST_CHUNK = 1 << 20
 
+# Buffer of the line readers: one read call per 64 KiB instead of one per
+# file-system block (4 KiB on common file systems).
+_READ_BUFFER = 1 << 16
+
 
 def digest_file(path: str | Path) -> str:
     """SHA-256 hex digest of a file's bytes, read in 1 MiB chunks so the
@@ -81,7 +85,7 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
     JSON whitespace, stays in its line, as do U+2028 and U+0085, which
     ``json.dumps`` writes unescaped in ids.  A line that is not strict UTF-8
     is named in the error."""
-    with open(path, "rb") as handle:
+    with open(path, "rb", buffering=_READ_BUFFER) as handle:
         for lineno, line in enumerate(handle, start=1):
             try:
                 text = line.decode()

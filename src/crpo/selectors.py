@@ -468,7 +468,9 @@ def _mbr(pool: _Pool, config: SelectionConfig, utility: UtilityMatrix | None) ->
     utilities keep id order.  ``utility`` is a precomputed matrix over the
     set's ids; without one the built-in utility is used.  A finite matrix
     can still sum to an infinite or NaN expected utility, which has no rank,
-    so that is rejected.
+    so that is rejected, and so is a gap between two finite expected
+    utilities that overflows (only K = 2 can: above it each expected
+    utility is at most half the largest float).
     """
     method = config.method
     score = _mbr_scores(pool, utility)
@@ -481,10 +483,18 @@ def _mbr(pool: _Pool, config: SelectionConfig, utility: UtilityMatrix | None) ->
     ranked = sorted(range(len(score)), key=lambda j: -score[j])
 
     def mbr_pair(chosen: int, rejected: int) -> PreferencePair:
+        gap = score[chosen] - score[rejected]
+        if not math.isfinite(gap):
+            candidates = pool.cset.candidates
+            raise ValidationError(
+                f"source {pool.cset.source_id!r}: expected-utility gap of candidate "
+                f"{candidates[chosen].id!r} over {candidates[rejected].id!r} overflows "
+                f"({score[chosen]!r} - {score[rejected]!r})"
+            )
         return pool.pair(
             chosen,
             rejected,
-            score[chosen] - score[rejected],
+            gap,
             method,
             extra={"mbr_chosen": score[chosen], "mbr_rejected": score[rejected]},
         )

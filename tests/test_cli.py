@@ -859,6 +859,16 @@ class TestStartupWithoutNumpy:
             assert (tmp_path / f"stats.{ext}").read_bytes() == golden, ext
 
 
+def _write_pool(path: Path, source_id: str, ids) -> Path:
+    records = [
+        {"source_id": source_id, "source_text": "x", "direction": "en-de", "candidate_id": cid,
+         "text": cid, "logprob": -1.0, "rewards": {"qe": 0.5}}
+        for cid in ids
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
 # Entries of row 0 of a K = 16 matrix.  numpy's sum of 16 values adds entries
 # j and j + 8 into accumulator j, so 1 and 9 make one accumulator +-inf, and
 # 2 and 10 the opposite one: a finite matrix whose expected utility is +-inf
@@ -874,13 +884,7 @@ NON_FINITE_ROWS = {
 @pytest.mark.parametrize("utility", list(NON_FINITE_ROWS))
 def test_non_finite_expected_utility_is_rejected(tmp_path, method, utility):
     ids = [f"c{j:02d}" for j in range(16)]
-    candidates = tmp_path / "candidates.jsonl"
-    records = [
-        {"source_id": "s_big", "source_text": "x", "direction": "en-de", "candidate_id": cid,
-         "text": cid, "logprob": -1.0, "rewards": {"qe": 0.5}}
-        for cid in ids
-    ]
-    candidates.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    candidates = _write_pool(tmp_path / "candidates.jsonl", "s_big", ids)
     values = [[1.0 if j == m else 0.5 for m in range(16)] for j in range(16)]
     for m, value in NON_FINITE_ROWS[utility].items():
         values[0][m] = value
@@ -900,3 +904,137 @@ def test_non_finite_expected_utility_is_rejected(tmp_path, method, utility):
         f"error: source 's_big': expected utility of candidate 'c00' is not finite ({utility})"
     ]
     assert not out.exists()
+
+
+def test_overflowing_expected_utility_gap_is_rejected(tmp_path, capsys):
+    # Both expected utilities are finite, their difference is not.
+    candidates = _write_pool(tmp_path / "candidates.jsonl", "s", ["a", "b"])
+    matrices = tmp_path / "util.txt"
+    save_utility_matrices([("s", UtilityMatrix(("a", "b"), [[1.0, 1.7e308], [-1.7e308, 1.0]]))],
+                          matrices)
+    out = tmp_path / "pairs.jsonl"
+    rc = main(["select", "--in", str(candidates), "--out", str(out), "--method", "mbr_bw",
+               "--utility-matrix", str(matrices)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: source 's': expected-utility gap of candidate 'a' over 'b' overflows "
+        "(1.7e+308 - -1.7e+308)"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", UTILITY_METHODS)
+def test_largest_expected_utility_gap_of_three_candidates_is_kept(tmp_path, method):
+    # From K = 3 on, each expected utility is at most half the largest float,
+    # so no gap overflows: this matrix gives expected utilities +-M/2 and 0.
+    big = sys.float_info.max
+    candidates = _write_pool(tmp_path / "candidates.jsonl", "s", ["a", "b", "c"])
+    matrices = tmp_path / "util.txt"
+    values = [[1.0, big, 0.0], [0.0, 1.0, 0.0], [0.0, -big, 1.0]]
+    save_utility_matrices([("s", UtilityMatrix(("a", "b", "c"), values))], matrices)
+    out = tmp_path / "pairs.jsonl"
+    assert main(["select", "--in", str(candidates), "--out", str(out), "--method", method,
+                 "--utility-matrix", str(matrices)]) == 0
+    pairs = {(p.chosen_id, p.rejected_id): p.score for p in load_pairs(out).pairs}
+    assert pairs[("a", "c")] == big
+    if method == "mbr_bmw":
+        assert pairs == {("a", "b"): big / 2, ("a", "c"): big, ("b", "c"): big / 2}
+
+
+def _crpo_process(*argv, prefix=("-m", "crpo.cli"), unbuffered=False, **kwargs):
+    """Run ``python <prefix> <argv>`` from src/ with stdout and stderr
+    block-buffered, or unbuffered as under PYTHONUNBUFFERED."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, *prefix, *map(str, argv)],
+        cwd=HERE.parent / "src",
+        env=env,
+        stderr=subprocess.PIPE,
+        text=True,
+        timeout=120,
+        **kwargs,
+    )
+
+
+def _select_argv(out, candidates=FIXTURE):
+    return ["select", "--in", candidates, "--out", out, "--method", "cr_plus"]
+
+
+# The entry that always exits the normal way: main's exit code through sys.exit.
+SYS_EXIT_ENTRY = ("-c", "import sys\nfrom crpo.cli import main\nsys.exit(main())")
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+
+
+class TestProcessEntry:
+    @BUFFERING
+    def test_summary_reaches_a_pipe(self, tmp_path, unbuffered):
+        out = tmp_path / "pairs.jsonl"
+        proc = _crpo_process(*_select_argv(out), unbuffered=unbuffered)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"wrote 3 pairs, 0 sft targets (0 of 3 sources skipped) -> {out}\n"
+        assert proc.stderr == ""
+        assert out.read_bytes() == (GOLDEN / "pairs_cr_plus.jsonl").read_bytes()
+
+    @BUFFERING
+    def test_malformed_record_names_the_line(self, tmp_path, unbuffered):
+        bad = _with_line_2(FIXTURE, tmp_path / "bad.jsonl", "0xff")
+        out = tmp_path / "pairs.jsonl"
+        proc = _crpo_process(*_select_argv(out, bad), unbuffered=unbuffered)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {bad}:2: not valid UTF-8\n"
+        assert proc.stdout == ""
+        assert not out.exists()
+
+    @BUFFERING
+    @pytest.mark.parametrize("sink", ["full disk", "closed pipe"])
+    def test_failed_stdout_keeps_the_status_and_message(self, tmp_path, unbuffered, sink):
+        if sink == "full disk" and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        procs = []
+        for prefix in (("-m", "crpo.cli"), SYS_EXIT_ENTRY):
+            if sink == "full disk":
+                with open("/dev/full", "w") as stdout:
+                    procs.append(_crpo_process(*_select_argv(tmp_path / "p.jsonl"),
+                                               prefix=prefix, unbuffered=unbuffered,
+                                               stdout=stdout))
+            else:
+                read_end, write_end = os.pipe()
+                os.close(read_end)
+                try:
+                    procs.append(_crpo_process(*_select_argv(tmp_path / "p.jsonl"),
+                                               prefix=prefix, unbuffered=unbuffered,
+                                               stdout=write_end))
+                finally:
+                    os.close(write_end)
+        now, before = procs
+        assert (now.returncode, now.stderr) == (before.returncode, before.stderr)
+        errno = "[Errno 28] No space left on device" if sink == "full disk" else "[Errno 32] "
+        assert errno in now.stderr
+        assert "Traceback" not in now.stderr
+        # Unbuffered, main's print fails and main reports it; buffered, the
+        # interpreter's last flush fails and it reports it with status 120.
+        assert now.returncode == (2 if unbuffered else 120)
+        assert (tmp_path / "p.jsonl").read_bytes() == (GOLDEN / "pairs_cr_plus.jsonl").read_bytes()
+
+    def test_profile_is_written_under_cprofile(self, tmp_path):
+        import pstats
+
+        out, profile = tmp_path / "pairs.jsonl", tmp_path / "prof.out"
+        proc = _crpo_process(*_select_argv(out), prefix=("-m", "cProfile", "-o", profile,
+                                                         "-m", "crpo.cli"))
+        assert proc.returncode == 0, proc.stderr
+        assert profile.stat().st_size > 0
+        profiled = {(Path(file).name, name) for file, _, name in pstats.Stats(str(profile)).stats}
+        assert ("cli.py", "main") in profiled
+        assert out.read_bytes() == (GOLDEN / "pairs_cr_plus.jsonl").read_bytes()
+
+    def test_counts_are_written_under_trace(self, tmp_path):
+        out, coverdir = tmp_path / "pairs.jsonl", tmp_path / "cover"
+        proc = _crpo_process(*_select_argv(out), prefix=("-m", "trace", "--count", "--coverdir",
+                                                         coverdir, "--module", "crpo.cli"))
+        assert proc.returncode == 0, proc.stderr
+        assert (coverdir / "crpo.cli.cover").stat().st_size > 0
+        assert out.read_bytes() == (GOLDEN / "pairs_cr_plus.jsonl").read_bytes()
