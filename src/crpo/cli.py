@@ -245,7 +245,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.run(args)
+        code = args.run(args)
+        if sys.stdout is not None:  # None when the process started without fd 1
+            sys.stdout.flush()  # a full disk or a closed pipe is reported here
+        return code
     except (ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -272,25 +275,23 @@ def _observed() -> bool:
 def run(argv: Sequence[str] | None = None) -> NoReturn:
     """Run one command as a process and end it with ``main``'s exit code.
 
-    Every output file is closed and every toy worker reaped when ``main``
-    returns, so after flushing stdout and stderr the process ends with
-    ``os._exit``: module teardown, the final collection and freeing numpy's
-    objects do no crpo work.  Under a tracer or profiler, or when the flush
-    fails, it exits the normal way instead, so the tool writes its results
-    and the interpreter reports the failed flush as it always does.  Usage
-    errors and ``--help`` raise ``SystemExit`` inside ``main`` and exit the
-    normal way too.
+    Every output file is closed, every toy worker reaped and stdout flushed
+    (or its failure reported) when ``main`` returns, so after flushing stdout
+    and stderr the process ends with ``os._exit``, even if that flush fails:
+    module teardown, the final collection and freeing numpy's objects do no
+    crpo work.  Under a tracer or profiler it exits the normal way instead,
+    so the tool writes its results.  Usage errors and ``--help`` raise
+    ``SystemExit`` inside ``main`` and exit the normal way too.
     """
     code = main(argv)
-    if not _observed():
+    if _observed():
+        sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
         try:
-            sys.stdout.flush()
-            sys.stderr.flush()
+            stream.flush()
         except (AttributeError, OSError, ValueError):
             pass  # a closed pipe, a full disk, a closed or missing stream
-        else:
-            os._exit(code)
-    sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -75,6 +75,12 @@ def is_finite_number(value: object) -> bool:
     return _is_number(value) and -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
+def is_integer(value: object) -> bool:
+    """True for an int, but not a bool: the check every integer knob makes
+    before its own range test."""
+    return isinstance(value, int) and type(value) is not bool
+
+
 def aggregate_reward(rewards: Mapping[str, float]) -> float:
     """Unweighted mean of the per-model reward scores for one candidate."""
     if not rewards:
@@ -272,10 +278,6 @@ class PreferenceDataset:
         return resolved
 
 
-def _integer_knob(value: object) -> bool:
-    return isinstance(value, int) and type(value) is not bool
-
-
 @dataclass(frozen=True)
 class SelectionConfig:
     """Knobs shared by all selectors.
@@ -318,12 +320,12 @@ class SelectionConfig:
             )
         if not is_finite_number(self.epsilon) or self.epsilon < 0:
             raise ValidationError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
-        if not _integer_knob(self.rso_samples) or not 2 <= self.rso_samples <= MAX_RSO_SAMPLES:
+        if not is_integer(self.rso_samples) or not 2 <= self.rso_samples <= MAX_RSO_SAMPLES:
             raise ValidationError(
                 f"rso_samples must be an integer in [2, {MAX_RSO_SAMPLES}], "
                 f"got {self.rso_samples!r}"
             )
-        if not _integer_knob(self.seed) or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.logprob_norm not in LOGPROB_NORMS:
             raise ValidationError(

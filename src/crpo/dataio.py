@@ -166,10 +166,9 @@ def _read_records(path: str | Path, add: Callable[[dict, int], None]) -> dict:
 # are matched exactly, as ``json`` builds only the exact built-in types, so no
 # field accepts a boolean although bool is a subclass of int.  The values go on
 # positionally: the candidate table ends with Candidate's fields and the pair
-# table holds PreferencePair's, each in constructor order.  The candidate, pair
-# and SFT tables are mirrored by the exact-type tests in ``ingest_candidates``
-# and ``load_pairs``, which must accept exactly what the tables accept: change
-# both together.
+# table holds PreferencePair's, each in constructor order.  The candidate table
+# is mirrored by the exact-type test in ``ingest_candidates``, which must accept
+# exactly what the table accepts: change both together.
 _MISSING_LOGPROB = "missing logprob (CR scores require reference-policy likelihoods)"
 _STR = (str,)
 _NUMBER = (int, float)
@@ -202,14 +201,11 @@ _MATRIX_HEADER_FIELDS = (
 )
 
 
-def _required(fields: tuple) -> Callable[[dict], tuple]:
-    """One lookup of a table's required fields, in table order, which raises
-    KeyError when one is absent.  Each table lists its optional field last."""
-    return operator.itemgetter(*(key for key, _, missing, _ in fields if missing is not None))
-
-
-_candidate_values = _required(_CANDIDATE_FIELDS)
-_pair_values = _required(_PAIR_FIELDS)
+# One lookup of the candidate table's required fields, in table order, which
+# raises KeyError when one is absent: the optional field is listed last.
+_candidate_values = operator.itemgetter(
+    *(key for key, _, missing, _ in _CANDIDATE_FIELDS if missing is not None)
+)
 
 
 def _check_encodable(path: str | Path, lineno: int, **values: str) -> None:
@@ -358,44 +354,21 @@ def load_pairs(path: str | Path) -> PreferenceDataset:
 
     def add(record: dict, lineno: int) -> None:
         if "sft_target" in record:
-            target = (record.get("source_id"), record["sft_target"])
-            if not (type(target[0]) is str and type(target[1]) is str):
-                target = tuple(_fields(record, _SFT_FIELDS, path, lineno))
-            if not (target[0].isascii() and target[1].isascii()):
-                _check_encodable(path, lineno, source_id=target[0], sft_target=target[1])
-            sft_targets.append(target)
+            source_id, target = _fields(record, _SFT_FIELDS, path, lineno)
+            _check_encodable(path, lineno, source_id=source_id, sft_target=target)
+            sft_targets.append((source_id, target))
             return
-        try:
-            source_id, chosen_id, rejected_id, score, method = _pair_values(record)
-            extras = record.get("extras")
-            typed = (
-                type(source_id) is str
-                and type(chosen_id) is str
-                and type(rejected_id) is str
-                and (type(score) is float or type(score) is int)
-                and type(method) is str
-                and (extras is None or type(extras) is dict)
-            )
-        except KeyError:
-            typed = False
-        if not typed:  # the table accepts what the test does: it raises the message
-            source_id, chosen_id, rejected_id, score, method, extras = _fields(
-                record, _PAIR_FIELDS, path, lineno
-            )
-        if not (
-            source_id.isascii()
-            and chosen_id.isascii()
-            and rejected_id.isascii()
-            and method.isascii()
-        ):
-            _check_encodable(
-                path,
-                lineno,
-                source_id=source_id,
-                chosen_id=chosen_id,
-                rejected_id=rejected_id,
-                method=method,
-            )
+        source_id, chosen_id, rejected_id, score, method, extras = _fields(
+            record, _PAIR_FIELDS, path, lineno
+        )
+        _check_encodable(
+            path,
+            lineno,
+            source_id=source_id,
+            chosen_id=chosen_id,
+            rejected_id=rejected_id,
+            method=method,
+        )
         try:
             pair = PreferencePair(source_id, chosen_id, rejected_id, score, method, extras or {})
         except ValidationError as err:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ValidationError, is_finite_number
+from .core import ValidationError, is_finite_number, is_integer
 
 # Step of the central finite differences in gradient_check.
 _FD_STEP = 1e-5
@@ -159,9 +159,9 @@ def batch_loss_and_grad(
 def gradient_check(seed: int = 0, n_instances: int = 100) -> float:
     """Max relative error of the analytic gradient against central finite
     differences over random tabular instances."""
-    if not isinstance(seed, int) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    if not isinstance(n_instances, int) or n_instances < 1:
+    if not is_integer(n_instances) or n_instances < 1:
         raise ValidationError(f"instances must be a positive integer, got {n_instances!r}")
     rng = np.random.default_rng(seed)
     config = LossConfig()

@@ -33,6 +33,7 @@ from .core import (
     ValidationError,
     direction_class,
     effective_logprob,
+    is_finite_number,
 )
 from .scoring import UtilityMatrix, mbr_scores, utility_matrix_for_set
 
@@ -208,7 +209,7 @@ def rso_acceptance_probs(agg_rewards: Sequence[float], beta: float) -> np.ndarra
     """Per-candidate acceptance probability exp((r - r_max) / beta)."""
     import numpy as np
 
-    if beta <= 0 or not math.isfinite(beta):
+    if not is_finite_number(beta) or beta <= 0:
         raise ValidationError(f"beta must be finite and > 0, got {beta!r}")
     rewards = np.asarray(agg_rewards, dtype=np.float64)
     return np.exp((rewards - rewards.max()) / beta)

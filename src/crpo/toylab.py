@@ -30,6 +30,8 @@ from .core import (
     CandidateSet,
     SelectionConfig,
     ValidationError,
+    is_finite_number,
+    is_integer,
 )
 from .losses import LossConfig, PairBatch, batch_loss_and_grad, log_softmax
 from .selectors import SelectionOutcome, random_pair_outcome, run_selector
@@ -110,7 +112,7 @@ class ToyWorld:
             raise ValidationError("reward table must be finite and lie in [0, 1]")
         if not np.all(np.isfinite(logits)):
             raise ValidationError("reference logits must be finite")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         rewards.setflags(write=False)
         logits.setflags(write=False)
@@ -177,20 +179,22 @@ def make_world(
     logits, modeling a reference policy that already prefers high-reward
     outputs (0 = independent, 1 = fully reward-driven).
     """
-    if n_sources < 1 or n_outputs < 2:
-        raise ValidationError("world needs n_sources >= 1 and n_outputs >= 2")
+    if not is_integer(n_sources) or n_sources < 1:
+        raise ValidationError(f"n_sources must be an integer >= 1, got {n_sources!r}")
+    if not is_integer(n_outputs) or n_outputs < 2:
+        raise ValidationError(f"n_outputs must be an integer >= 2, got {n_outputs!r}")
     if n_sources * n_outputs > MAX_WORLD_CELLS:
         raise ValidationError(
             f"world of {n_sources} sources x {n_outputs} outputs exceeds "
             f"{MAX_WORLD_CELLS} cells"
         )
-    if not 0.0 <= reward_logit_corr <= 1.0:
+    if not (is_finite_number(reward_logit_corr) and 0.0 <= reward_logit_corr <= 1.0):
         raise ValidationError(
             f"reward_logit_corr must lie in [0, 1], got {reward_logit_corr!r}"
         )
-    if not math.isfinite(logit_scale) or logit_scale <= 0:
+    if not is_finite_number(logit_scale) or logit_scale <= 0:
         raise ValidationError(f"logit_scale must be finite and > 0, got {logit_scale!r}")
-    if not isinstance(seed, int) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     rewards = rng.uniform(size=(n_sources, n_outputs))
@@ -206,7 +210,7 @@ def make_world(
 def nucleus_probs(probs: np.ndarray, top_p: float) -> np.ndarray:
     """Zero out everything outside the smallest prefix of the probability-
     sorted outputs whose cumulative mass reaches ``top_p``, renormalized."""
-    if not 0.0 < top_p <= 1.0:
+    if not (is_finite_number(top_p) and 0.0 < top_p <= 1.0):
         raise ValidationError(f"top_p must lie in (0, 1], got {top_p!r}")
     probs = np.asarray(probs, dtype=np.float64)
     if not np.all(np.isfinite(probs)) or probs.sum() <= 0:
@@ -238,11 +242,11 @@ def sample_candidates(
     Candidate ``logprob`` fields hold the untruncated reference
     log-probability (the policy's true confidence), not the sampler's.
     """
-    if not 0 <= source < world.n_sources:
-        raise ValidationError(f"source index {source} out of range")
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    if not math.isfinite(temperature) or temperature <= 0:
+    if not (is_integer(source) and 0 <= source < world.n_sources):
+        raise ValidationError(f"source index {source!r} out of range")
+    if not is_integer(k) or k < 1:
+        raise ValidationError(f"k must be an integer >= 1, got {k!r}")
+    if not is_finite_number(temperature) or temperature <= 0:
         raise ValidationError(f"temperature must be finite and > 0, got {temperature!r}")
     sampler, ref_logp = world._sampler(source, temperature, top_p)
     draws = rng.choice(world.n_outputs, size=k, p=sampler)
@@ -267,7 +271,7 @@ def sample_candidates(
 def exact_optimal_policy(world: ToyWorld, beta: float) -> ToyPolicy:
     """Closed-form maximizer of expected reward minus beta * KL(pi || pi_ref):
     logits = ref_logits + reward / beta."""
-    if not math.isfinite(beta) or beta <= 0:
+    if not is_finite_number(beta) or beta <= 0:
         raise ValidationError(f"beta must be finite and > 0, got {beta!r}")
     return ToyPolicy(world.ref_logits + world.reward_table / beta)
 
@@ -516,13 +520,13 @@ def run_comparison(
         raise ValidationError("no seeds to compare on")
     seen: set[int] = set()
     for seed in seeds:
-        if not isinstance(seed, int) or seed < 0:
+        if not is_integer(seed) or seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
         if seed in seen:
             raise ValidationError(f"seed {seed} is listed twice")
         seen.add(seed)
-    if k < 2:
-        raise ValidationError(f"comparison needs k >= 2, got {k}")
+    if not is_integer(k) or k < 2:
+        raise ValidationError(f"comparison needs an integer k >= 2, got {k!r}")
     if k > MAX_COMPARE_K:
         raise ValidationError(f"comparison needs k <= {MAX_COMPARE_K}, got {k}")
     pairs_per_seed = world.n_sources * max(_max_pairs_per_source(m, k) for m in methods)

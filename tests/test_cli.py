@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import io
 import json
 import os
 import re
@@ -963,6 +964,27 @@ def _select_argv(out, candidates=FIXTURE):
     return ["select", "--in", candidates, "--out", out, "--method", "cr_plus"]
 
 
+class _FullStdout(io.StringIO):
+    """A block-buffered stdout on a full disk: writes are kept, flushes fail."""
+
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+
+def test_failed_stdout_flush_is_reported_as_an_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    assert main(list(map(str, _select_argv(tmp_path / "p.jsonl")))) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+
+def test_missing_stdout_drops_the_summary(tmp_path, monkeypatch):
+    # A process started without fd 1 has no sys.stdout; print writes nothing.
+    out = tmp_path / "p.jsonl"
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(list(map(str, _select_argv(out)))) == 0
+    assert out.read_bytes() == (GOLDEN / "pairs_cr_plus.jsonl").read_bytes()
+
+
 # The entry that always exits the normal way: main's exit code through sys.exit.
 SYS_EXIT_ENTRY = ("-c", "import sys\nfrom crpo.cli import main\nsys.exit(main())")
 BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -1009,14 +1031,21 @@ class TestProcessEntry:
                                                stdout=write_end))
                 finally:
                     os.close(write_end)
-        now, before = procs
-        assert (now.returncode, now.stderr) == (before.returncode, before.stderr)
+        entry, sys_exit = procs
         errno = "[Errno 28] No space left on device" if sink == "full disk" else "[Errno 32] "
-        assert errno in now.stderr
-        assert "Traceback" not in now.stderr
-        # Unbuffered, main's print fails and main reports it; buffered, the
-        # interpreter's last flush fails and it reports it with status 120.
-        assert now.returncode == (2 if unbuffered else 120)
+        # Unbuffered, main's print fails; buffered, main's flush of stdout
+        # does.  Either way main reports it, and run ends the process with
+        # main's status without flushing stdout again at teardown.
+        assert entry.returncode == 2
+        assert entry.stderr.startswith(f"error: {errno}")
+        assert entry.stderr.count("\n") == 1
+        # sys.exit(main()) reports the same error; buffered, the interpreter's
+        # last flush of stdout fails once more and it reports that with
+        # status 120.
+        assert sys_exit.stderr.startswith(entry.stderr)
+        assert sys_exit.returncode == (2 if unbuffered else 120)
+        for proc in procs:
+            assert "Traceback" not in proc.stderr
         assert (tmp_path / "p.jsonl").read_bytes() == (GOLDEN / "pairs_cr_plus.jsonl").read_bytes()
 
     def test_profile_is_written_under_cprofile(self, tmp_path):

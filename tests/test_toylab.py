@@ -22,9 +22,10 @@ from crpo.losses import (
     LossConfig,
     PairBatch,
     batch_loss_and_grad,
+    gradient_check,
     log_softmax,
 )
-from crpo.selectors import random_pair_outcome, run_selector
+from crpo.selectors import random_pair_outcome, rso_acceptance_probs, run_selector
 from crpo.toylab import (
     COMPARE_METHODS,
     TRAIN_LR,
@@ -827,3 +828,46 @@ def test_compare_methods_cover_every_selector_plus_control():
 
     assert COMPARE_METHODS == METHODS + ("random_pair",)
     assert len(COMPARE_METHODS) == 12
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+# Numeric arguments of the toy lab, the loss lab and RSO take the checks of
+# SelectionConfig and LossConfig: no bool where an integer or a number is
+# asked for, no int beyond the float range, no string.  Each call gets a
+# 2-source, 3-output world.
+@pytest.mark.parametrize(
+    "call, argument",
+    [
+        pytest.param(lambda w: make_world(seed=True), "seed", id="make_world-seed-bool"),
+        pytest.param(lambda w: ToyWorld(w.reward_table, w.ref_logits, seed=True), "seed",
+                     id="ToyWorld-seed-bool"),
+        pytest.param(lambda w: gradient_check(seed=True), "seed", id="gradient_check-seed-bool"),
+        pytest.param(lambda w: rso_acceptance_probs([0.5, 0.2], True), "beta",
+                     id="rso_acceptance_probs-beta-bool"),
+        pytest.param(lambda w: run_comparison(w, ["random_pair"], [True]), "seed",
+                     id="run_comparison-seed-bool"),
+        pytest.param(lambda w: make_world(logit_scale=10**400), "logit_scale",
+                     id="make_world-logit_scale-huge"),
+        pytest.param(lambda w: exact_optimal_policy(w, 10**400), "beta",
+                     id="exact_optimal_policy-beta-huge"),
+        pytest.param(lambda w: make_world(logit_scale="2"), "logit_scale",
+                     id="make_world-logit_scale-str"),
+        pytest.param(lambda w: make_world(reward_logit_corr="0.5"), "reward_logit_corr",
+                     id="make_world-reward_logit_corr-str"),
+        pytest.param(lambda w: make_world(n_sources=2.5), "n_sources",
+                     id="make_world-n_sources-float"),
+        pytest.param(lambda w: sample_candidates(w, 0, temperature="1", rng=_rng()),
+                     "temperature", id="sample_candidates-temperature-str"),
+        pytest.param(lambda w: sample_candidates(w, 0, k=True, rng=_rng()), "k must be",
+                     id="sample_candidates-k-bool"),
+        pytest.param(lambda w: run_comparison(w, ["random_pair"], [0], k=2.5), "k >= 2",
+                     id="run_comparison-k-float"),
+    ],
+)
+def test_bad_numeric_argument_is_a_validation_error(call, argument):
+    world = make_world(n_sources=2, n_outputs=3)
+    with pytest.raises(ValidationError, match=argument):
+        call(world)
