@@ -37,15 +37,6 @@ DEFAULT_ETA = {OUT_OF_EN: 0.6, INTO_EN: 0.5}
 # (picks beyond K only repeat candidates).
 MAX_RSO_SAMPLES = 1024
 
-# Largest number of candidates ``toy compare`` samples (seeds x sources x K).
-# Each one is a ``Candidate`` object of about 0.6 KB.  A worker process keeps
-# only the candidates of the seed it is running, and the parent, which only
-# waits for the workers, keeps none.  So the bound caps the sampling and
-# selection work that sizes taken from the command line can ask for; it is
-# about forty times the benchmark's.  It lives here, not in ``toylab``, so the
-# command line checks it before it loads the toy lab and numpy.
-MAX_COMPARE_CANDIDATES = 1_000_000
-
 # Selectors that rank candidates by expected utility rather than by reward.
 # Their pairs are labeled by utility rank, so the chosen-reward >=
 # rejected-reward check does not apply to them.

@@ -46,6 +46,7 @@ from .core import (
     SelectionConfig,
     ValidationError,
     effective_logprob,
+    is_integer,
 )
 from .scoring import UtilityMatrix, pairwise_sum
 
@@ -446,8 +447,8 @@ def emit_stats(
     selector normalized them: by the ``logprob_norm`` of the dataset's
     provenance config (``sum`` if absent).
     """
-    if not 1 <= bins <= MAX_BINS:
-        raise ValidationError(f"bins must lie in [1, {MAX_BINS}], got {bins}")
+    if not is_integer(bins) or not 1 <= bins <= MAX_BINS:
+        raise ValidationError(f"bins must be an integer in [1, {MAX_BINS}], got {bins!r}")
     resolved = dataset.validate_against(sets)
     config = dataset.provenance.get("config", {})
     if not isinstance(config, dict):

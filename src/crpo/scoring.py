@@ -115,7 +115,10 @@ class UtilityMatrix:
         else:
             import numpy as np
 
-            array = np.asarray(values, dtype=np.float64)
+            try:
+                array = np.asarray(values, dtype=np.float64)
+            except (TypeError, ValueError) as err:
+                raise ValidationError(f"utility matrix must be {k}x{k} numbers: {err}") from None
             if array.shape != (k, k):
                 raise ValidationError(
                     f"utility matrix must be {k}x{k}, got shape {array.shape}"

@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    MAX_COMPARE_CANDIDATES,
     METHODS,
     Candidate,
     CandidateSet,
@@ -46,9 +45,13 @@ COMPARE_METHODS = METHODS + ("random_pair",)
 # hundred times the benchmark world.
 MAX_WORLD_CELLS = 1_000_000
 
-# The cap on the candidates a comparison samples is ``MAX_COMPARE_CANDIDATES``,
-# imported from ``core``, where the command line checks it before it loads
-# this module.
+# Largest number of candidates a comparison samples (seeds x sources x K).
+# Each one is a ``Candidate`` object of about 0.6 KB.  A worker process keeps
+# only the candidates of the seed it is running, and the parent, which only
+# waits for the workers, keeps none.  So the bound caps the sampling and
+# selection work that sizes taken from the command line can ask for; it is
+# about forty times the benchmark's.
+MAX_COMPARE_CANDIDATES = 1_000_000
 
 # Largest K a comparison samples per source.  ``rs_dpo`` compares all K x K
 # reward pairs of a pool and the MBR methods build a K x K float64 table per
@@ -489,18 +492,19 @@ def _map_seeds(task: Callable[[int], list], seeds: Sequence[int]) -> list[list]:
 def run_comparison(
     world: ToyWorld,
     methods: Sequence[str],
-    seeds: Sequence[int],
+    n_seeds: int,
     k: int = 16,
 ) -> dict:
     """Compare selection methods by the expected-reward gain they train.
 
-    For every (method, seed): sample ``k`` shared candidates per source,
-    select pairs with the default ``SelectionConfig``, train with
-    ``train_dpo`` and record the gain of the trained policy over the
-    reference.  Methods that produce zero pairs on every source are recorded
-    with gain 0 and a "no_pairs" flag, not an error.  On Linux the seeds run
-    in forked worker processes (``_map_seeds``); the report is the same for
-    any number of them.
+    For every method and seed ``0..n_seeds-1``: sample ``k`` shared
+    candidates per source, select pairs with the default ``SelectionConfig``,
+    train with ``train_dpo`` and record the gain of the trained policy over
+    the reference.  Methods that produce zero pairs on every source are
+    recorded with gain 0 and a "no_pairs" flag, not an error.  Every size
+    bound is checked before the first seed runs.  On Linux the seeds run in
+    forked worker processes (``_map_seeds``); the report is the same for any
+    number of them.
 
     Returns the report ``toy compare`` writes: ``gains`` and ``flags`` rows,
     ``means`` and ``stderrs`` are parallel to ``methods``;
@@ -516,19 +520,18 @@ def run_comparison(
             )
         if method in methods[:i]:
             raise ValidationError(f"method {method!r} is listed twice")
-    if not seeds:
-        raise ValidationError("no seeds to compare on")
-    seen: set[int] = set()
-    for seed in seeds:
-        if not is_integer(seed) or seed < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-        if seed in seen:
-            raise ValidationError(f"seed {seed} is listed twice")
-        seen.add(seed)
+    if not is_integer(n_seeds) or n_seeds < 1:
+        raise ValidationError(f"comparison needs an integer n_seeds >= 1, got {n_seeds!r}")
     if not is_integer(k) or k < 2:
         raise ValidationError(f"comparison needs an integer k >= 2, got {k!r}")
     if k > MAX_COMPARE_K:
         raise ValidationError(f"comparison needs k <= {MAX_COMPARE_K}, got {k}")
+    n_candidates = n_seeds * world.n_sources * k
+    if n_candidates > MAX_COMPARE_CANDIDATES:
+        raise ValidationError(
+            f"{n_seeds} seeds x {world.n_sources} sources x k={k} asks for "
+            f"{n_candidates} candidates, more than {MAX_COMPARE_CANDIDATES}"
+        )
     pairs_per_seed = world.n_sources * max(_max_pairs_per_source(m, k) for m in methods)
     if pairs_per_seed * (world.n_outputs + 3) > MAX_COMPARE_PAIR_CELLS:
         raise ValidationError(
@@ -537,7 +540,7 @@ def run_comparison(
         )
     base_reward = expected_reward(ToyPolicy(world.ref_logits), world)
     per_seed = _map_seeds(
-        functools.partial(_seed_gains, world, methods, k, base_reward), seeds
+        functools.partial(_seed_gains, world, methods, k, base_reward), range(n_seeds)
     )
     by_method = list(zip(*per_seed))
     gains = [[gain for gain, _ in runs] for runs in by_method]
@@ -545,7 +548,7 @@ def run_comparison(
 
     return {
         "methods": list(methods),
-        "seeds": [int(s) for s in seeds],
+        "seeds": list(range(n_seeds)),
         "gains": gains,
         "means": [float(np.mean(g)) for g in gains],
         "stderrs": [
@@ -557,7 +560,7 @@ def run_comparison(
                 b: sum(
                     1.0 if ga > gb else 0.5 if ga == gb else 0.0
                     for ga, gb in zip(gains_a, gains_b)
-                ) / len(seeds)
+                ) / n_seeds
                 for b, gains_b in zip(methods, gains)
             }
             for a, gains_a in zip(methods, gains)

@@ -236,8 +236,7 @@ def test_criterion_6_toy_ranking_experiment(capsys):
     start = time.perf_counter()
     world = make_world()  # 50 sources, 32 outputs, seed 0, corr 0.5
     methods = ("cr_plus", "cr_times", "minmax_r", "random_pair")
-    seeds = list(range(20))
-    rep = run_comparison(world, methods, seeds)
+    rep = run_comparison(world, methods, n_seeds=20)
     gains = {m: np.array(rep["gains"][rep["methods"].index(m)]) for m in methods}
     p_plus = scipy.stats.ttest_rel(
         gains["cr_plus"], gains["random_pair"], alternative="greater"

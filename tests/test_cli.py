@@ -485,7 +485,7 @@ class TestToyCommand:
             ]
         )
         assert rc == 2
-        assert "--seeds" in capsys.readouterr().err
+        assert "n_seeds >= 1, got 0" in capsys.readouterr().err
 
 
 class TestLoneSurrogateTexts:
@@ -743,7 +743,7 @@ def _limit_address_space():
         (
             ["toy", "compare", "--methods", "cr_plus", "--seeds", "1000000000",
              "--sources", "2", "--outputs", "3", "--k", "2"],
-            "--seeds",
+            "1000000000 seeds x 2 sources x k=2",
         ),
         (
             ["toy", "compare", "--methods", "mbr_bw,rs_dpo", "--seeds", "1",

@@ -629,8 +629,9 @@ class TestStats:
 
     def test_bins_validated(self):
         dataset, sets = self.fixtures()
-        with pytest.raises(ValidationError, match="bins"):
-            emit_stats(dataset, sets, bins=0)
+        for bins in (0, True, 2.5, "3"):
+            with pytest.raises(ValidationError, match="bins"):
+                emit_stats(dataset, sets, bins=bins)
 
     def test_no_candidates_is_a_validation_error(self):
         with pytest.raises(ValidationError, match="no candidates"):

@@ -133,6 +133,10 @@ class TestMbrUtilities:
             UtilityMatrix(ids=("A", "A"), values=np.zeros((2, 2)))
         with pytest.raises(ValidationError, match="ids must be strings"):
             UtilityMatrix(ids=("A", ["B"]), values=np.zeros((2, 2)))
+        with pytest.raises(ValidationError, match="must be 2x2 numbers: "):
+            UtilityMatrix(ids=("A", "B"), values=[[1.0, 2.0], [1.0]])
+        with pytest.raises(ValidationError, match="must be 2x2 numbers: could not convert"):
+            UtilityMatrix(ids=("A", "B"), values=[[1.0, "x"], [0.0, 1.0]])
 
 
 def oracle_chrf(hyp: str, ref: str, max_order: int = 6, beta: float = 2.0) -> float:

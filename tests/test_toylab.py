@@ -28,6 +28,8 @@ from crpo.losses import (
 from crpo.selectors import random_pair_outcome, rso_acceptance_probs, run_selector
 from crpo.toylab import (
     COMPARE_METHODS,
+    MAX_COMPARE_CANDIDATES,
+    MAX_COMPARE_K,
     TRAIN_LR,
     TRAIN_STEPS,
     ToyPolicy,
@@ -545,8 +547,8 @@ class TestRunComparison:
     def test_report_structure_and_determinism(self):
         world = self.small_world()
         methods = ("cr_plus", "minmax_r", "random_pair")
-        report = run_comparison(world, methods, seeds=(0, 1, 2))
-        again = run_comparison(world, methods, seeds=(0, 1, 2))
+        report = run_comparison(world, methods, n_seeds=3)
+        again = run_comparison(world, methods, n_seeds=3)
         assert report == again
         assert list(report) == [
             "methods", "seeds", "gains", "means", "stderrs", "win_rates", "flags"
@@ -561,7 +563,7 @@ class TestRunComparison:
     def test_win_rates_are_complementary(self):
         world = self.small_world()
         methods = ("cr_plus", "cr_times", "random_pair")
-        win_rates = run_comparison(world, methods, seeds=(0, 1, 2, 3))["win_rates"]
+        win_rates = run_comparison(world, methods, n_seeds=4)["win_rates"]
         for a in methods:
             assert win_rates[a][a] == pytest.approx(0.5)
             for b in methods:
@@ -570,44 +572,93 @@ class TestRunComparison:
     def test_repeated_method_rejected(self):
         world = self.small_world()
         with pytest.raises(ValidationError, match="'rso' is listed twice"):
-            run_comparison(world, ("rso", "cr_plus", "rso"), seeds=(0, 1))
+            run_comparison(world, ("rso", "cr_plus", "rso"), n_seeds=2)
 
     def test_methods_do_not_interact(self):
         world = self.small_world()
-        seeds = (0, 1, 2)
         alone = {
-            m: run_comparison(world, (m,), seeds)["gains"][0]
+            m: run_comparison(world, (m,), 3)["gains"][0]
             for m in ("cr_plus", "rso", "random_pair")
         }
         for methods in (("cr_plus", "rso", "random_pair"), ("random_pair", "rso", "cr_plus")):
-            report = run_comparison(world, methods, seeds)
+            report = run_comparison(world, methods, 3)
             for m, gains in zip(methods, report["gains"], strict=True):
                 assert gains == alone[m]
 
     def test_qe_best_trains_nothing(self):
         world = self.small_world()
-        report = run_comparison(world, ("qe_best",), seeds=(0, 1))
+        report = run_comparison(world, ("qe_best",), n_seeds=2)
         assert report["gains"] == [[0.0, 0.0]]
         assert report["flags"] == [["no_pairs", "no_pairs"]]
 
     def test_validation(self):
         world = self.small_world()
         with pytest.raises(ValidationError, match="unknown method"):
-            run_comparison(world, ("nonsense",), seeds=(0,))
+            run_comparison(world, ("nonsense",), n_seeds=1)
         with pytest.raises(ValidationError, match="no methods"):
-            run_comparison(world, (), seeds=(0,))
-        with pytest.raises(ValidationError, match="no seeds"):
-            run_comparison(world, ("cr_plus",), seeds=())
+            run_comparison(world, (), n_seeds=1)
         with pytest.raises(ValidationError, match="k >= 2"):
-            run_comparison(world, ("cr_plus",), seeds=(0,), k=1)
-        for seeds, message in (
-            ((0, -1), "got -1"),
-            ((1.5,), "got 1.5"),
-            (("0",), "got '0'"),
-            ((0, 2, 0), "seed 0 is listed twice"),
+            run_comparison(world, ("cr_plus",), n_seeds=1, k=1)
+        for n_seeds, message in (
+            (0, "got 0"),
+            (-1, "got -1"),
+            (1.5, "got 1.5"),
+            ("2", "got '2'"),
+            (True, "got True"),
         ):
-            with pytest.raises(ValidationError, match=message):
-                run_comparison(world, ("random_pair",), seeds=seeds)
+            with pytest.raises(ValidationError, match=f"n_seeds >= 1, {message}$"):
+                run_comparison(world, ("random_pair",), n_seeds=n_seeds)
+
+
+class _SeedsReached(Exception):
+    pass
+
+
+def _seeds_reached(task, seeds):
+    raise _SeedsReached(seeds)
+
+
+# Each bound of a comparison, held just past it: run_comparison raises before
+# any seed runs, and toy compare exits 2 with the same message.  A count that
+# is not an int has no command line.
+@pytest.mark.parametrize(
+    "methods, n_seeds, sources, outputs, k",
+    [
+        pytest.param("cr_plus", 0, 2, 3, 2, id="zero-seeds"),
+        pytest.param("cr_plus", -1, 2, 3, 2, id="negative-seeds"),
+        pytest.param("cr_plus", 1.5, 2, 3, 2, id="float-seeds"),
+        pytest.param("cr_plus", "2", 2, 3, 2, id="str-seeds"),
+        pytest.param("cr_plus", True, 2, 3, 2, id="bool-seeds"),
+        pytest.param("cr_plus", 1, 2, 3, 1, id="k-below"),
+        pytest.param("cr_plus", 1, 2, 3, MAX_COMPARE_K + 1, id="k-above"),
+        pytest.param("cr_plus", MAX_COMPARE_CANDIDATES // 2 + 1, 1, 3, 2, id="candidates"),
+        pytest.param("cr_plus", 10**6, 160, 64, 16, id="candidates-benchmark-world"),
+        pytest.param("rs_dpo", 1, 6, 8, MAX_COMPARE_K, id="pair-cells"),
+    ],
+)
+def test_every_bound_is_checked_before_the_seeds_run(
+    monkeypatch, tmp_path, capsys, methods, n_seeds, sources, outputs, k
+):
+    monkeypatch.setattr(toylab, "_map_seeds", _seeds_reached)
+    world = make_world(n_sources=sources, n_outputs=outputs)
+    with pytest.raises(ValidationError) as caught:
+        run_comparison(world, methods.split(","), n_seeds, k=k)
+    if type(n_seeds) is not int:
+        return
+    out = tmp_path / "report.json"
+    argv = ["toy", "compare", "--methods", methods, "--seeds", str(n_seeds),
+            "--sources", str(sources), "--outputs", str(outputs), "--k", str(k)]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {caught.value}\n"
+    assert not out.exists()
+
+
+def test_a_comparison_at_the_candidate_cap_reaches_the_seeds(monkeypatch):
+    monkeypatch.setattr(toylab, "_map_seeds", _seeds_reached)
+    world = make_world(n_sources=1, n_outputs=3)
+    with pytest.raises(_SeedsReached) as caught:
+        run_comparison(world, ["cr_plus"], MAX_COMPARE_CANDIDATES // 2, k=2)
+    assert caught.value.args[0] == range(MAX_COMPARE_CANDIDATES // 2)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="seeds run in forked workers on Linux only")
@@ -681,7 +732,7 @@ class TestComparisonWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         world = make_world(n_sources=6, n_outputs=8, seed=3)
         with pytest.raises(ValidationError, match="^training failed on one seed$"):
-            run_comparison(world, ("cr_plus",), seeds=(0, 1, 2, 3), k=6)
+            run_comparison(world, ("cr_plus",), n_seeds=4, k=6)
         _assert_no_child_left()
 
         marker.unlink()
@@ -705,7 +756,7 @@ class TestComparisonWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         world = make_world(n_sources=6, n_outputs=8, seed=3)
         with pytest.raises(RuntimeError, match=r"^seed worker 0 died \(killed by signal 9\)"):
-            run_comparison(world, ("cr_plus",), seeds=(0, 1, 2, 3), k=6)
+            run_comparison(world, ("cr_plus",), n_seeds=4, k=6)
         _assert_no_child_left()
 
         out = tmp_path / "report.json"
@@ -774,7 +825,7 @@ class TestComparisonWorkers:
             "    time.sleep(600)\n"
             "toylab.train_dpo = blocked\n"
             "world = toylab.make_world(n_sources=4, n_outputs=4, seed=0)\n"
-            "toylab.run_comparison(world, ('cr_plus',), seeds=(0, 1), k=4)\n"
+            "toylab.run_comparison(world, ('cr_plus',), n_seeds=2, k=4)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(toylab.__file__).parents[1]))
         parent = subprocess.Popen([sys.executable, "-c", script], env=env)
@@ -847,7 +898,7 @@ def _rng():
         pytest.param(lambda w: gradient_check(seed=True), "seed", id="gradient_check-seed-bool"),
         pytest.param(lambda w: rso_acceptance_probs([0.5, 0.2], True), "beta",
                      id="rso_acceptance_probs-beta-bool"),
-        pytest.param(lambda w: run_comparison(w, ["random_pair"], [True]), "seed",
+        pytest.param(lambda w: run_comparison(w, ["random_pair"], True), "n_seeds",
                      id="run_comparison-seed-bool"),
         pytest.param(lambda w: make_world(logit_scale=10**400), "logit_scale",
                      id="make_world-logit_scale-huge"),
@@ -863,7 +914,7 @@ def _rng():
                      "temperature", id="sample_candidates-temperature-str"),
         pytest.param(lambda w: sample_candidates(w, 0, k=True, rng=_rng()), "k must be",
                      id="sample_candidates-k-bool"),
-        pytest.param(lambda w: run_comparison(w, ["random_pair"], [0], k=2.5), "k >= 2",
+        pytest.param(lambda w: run_comparison(w, ["random_pair"], 1, k=2.5), "k >= 2",
                      id="run_comparison-k-float"),
     ],
 )
