@@ -9,9 +9,8 @@ crpo.cli`` and the ``crpo`` console script: it ends the process as soon as
 ``main`` has written its outputs, without the interpreter's teardown.
 
 Importing this module loads no numpy: ``losses`` and ``toylab`` load when a
-``losses`` or ``toy`` command calls ``gradient_check``, ``make_world`` or
-``run_comparison`` below, and ``scoring``, ``selectors`` and ``dataio``
-import numpy inside the functions that compute with arrays.
+``losses`` or ``toy`` command runs, and ``scoring``, ``selectors`` and
+``dataio`` import numpy inside the functions that compute with arrays.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import argparse
 import gc
 import json
 import os
+import stat
 import sys
 from typing import NoReturn, Sequence
 
@@ -51,14 +51,8 @@ from .selectors import select_dataset
 GRADIENT_TOLERANCE = 1e-4
 
 
-# The handlers call these three through their names here, so a caller can
-# replace them in this module; each loads its module on first call.
-def gradient_check(*args, **kwargs):
-    from .losses import gradient_check
-
-    return gradient_check(*args, **kwargs)
-
-
+# The handlers call these two through their names here, so a caller can
+# replace them in this module; each loads ``toylab`` on first call.
 def make_world(*args, **kwargs):
     from .toylab import make_world
 
@@ -140,6 +134,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` name one regular file: an existing one
+    through any link, or one that writing either path would create."""
+    try:
+        a_stat, b_stat = os.stat(a), os.stat(b)
+    except FileNotFoundError:
+        return not (os.path.exists(a) or os.path.exists(b)) and (
+            os.path.realpath(a) == os.path.realpath(b)
+        )
+    return stat.S_ISREG(a_stat.st_mode) and os.path.samestat(a_stat, b_stat)
+
+
+def _check_outputs(outputs: dict[str, str | None], inputs: dict[str, str | None]) -> None:
+    """Reject, before anything is read, an output flag that names the same
+    regular file as an input flag or an earlier output flag: writing it would
+    destroy that input or output.  Devices such as ``/dev/null`` may repeat."""
+    earlier = {flag: path for flag, path in inputs.items() if path is not None}
+    for flag, path in outputs.items():
+        if path is None:
+            continue
+        for other, other_path in earlier.items():
+            if _same_file(path, other_path):
+                raise ValidationError(f"{flag} names the same file as {other}: {path}")
+        earlier[flag] = path
+
+
 def _cmd_select(args: argparse.Namespace) -> int:
     if args.utility_matrix is not None and args.method not in UTILITY_RANKED_METHODS:
         raise ValidationError(
@@ -156,6 +176,9 @@ def _cmd_select(args: argparse.Namespace) -> int:
         rso_samples=args.rso_samples,
         seed=args.seed,
         logprob_norm=args.logprob_norm,
+    )
+    _check_outputs(
+        {"--out": args.out}, {"--in": args.input, "--utility-matrix": args.utility_matrix}
     )
     sets = ingest_candidates(args.input)
     utilities = None
@@ -174,6 +197,10 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    _check_outputs(
+        {"--out": args.out, "--csv": args.csv},
+        {"--pairs": args.pairs, "--candidates": args.candidates},
+    )
     dataset = load_pairs(args.pairs)
     sets = ingest_candidates(args.candidates)
     expected = dataset.provenance.get("input_digest")
@@ -193,6 +220,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_grad(args: argparse.Namespace) -> int:
+    from .losses import gradient_check
+
     err = gradient_check(seed=args.seed, n_instances=args.instances)
     ok = err < GRADIENT_TOLERANCE
     print(f"max relative error {err:.3e} [{'ok' if ok else 'FAIL'}]")
@@ -221,6 +250,7 @@ def _cmd_toy_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_utility_matrix(args: argparse.Namespace) -> int:
+    _check_outputs({"--out": args.out}, {"--in": args.input})
     sets = ingest_candidates(args.input)
     entries = [(cset.source_id, utility_matrix_for_set(cset)) for cset in sets]
     save_utility_matrices(entries, args.out)

@@ -19,6 +19,12 @@ from .core import ValidationError, is_finite_number, is_integer
 # Step of the central finite differences in gradient_check.
 _FD_STEP = 1e-5
 
+# Largest ``n_instances`` of ``gradient_check``.  An instance costs about
+# 1 ms on 2 vCPUs (up to 3 x 8 logits, each bumped both ways), so the bound
+# keeps a count taken from the command line to about 10 s of work; it is a
+# hundred times the default of 100.
+MAX_GRAD_INSTANCES = 10_000
+
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
@@ -163,6 +169,8 @@ def gradient_check(seed: int = 0, n_instances: int = 100) -> float:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     if not is_integer(n_instances) or n_instances < 1:
         raise ValidationError(f"instances must be a positive integer, got {n_instances!r}")
+    if n_instances > MAX_GRAD_INSTANCES:
+        raise ValidationError(f"instances must be at most {MAX_GRAD_INSTANCES}, got {n_instances}")
     rng = np.random.default_rng(seed)
     config = LossConfig()
     worst = 0.0

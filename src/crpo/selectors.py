@@ -215,61 +215,6 @@ def rso_acceptance_probs(agg_rewards: Sequence[float], beta: float) -> np.ndarra
     return np.exp((rewards - rewards.max()) / beta)
 
 
-class _Pcg64Words:
-    """The raw 64-bit words of a PCG64 generator, read ahead in blocks with
-    ``random_raw``, and its 32-bit buffer.
-
-    ``Generator.integers`` draws 32 bits at a time: the buffered high half of
-    the last word if there is one (``has_uint32`` / ``uinteger`` in the
-    state), else the low half of a new word, whose high half it buffers.
-    ``Generator.random`` reads a whole word and leaves the buffer alone.
-    ``close`` leaves the generator as if it had read exactly ``pos`` words.
-    """
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        import numpy as np
-
-        self._bitgen = rng.bit_generator
-        state = self._bitgen.state
-        if state["bit_generator"] != "PCG64":
-            raise ValidationError(
-                f"RSO replays a PCG64 stream, got a {state['bit_generator']} generator"
-            )
-        self._words = np.empty(0, dtype=np.uint64)
-        self.pos = 0
-        self.has, self.uint = state["has_uint32"], state["uinteger"]
-
-    def ahead(self, n: int) -> np.ndarray:
-        """The next ``n`` unread words, left unread."""
-        import numpy as np
-
-        short = self.pos + n - len(self._words)
-        if short > 0:
-            self._words = np.concatenate((self._words, self._bitgen.random_raw(short)))
-        return self._words[self.pos : self.pos + n]
-
-    def word(self) -> int:
-        value = int(self.ahead(1)[0])
-        self.pos += 1
-        return value
-
-    def u32(self) -> int:
-        if self.has:
-            self.has = 0
-            return self.uint
-        word = self.word()
-        self.has, self.uint = 1, word >> 32
-        return word & 0xFFFF_FFFF
-
-    def close(self) -> None:
-        # Step back over the words drawn ahead (PCG64 advances modulo its
-        # period 2**128), then restore the buffer the reads left.
-        self._bitgen.advance((self.pos - len(self._words)) % 2**128)
-        state = self._bitgen.state
-        state["has_uint32"], state["uinteger"] = self.has, self.uint
-        self._bitgen.state = state
-
-
 def _rso_proposals(
     probs: np.ndarray, n_samples: int, budget: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -281,61 +226,85 @@ def _rso_proposals(
             if rng.random() < probs[j]:   # accept
                 acceptances += 1
 
-    replayed bit for bit from ``rng``'s PCG64 words, with ``rng`` left where
-    the loop leaves it (``tests/oracles.py`` keeps the loop).
+    over k >= 2 candidates, replayed bit for bit from ``rng``'s PCG64 words
+    (``random_raw``), with ``rng`` left where the loop leaves it
+    (``tests/oracles.py`` keeps the loop).
 
     ``integers(k)`` maps a 32-bit draw u to (u * k) >> 32 and draws again
-    while (u * k) mod 2**32 < (2**32 - k) mod k (Lemire); for k = 1 it draws
-    nothing.  So from an empty buffer, proposals 2m and 2m + 1 read the words
-    [I, D, D] (low and high half of I, then one D each), and a block of
-    proposals is read with array operations.  A proposal from a full buffer,
-    or one that needs a redraw (p < k / 2**32), is read word by word.  Blocks
-    double from twice the expected number of proposals, so the words drawn
-    stay within a small multiple of the words the loop reads.
+    while (u * k) mod 2**32 < (2**32 - k) mod k (Lemire).  A draw is the
+    buffered high half of the last word (``has_uint32`` / ``uinteger``), else
+    the low half of a new word, whose high half it buffers; ``random()``
+    reads a whole word.  So from an empty buffer, proposals 2m and 2m + 1
+    read the words [I, D, D] (low and high half of I, then one D each), and a
+    block of proposals is read with array operations.  A proposal from a full
+    buffer, or one that needs a redraw (p < k / 2**32), is read word by word.
+    Blocks double from twice the expected number of proposals, so the words
+    drawn stay within a small multiple of the words the loop reads.
     """
     import numpy as np
 
-    low32, u32, u11 = np.uint64(0xFFFF_FFFF), np.uint64(32), np.uint64(11)
-    k = len(probs)
-    stream = _Pcg64Words(rng)
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    if state["bit_generator"] != "PCG64":
+        raise ValidationError(
+            f"RSO replays a PCG64 stream, got a {state['bit_generator']} generator"
+        )
     if min(budget, n_samples) <= 0:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=bool)
-    if k == 0:
-        raise ValidationError("RSO needs at least one candidate")
+    low32, u32, u11 = np.uint64(0xFFFF_FFFF), np.uint64(32), np.uint64(11)
+    k = len(probs)
     threshold = (2**32 - k) % k
     total = float(np.add.reduce(probs))
     block = max(1, math.ceil(min(budget, 2 * n_samples * k / total))) if total > 0.0 else budget
+    # The words drawn so far, how many of them the loop has read, and the
+    # loop's 32-bit buffer.
+    words = np.empty(0, dtype=np.uint64)
+    pos = 0
+    has, uint = state["has_uint32"], state["uinteger"]
+
+    def ahead(n: int) -> np.ndarray:
+        """The next ``n`` unread words, drawn if need be and left unread."""
+        nonlocal words
+        short = pos + n - len(words)
+        if short > 0:
+            words = np.concatenate((words, bitgen.random_raw(short)))
+        return words[pos : pos + n]
+
     proposed: list[np.ndarray] = []
     accepted: list[np.ndarray] = []
     done = n_accepted = 0
     word_by_word = False
     while done < budget and n_accepted < n_samples:
-        if k > 1 and (stream.has or word_by_word):
-            m = stream.u32() * k
-            while (m & 0xFFFF_FFFF) < threshold:
-                m = stream.u32() * k
+        if has or word_by_word:
+            while True:  # 32-bit draws until one is outside Lemire's zone
+                if has:
+                    m = uint * k
+                else:
+                    (word,) = ahead(1).tolist()
+                    pos, uint, m = pos + 1, word >> 32, (word & 0xFFFF_FFFF) * k
+                has ^= 1
+                if (m & 0xFFFF_FFFF) >= threshold:
+                    break
             j = m >> 32
-            ok = bool((stream.word() >> 11) * _TWO_M53 < probs[j])
+            (word,) = ahead(1).tolist()
+            pos += 1
+            ok = bool((word >> 11) * _TWO_M53 < probs[j])
             proposed.append(np.array([j], dtype=np.intp))
             accepted.append(np.array([ok]))
             done, n_accepted, word_by_word = done + 1, n_accepted + ok, False
             continue
         t = min(block, budget - done)
         block *= 2
-        if k == 1:
-            doubles = stream.ahead(t)
-            j = np.zeros(t, dtype=np.intp)
-        else:
-            words = stream.ahead(3 * ((t + 1) // 2)).reshape(-1, 3)
-            # The low and high halves of the I words, in that order.
-            u = words[:, 0].astype("<u8").view("<u4")[:t]
-            m = np.multiply(u, np.uint64(k), dtype=np.uint64)
-            j = (m >> u32).astype(np.intp)
-            doubles = words[:, 1:].ravel()[:t]
-            if threshold:
-                redraws = ((m & low32) < threshold).nonzero()[0]
-                if len(redraws):
-                    t, word_by_word = int(redraws[0]), True
+        triples = ahead(3 * ((t + 1) // 2)).reshape(-1, 3)
+        # The low and high halves of the I words, in that order.
+        u = triples[:, 0].astype("<u8").view("<u4")[:t]
+        m = np.multiply(u, np.uint64(k), dtype=np.uint64)
+        j = (m >> u32).astype(np.intp)
+        doubles = triples[:, 1:].ravel()[:t]
+        if threshold:
+            redraws = ((m & low32) < threshold).nonzero()[0]
+            if len(redraws):
+                t, word_by_word = int(redraws[0]), True
         ok = (doubles[:t] >> u11) * _TWO_M53 < probs[j[:t]]
         hits = ok.nonzero()[0]
         need = n_samples - n_accepted
@@ -345,15 +314,17 @@ def _rso_proposals(
         accepted.append(ok[:t])
         done += t
         n_accepted += len(hits)  # past n_samples only when the loop stops here
-        if k == 1:
-            stream.pos += t
-        else:
-            stream.pos += 3 * (t // 2) + 2 * (t % 2)
-            if t % 2:
-                stream.has, stream.uint = 1, int(words[t // 2, 0] >> u32)
-            elif t:
-                stream.uint = int(words[t // 2 - 1, 0] >> u32)
-    stream.close()
+        pos += 3 * (t // 2) + 2 * (t % 2)
+        if t % 2:
+            has, uint = 1, int(triples[t // 2, 0] >> u32)
+        elif t:
+            uint = int(triples[t // 2 - 1, 0] >> u32)
+    # Step back over the words drawn ahead (PCG64 advances modulo its period
+    # 2**128), then restore the buffer the loop leaves, stale high half too.
+    bitgen.advance((pos - len(words)) % 2**128)
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = has, uint
+    bitgen.state = state
     return np.concatenate(proposed), np.concatenate(accepted)
 
 
@@ -363,8 +334,8 @@ def rso_subsample(
     rng: np.random.Generator,
     max_draw_factor: int = RSO_MAX_DRAW_FACTOR,
 ) -> RsoSample:
-    """Draw candidates uniformly with replacement, accepting each with its
-    acceptance probability, until ``n_samples`` acceptances.
+    """Draw candidates uniformly with replacement from K >= 2, accepting each
+    with its acceptance probability, until ``n_samples`` acceptances.
 
     If the draw budget (``max_draw_factor * n_samples`` proposals) runs out
     first, the remaining slots are filled with the not-yet-accepted
@@ -377,6 +348,8 @@ def rso_subsample(
 
     probs = np.asarray(acceptance_probs, dtype=np.float64)
     k = len(probs)
+    if k < 2:
+        raise ValidationError(f"RSO needs at least 2 candidates, got {k}")
     proposed, accepted = _rso_proposals(probs, n_samples, max_draw_factor * n_samples, rng)
     proposals = np.bincount(proposed, minlength=k)
     picks = proposed[accepted]

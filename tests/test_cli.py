@@ -389,6 +389,23 @@ class TestLossesCommand:
         assert "error: instances must be a positive integer" in captured.err
         assert "passed" not in captured.out
 
+    def test_too_many_instances_exit_2_at_once(self):
+        from crpo.losses import MAX_GRAD_INSTANCES
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "crpo.cli", "losses", "check-grad",
+             "--instances", "1000000000000"],
+            cwd=HERE.parent / "src",
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: instances must be at most {MAX_GRAD_INSTANCES}, got 1000000000000\n"
+        )
+        assert proc.stdout == ""
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -635,6 +652,84 @@ class TestUtilityCommand:
         assert "internal error" not in err
 
 
+class TestOutputNamesAnotherFile:
+    """An output flag that names the file of an input flag or of the other
+    output exits 2 before anything is read: no input changes, and no output
+    is written."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = {
+            "c": tmp_path / "candidates.jsonl",
+            "p": tmp_path / "pairs.jsonl",
+            "u": tmp_path / "utility.txt",
+        }
+        for key, source in (
+            ("c", FIXTURE), ("p", GOLDEN / "pairs_cr_plus.jsonl"), ("u", GOLDEN / "utility_small.txt")
+        ):
+            paths[key].write_bytes(source.read_bytes())
+        paths["r"] = tmp_path / "report"  # not there yet
+        return paths
+
+    @staticmethod
+    def contents(tmp_path):
+        # A dangling link reads as False.
+        return {path: path.exists() and path.read_bytes() for path in tmp_path.iterdir()}
+
+    def assert_rejected(self, argv, flags, files, tmp_path, capsys):
+        before = self.contents(tmp_path)
+        rc = main([arg.format(**files) for arg in argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert all(flag in err for flag in flags), err
+        assert self.contents(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["select", "--in", "{c}", "--out", "{c}", "--method", "cr_plus"], ["--out", "--in"]),
+            (["select", "--in", "{c}", "--out", "{u}", "--method", "mbr_bw",
+              "--utility-matrix", "{u}"], ["--out", "--utility-matrix"]),
+            (["stats", "--pairs", "{p}", "--candidates", "{c}", "--out", "{p}"],
+             ["--out", "--pairs"]),
+            (["stats", "--pairs", "{p}", "--candidates", "{c}", "--out", "{c}"],
+             ["--out", "--candidates"]),
+            (["stats", "--pairs", "{p}", "--candidates", "{c}", "--out", "{r}", "--csv", "{p}"],
+             ["--csv", "--pairs"]),
+            (["stats", "--pairs", "{p}", "--candidates", "{c}", "--out", "{r}", "--csv", "{c}"],
+             ["--csv", "--candidates"]),
+            (["stats", "--pairs", "{p}", "--candidates", "{c}", "--out", "{r}", "--csv", "{r}"],
+             ["--csv", "--out"]),
+            (["utility", "matrix", "--in", "{c}", "--out", "{c}"], ["--out", "--in"]),
+        ],
+        ids=["select --in", "select --utility-matrix", "stats --out --pairs",
+             "stats --out --candidates", "stats --csv --pairs", "stats --csv --candidates",
+             "stats --csv --out", "utility matrix --in"],
+    )
+    def test_same_path_is_rejected(self, argv, flags, files, tmp_path, capsys):
+        self.assert_rejected(argv, flags, files, tmp_path, capsys)
+
+    @pytest.mark.parametrize("link", [os.symlink, os.link], ids=["symlink", "hard link"])
+    def test_linked_path_is_rejected(self, link, files, tmp_path, capsys):
+        link(files["c"], tmp_path / "linked.jsonl")
+        files["l"] = tmp_path / "linked.jsonl"
+        argv = ["select", "--in", "{c}", "--out", "{l}", "--method", "cr_plus"]
+        self.assert_rejected(argv, ["--out", "--in"], files, tmp_path, capsys)
+
+    def test_symlink_to_the_other_output_is_rejected(self, files, tmp_path, capsys):
+        # Neither output exists yet; the link would write through to the report.
+        os.symlink(files["r"], tmp_path / "linked.csv")
+        files["l"] = tmp_path / "linked.csv"
+        argv = ["stats", "--pairs", "{p}", "--candidates", "{c}", "--out", "{r}", "--csv", "{l}"]
+        self.assert_rejected(argv, ["--csv", "--out"], files, tmp_path, capsys)
+
+    def test_devices_may_repeat(self, files):
+        argv = ["stats", "--pairs", str(files["p"]), "--candidates", str(files["c"]),
+                "--out", os.devnull, "--csv", os.devnull]
+        assert main(argv) == 0
+
+
 def _with_line_2(source: Path, dest: Path, corruption: str, blank_first: bool = False) -> str:
     lines = source.read_bytes().splitlines(keepends=True)
     if blank_first:
@@ -695,16 +790,16 @@ def test_module_entry_point_prints_help():
 def test_main_runs_with_the_collector_off_and_restores_it(
     monkeypatch, collecting, instances, code
 ):
-    import crpo.cli
+    import crpo.losses
 
-    check = crpo.cli.gradient_check
+    check = crpo.losses.gradient_check
     during = []
 
     def recorded(**kwargs):
         during.append(gc.isenabled())
         return check(**kwargs)
 
-    monkeypatch.setattr(crpo.cli, "gradient_check", recorded)
+    monkeypatch.setattr(crpo.losses, "gradient_check", recorded)
     was = gc.isenabled()
     (gc.enable if collecting else gc.disable)()
     try:

@@ -324,7 +324,7 @@ class TestRso:
         generator that enters with a buffered 32-bit half."""
         rng = np.random.default_rng(2309)
         for _ in range(3000):
-            k = int(rng.choice([1, 2, 3, 5, 16, 17, 100, 1000]))
+            k = int(rng.choice([2, 3, 5, 16, 17, 100, 1000]))
             n_samples = int(rng.integers(0, 33))
             max_draw_factor = int(rng.choice([1, 2, 3, RSO_MAX_DRAW_FACTOR]))
             shape = int(rng.integers(4))
@@ -375,6 +375,9 @@ class TestRso:
     def test_subsample_rejects_a_generator_it_cannot_replay(self):
         with pytest.raises(ValidationError, match="PCG64"):
             rso_subsample(np.ones(3), 4, np.random.Generator(np.random.Philox(0)))
+        for k in (0, 1):  # no pool RSO can pair from
+            with pytest.raises(ValidationError, match=f"at least 2 candidates, got {k}"):
+                rso_subsample(np.ones(k), 4, np.random.default_rng(0))
 
     def test_select_rso_pairs_have_positive_gap(self, worked_example):
         cfg = config(method="rso", beta=5.0)  # flat acceptance, real mixing
