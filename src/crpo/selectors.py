@@ -44,8 +44,6 @@ if TYPE_CHECKING:
 # number of acceptances.
 RSO_MAX_DRAW_FACTOR = 64
 
-_TWO_M53 = 2.0**-53  # ``Generator.random()`` is (word >> 11) * 2**-53
-
 # The configuration ``random_pair_outcome`` labels its pairs under.
 _RANDOM_PAIR_CONFIG = SelectionConfig()
 
@@ -218,94 +216,31 @@ def rso_acceptance_probs(agg_rewards: Sequence[float], beta: float) -> np.ndarra
 def _rso_proposals(
     probs: np.ndarray, n_samples: int, budget: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Proposed index and acceptance of every proposal of the loop
+    """Proposed index and acceptance of every proposal, drawn in blocks.
 
-        for _ in range(budget):
-            if acceptances == n_samples: break
-            j = rng.integers(k)           # propose
-            if rng.random() < probs[j]:   # accept
-                acceptances += 1
-
-    over k >= 2 candidates, replayed bit for bit from ``rng``'s PCG64 words
-    (``random_raw``), with ``rng`` left where the loop leaves it
-    (``tests/oracles.py`` keeps the loop).
-
-    ``integers(k)`` maps a 32-bit draw u to (u * k) >> 32 and draws again
-    while (u * k) mod 2**32 < (2**32 - k) mod k (Lemire).  A draw is the
-    buffered high half of the last word (``has_uint32`` / ``uinteger``), else
-    the low half of a new word, whose high half it buffers; ``random()``
-    reads a whole word.  So from an empty buffer, proposals 2m and 2m + 1
-    read the words [I, D, D] (low and high half of I, then one D each), and a
-    block of proposals is read with array operations.  A proposal from a full
-    buffer, or one that needs a redraw (p < k / 2**32), is read word by word.
-    Blocks double from twice the expected number of proposals, so the words
-    drawn stay within a small multiple of the words the loop reads.
+    Block b draws t_b indices with one ``rng.integers(k, size=t_b)``, then
+    t_b uniforms with one ``rng.random(t_b)``; proposal i is accepted when
+    its uniform is below ``probs`` of its index.  t_0 is twice the expected
+    number of proposals, 2 * n_samples * k / sum(probs), rounded up, at
+    least 1 and at most ``budget`` (``budget`` when the sum is 0); each later
+    block doubles, capped by the budget left.  Proposals count in order up
+    to the ``n_samples``-th acceptance or the end of the budget.
     """
     import numpy as np
 
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    if state["bit_generator"] != "PCG64":
-        raise ValidationError(
-            f"RSO replays a PCG64 stream, got a {state['bit_generator']} generator"
-        )
     if min(budget, n_samples) <= 0:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=bool)
-    low32, u32, u11 = np.uint64(0xFFFF_FFFF), np.uint64(32), np.uint64(11)
     k = len(probs)
-    threshold = (2**32 - k) % k
     total = float(np.add.reduce(probs))
     block = max(1, math.ceil(min(budget, 2 * n_samples * k / total))) if total > 0.0 else budget
-    # The words drawn so far, how many of them the loop has read, and the
-    # loop's 32-bit buffer.
-    words = np.empty(0, dtype=np.uint64)
-    pos = 0
-    has, uint = state["has_uint32"], state["uinteger"]
-
-    def ahead(n: int) -> np.ndarray:
-        """The next ``n`` unread words, drawn if need be and left unread."""
-        nonlocal words
-        short = pos + n - len(words)
-        if short > 0:
-            words = np.concatenate((words, bitgen.random_raw(short)))
-        return words[pos : pos + n]
-
     proposed: list[np.ndarray] = []
     accepted: list[np.ndarray] = []
     done = n_accepted = 0
-    word_by_word = False
     while done < budget and n_accepted < n_samples:
-        if has or word_by_word:
-            while True:  # 32-bit draws until one is outside Lemire's zone
-                if has:
-                    m = uint * k
-                else:
-                    (word,) = ahead(1).tolist()
-                    pos, uint, m = pos + 1, word >> 32, (word & 0xFFFF_FFFF) * k
-                has ^= 1
-                if (m & 0xFFFF_FFFF) >= threshold:
-                    break
-            j = m >> 32
-            (word,) = ahead(1).tolist()
-            pos += 1
-            ok = bool((word >> 11) * _TWO_M53 < probs[j])
-            proposed.append(np.array([j], dtype=np.intp))
-            accepted.append(np.array([ok]))
-            done, n_accepted, word_by_word = done + 1, n_accepted + ok, False
-            continue
         t = min(block, budget - done)
         block *= 2
-        triples = ahead(3 * ((t + 1) // 2)).reshape(-1, 3)
-        # The low and high halves of the I words, in that order.
-        u = triples[:, 0].astype("<u8").view("<u4")[:t]
-        m = np.multiply(u, np.uint64(k), dtype=np.uint64)
-        j = (m >> u32).astype(np.intp)
-        doubles = triples[:, 1:].ravel()[:t]
-        if threshold:
-            redraws = ((m & low32) < threshold).nonzero()[0]
-            if len(redraws):
-                t, word_by_word = int(redraws[0]), True
-        ok = (doubles[:t] >> u11) * _TWO_M53 < probs[j[:t]]
+        j = rng.integers(k, size=t)
+        ok = rng.random(t) < probs[j]
         hits = ok.nonzero()[0]
         need = n_samples - n_accepted
         if len(hits) >= need:
@@ -314,17 +249,6 @@ def _rso_proposals(
         accepted.append(ok[:t])
         done += t
         n_accepted += len(hits)  # past n_samples only when the loop stops here
-        pos += 3 * (t // 2) + 2 * (t % 2)
-        if t % 2:
-            has, uint = 1, int(triples[t // 2, 0] >> u32)
-        elif t:
-            uint = int(triples[t // 2 - 1, 0] >> u32)
-    # Step back over the words drawn ahead (PCG64 advances modulo its period
-    # 2**128), then restore the buffer the loop leaves, stale high half too.
-    bitgen.advance((pos - len(words)) % 2**128)
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = has, uint
-    bitgen.state = state
     return np.concatenate(proposed), np.concatenate(accepted)
 
 
@@ -341,8 +265,9 @@ def rso_subsample(
     first, the remaining slots are filled with the not-yet-accepted
     candidates in decreasing acceptance-probability order (i.e. decreasing
     reward), cycling through all candidates if even that runs dry.  Draws
-    come from ``rng``, which must be a PCG64 ``Generator``, exactly as
-    ``rng.integers(K)`` then ``rng.random()`` per proposal would take them.
+    come from ``rng``, any numpy ``Generator``, in blocks: one
+    ``rng.integers(K, size=t)`` then one ``rng.random(t)`` per block of t
+    proposals (``_rso_proposals`` gives the block sizes).
     """
     import numpy as np
 

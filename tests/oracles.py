@@ -10,10 +10,11 @@
   equal it on every entry, bit for bit.
 - ``emit_candidates`` writes candidate sets back to JSONL, the inverse of
   ``crpo.dataio.ingest_candidates``.
-- ``rso_subsample`` is the proposal loop of RSO, one ``rng.integers(K)`` and
-  one ``rng.random()`` per proposal; ``crpo.selectors.rso_subsample``, which
-  replays the generator's words in blocks, must match its picks, counts and
-  the generator state it leaves.
+- ``rso_subsample`` walks RSO's proposals one at a time over the same draws
+  in blocks (one ``rng.integers(K, size=t)``, then one ``rng.random(t)``,
+  per block of t); ``crpo.selectors.rso_subsample``, which takes each block
+  with array operations, must match its picks, counts and the generator
+  state it leaves.
 - ``random_pair_outcome`` builds the random-pair control's pair by hand; the
   ``crpo.selectors`` version, labeled through ``_Pool.by_reward``, must match
   it except for the ``confidence_gap`` extra it adds.
@@ -381,25 +382,38 @@ def rso_subsample(
     rng: np.random.Generator,
     max_draw_factor: int = RSO_MAX_DRAW_FACTOR,
 ) -> RsoSample:
-    """RSO one proposal at a time: draw ``rng.integers(K)``, accept it if
-    ``rng.random()`` is below its acceptance probability, until ``n_samples``
-    acceptances or ``max_draw_factor * n_samples`` proposals; then back-fill
-    with the unaccepted candidates by decreasing probability, cycling through
-    all of them if that runs dry."""
+    """RSO one proposal at a time over the blocks of ``crpo.selectors``:
+    each block of t proposals draws ``rng.integers(K, size=t)`` and then
+    ``rng.random(t)``, t starting at 2 * n_samples * K / sum(probs) rounded
+    up (at least 1, at most the budget, the budget when the sum is 0) and
+    doubling, capped by the budget left.  A proposal is accepted if its
+    uniform is below its acceptance probability; the walk stops at
+    ``n_samples`` acceptances or ``max_draw_factor * n_samples`` proposals,
+    then back-fills with the unaccepted candidates by decreasing
+    probability, cycling through all of them if that runs dry."""
     probs = np.asarray(acceptance_probs, dtype=np.float64)
     k = len(probs)
     proposals = np.zeros(k, dtype=np.int64)
     acceptances = np.zeros(k, dtype=np.int64)
     picks: list[int] = []
     budget = max_draw_factor * n_samples
-    for _ in range(budget):
-        if len(picks) >= n_samples:
-            break
-        j = int(rng.integers(k))
-        proposals[j] += 1
-        if rng.random() < probs[j]:
-            acceptances[j] += 1
-            picks.append(j)
+    total = float(probs.sum())
+    if total == 0.0:
+        block = budget
+    else:
+        block = max(1, math.ceil(min(budget, 2 * n_samples * k / total)))
+    done = 0
+    while done < budget and len(picks) < n_samples:
+        t = min(block, budget - done)
+        block *= 2
+        for j, u in zip(rng.integers(k, size=t).tolist(), rng.random(t).tolist()):
+            if len(picks) == n_samples:
+                break
+            proposals[j] += 1
+            if u < probs[j]:
+                acceptances[j] += 1
+                picks.append(j)
+        done += t
     n_filled = max(n_samples - len(picks), 0)
     if n_filled:
         order = sorted(range(k), key=lambda j: (-probs[j], j))

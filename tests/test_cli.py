@@ -66,11 +66,16 @@ class TestSelectGoldens:
         assert out.read_bytes() == golden.read_bytes()
         assert "wrote" in capsys.readouterr().out
 
-    def test_sharp_rso_skips_every_source(self, tmp_path, capsys):
+    def test_sharp_rso_skips_two_of_three_sources(self, tmp_path, capsys):
+        # At the default beta 0.1, s_beta accepts B2 once (acceptance
+        # probability exp(-6.5)) and pairs it with B1; the other two sources
+        # draw only tied pairs.
         out = tmp_path / "pairs.jsonl"
         assert run_select(out, "rso") == 0
         assert out.read_bytes() == (GOLDEN / "pairs_rso_sharp.jsonl").read_bytes()
-        assert "(3 of 3 sources skipped)" in capsys.readouterr().out
+        assert "(2 of 3 sources skipped)" in capsys.readouterr().out
+        (pair,) = load_pairs(out).pairs
+        assert (pair.source_id, pair.chosen_id, pair.rejected_id) == ("s_beta", "B1", "B2")
 
     @pytest.mark.parametrize("method,extra", SELECT_VARIANTS)
     def test_repeat_runs_are_byte_identical(self, tmp_path, method, extra):
