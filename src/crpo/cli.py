@@ -160,6 +160,17 @@ def _check_outputs(outputs: dict[str, str | None], inputs: dict[str, str | None]
         earlier[flag] = path
 
 
+def _check_digestible(flag: str, path: str) -> None:
+    """Reject, before it is read, an input that is opened a second time for
+    its digest but is not a regular file: a pipe holds no bytes by then, and
+    a FIFO blocks the second open.  ``os.stat`` follows links, so
+    ``/dev/stdin`` redirected from a regular file passes."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValidationError(
+            f"{flag} must name a regular file, since its digest reads it again: {path}"
+        )
+
+
 def _cmd_select(args: argparse.Namespace) -> int:
     if args.utility_matrix is not None and args.method not in UTILITY_RANKED_METHODS:
         raise ValidationError(
@@ -180,6 +191,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
     _check_outputs(
         {"--out": args.out}, {"--in": args.input, "--utility-matrix": args.utility_matrix}
     )
+    _check_digestible("--in", args.input)
     sets = ingest_candidates(args.input)
     utilities = None
     if args.utility_matrix is not None:
@@ -202,8 +214,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         {"--pairs": args.pairs, "--candidates": args.candidates},
     )
     dataset = load_pairs(args.pairs)
-    sets = ingest_candidates(args.candidates)
     expected = dataset.provenance.get("input_digest")
+    if expected is not None:
+        _check_digestible("--candidates", args.candidates)
+    sets = ingest_candidates(args.candidates)
     if expected is not None and expected != digest_file(args.candidates):
         raise ValidationError(
             "pair file was produced from a different candidate file (digest mismatch)"

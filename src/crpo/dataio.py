@@ -33,7 +33,6 @@ import hashlib
 import itertools
 import json
 import math
-import operator
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -167,9 +166,9 @@ def _read_records(path: str | Path, add: Callable[[dict, int], None]) -> dict:
 # are matched exactly, as ``json`` builds only the exact built-in types, so no
 # field accepts a boolean although bool is a subclass of int.  The values go on
 # positionally: the candidate table ends with Candidate's fields and the pair
-# table holds PreferencePair's, each in constructor order.  The candidate table
-# is mirrored by the exact-type test in ``ingest_candidates``, which must accept
-# exactly what the table accepts: change both together.
+# table holds PreferencePair's, each in constructor order.  Both readers check
+# each record against its field table, so a table is the only statement of
+# which types its fields may hold.
 _MISSING_LOGPROB = "missing logprob (CR scores require reference-policy likelihoods)"
 _STR = (str,)
 _NUMBER = (int, float)
@@ -199,13 +198,6 @@ _SFT_FIELDS = (
 _MATRIX_HEADER_FIELDS = (
     ("source_id", _STR, "block header needs source_id and ids", "source_id must be a string"),
     ("ids", (list,), "block header needs source_id and ids", "ids must be a list of strings"),
-)
-
-
-# One lookup of the candidate table's required fields, in table order, which
-# raises KeyError when one is absent: the optional field is listed last.
-_candidate_values = operator.itemgetter(
-    *(key for key, _, missing, _ in _CANDIDATE_FIELDS if missing is not None)
 )
 
 
@@ -252,27 +244,9 @@ def ingest_candidates(path: str | Path) -> list[CandidateSet]:
     directions: dict[str, tuple[str, str]] = {}  # each distinct tag, parsed once
 
     def add(record: dict, lineno: int) -> None:
-        try:
-            source_id, source_text, tag, candidate_id, text, logprob, rewards = (
-                _candidate_values(record)
-            )
-            token_count = record.get("token_count")
-            typed = (
-                type(source_id) is str
-                and type(source_text) is str
-                and type(tag) is str
-                and type(candidate_id) is str
-                and type(text) is str
-                and (type(logprob) is float or type(logprob) is int)
-                and type(rewards) is dict
-                and (token_count is None or type(token_count) is int)
-            )
-        except KeyError:
-            typed = False
-        if not typed:  # the table accepts what the test does: it raises the message
-            source_id, source_text, tag, candidate_id, text, logprob, rewards, token_count = (
-                _fields(record, _CANDIDATE_FIELDS, path, lineno)
-            )
+        source_id, source_text, tag, candidate_id, text, logprob, rewards, token_count = (
+            _fields(record, _CANDIDATE_FIELDS, path, lineno)
+        )
         if not (source_id.isascii() and candidate_id.isascii()):
             _check_encodable(path, lineno, source_id=source_id, candidate_id=candidate_id)
         try:

@@ -64,13 +64,12 @@ class PairBatch:
 
     ``of`` validates the (source row, winner column, loser column) index
     triples against the reference log-probability table and keeps what every
-    evaluation of ``batch_loss_and_grad`` reads: the source rows, the
-    reference log-probabilities of winners and losers, the flat cells of the
-    gradient scatter, and the number of pairs in each row.
+    evaluation of ``batch_loss_and_grad`` reads: the reference
+    log-probabilities of winners and losers, the flat cells of the gradient
+    scatter, and the number of pairs in each row.
     """
 
     shape: tuple[int, int]
-    s: np.ndarray
     ref_w: np.ndarray
     ref_l: np.ndarray
     # Flat cells of the kernel's bincount, in the order of its weights: the
@@ -112,7 +111,6 @@ class PairBatch:
         per_row = np.bincount(s, minlength=n_sources).astype(np.float64)
         return cls(
             shape=(n_sources, n_outputs),
-            s=_frozen(s.copy()),
             ref_w=_frozen(ref_logp[s, w]),
             ref_l=_frozen(ref_logp[s, l]),
             cells=_frozen(np.concatenate([win, row + l, win])),
@@ -135,7 +133,7 @@ def batch_loss_and_grad(
             f"policy and reference tables must share a 2-D shape, "
             f"got {np.shape(logits)} and {batch.shape}"
         )
-    n = len(batch.s)
+    n = len(batch.ref_w)
     if n == 0:
         return 0.0, np.zeros(batch.shape)
     logp = log_softmax(logits)

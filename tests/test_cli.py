@@ -1049,13 +1049,13 @@ def _crpo_process(*argv, prefix=("-m", "crpo.cli"), unbuffered=False, **kwargs):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("timeout", 120)
     return subprocess.run(
         [sys.executable, *prefix, *map(str, argv)],
         cwd=HERE.parent / "src",
         env=env,
         stderr=subprocess.PIPE,
         text=True,
-        timeout=120,
         **kwargs,
     )
 
@@ -1167,3 +1167,65 @@ class TestProcessEntry:
         assert proc.returncode == 0, proc.stderr
         assert (coverdir / "crpo.cli.cover").stat().st_size > 0
         assert out.read_bytes() == (GOLDEN / "pairs_cr_plus.jsonl").read_bytes()
+
+
+def _stats_argv(out, candidates=FIXTURE, pairs=GOLDEN / "pairs_cr_plus.jsonl"):
+    return ["stats", "--pairs", pairs, "--candidates", candidates, "--out", out, "--bins", "6"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+class TestDigestedInputIsARegularFile:
+    """``select`` digests ``--in``, and ``stats`` digests ``--candidates`` when
+    the pair file records an input digest, by opening the path a second time.
+    A pipe or a FIFO there exits 2 before it is read; a link to a regular
+    file, such as ``/dev/stdin`` redirected from one, reads as that file."""
+
+    @pytest.mark.parametrize("flag", ["--in", "--candidates"])
+    def test_pipe_exits_2_naming_the_flag(self, tmp_path, flag):
+        out = tmp_path / "out"
+        argv = (_select_argv if flag == "--in" else _stats_argv)(out, "/dev/stdin")
+        proc = _crpo_process(*argv, input=FIXTURE.read_text(encoding="utf-8"))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: {flag} must name a regular file, since its digest reads it again: "
+            "/dev/stdin\n"
+        )
+        assert proc.stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [(_select_argv, "pairs_cr_plus.jsonl"), (_stats_argv, "stats_cr_plus.json")],
+        ids=["select", "stats"],
+    )
+    def test_stdin_redirected_from_a_file_matches_the_golden(self, tmp_path, argv, golden):
+        out = tmp_path / "out"
+        with open(FIXTURE, "rb") as stdin:
+            proc = _crpo_process(*argv(out, "/dev/stdin"), stdin=stdin)
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+    def test_stats_reads_a_pipe_when_the_pair_file_records_no_digest(self, tmp_path):
+        lines = (GOLDEN / "pairs_cr_plus.jsonl").read_text(encoding="utf-8").splitlines(True)
+        header = json.loads(lines[0])
+        del header["_meta"]["input_digest"]
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
+        out = tmp_path / "stats.json"
+        proc = _crpo_process(*_stats_argv(out, "/dev/stdin", pairs),
+                             input=FIXTURE.read_text(encoding="utf-8"))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == (GOLDEN / "stats_cr_plus.json").read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_exits_2_without_being_opened(self, tmp_path):
+        # Nothing writes to the FIFO: a command that opened it would block
+        # until the timeout, which kills it.
+        fifo, out = tmp_path / "fifo", tmp_path / "out"
+        os.mkfifo(fifo)
+        proc = _crpo_process(*_select_argv(out, fifo), timeout=30)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: --in must name a regular file, since its digest reads it again: {fifo}\n"
+        )
+        assert not out.exists()

@@ -157,6 +157,15 @@ class TestIngestCandidates:
         write_lines(path, [candidate_record(token_count=12)])
         assert ingest_candidates(path)[0].candidates[0].token_count == 12
 
+    @pytest.mark.parametrize(
+        "extra", [{"note": "unread"}, {"Logprob": True}], ids=["string", "boolean"]
+    )
+    def test_unknown_key_loads_as_the_record_without_it(self, tmp_path, extra):
+        path, bare = tmp_path / "cands.jsonl", tmp_path / "bare.jsonl"
+        write_lines(path, [candidate_record(**extra)])
+        write_lines(bare, [candidate_record()])
+        assert ingest_candidates(path) == ingest_candidates(bare)
+
     def test_boolean_token_count_reports_line(self, tmp_path):
         path = tmp_path / "cands.jsonl"
         write_lines(

@@ -4,9 +4,9 @@ A valid file is corrupted (bytes flipped, lines truncated, field values
 swapped for arbitrary JSON, fields dropped or set to null, ``_meta`` lines
 added, lines nested too deep, whitespace or a BOM put around a record) and
 read back.  Dropped and null fields reach every message of the field
-tables, and every fallback of the candidate reader's exact-type test to its
-table.  A file either loads into well-typed records or is rejected with a
-``ValidationError`` that names the file: no other exception may escape, since the CLI turns any other one
+tables, against which both readers check each record.  A file either loads
+into well-typed records or is rejected with a ``ValidationError`` that names
+the file: no other exception may escape, since the CLI turns any other one
 into an ``internal error`` exit.  The readers must also agree with the plain
 ones of ``tests/oracles.py``: equal results, or the same error message.
 A line ends at ``\\n`` only, so a CR put where JSON allows whitespace, in a
@@ -144,9 +144,8 @@ def test_corrupted_pair_files_read_as_the_oracle_reads_them(path, data):
 
 
 # Every field of every record kind, dropped, set to null or given a value of
-# each other JSON type: each reaches a message of the field tables, through
-# the fallback of the candidate reader's exact-type test for candidates, which
-# the random corruptions hit only by chance.
+# each other JSON type: each reaches a message of the field table its reader
+# checks the record against, which the random corruptions hit only by chance.
 _DROP = object()
 _FIELD_VALUES = (
     _DROP, None, True, False, 0, 3, -2.5, 10**400, "", "x-y", "\ud800", "x-\udfff", [], ["x"],
