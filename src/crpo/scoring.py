@@ -1,15 +1,14 @@
 """MBR utilities: the utility matrix type, expected utilities and the
 built-in character n-gram utility.
 
-Ranking by expected utility runs on Python floats: ``UtilityMatrix`` keeps
-its rows as tuples of floats, and ``mbr_scores`` sums each row as numpy's
+Ranking by expected utility runs on Python floats: ``UtilityMatrix`` reads
+every entry with ``float``, and ``mbr_scores`` sums each row as numpy's
 float64 ``sum`` does (``pairwise_sum``), so a matrix read from a file is
-ranked without loading numpy.  numpy is imported inside the built-in n-gram
-utility and on first access to ``UtilityMatrix.values``; importing this
-module (as ``selectors`` and ``dataio`` do) does not load it.  The n-gram
-utility stays on arrays: in pure Python it took 71-98 ms against numpy's
-18-25 ms on the 16 pools of K = 16 of the benchmark's ``mbr`` input (2 vCPU).
-"""
+built and ranked without loading numpy.  numpy is imported inside the
+built-in n-gram utility and on first access to ``UtilityMatrix.values``;
+importing this module (as ``selectors`` and ``dataio`` do) does not load
+it.  The n-gram utility stays on arrays: pure Python took 71-98 ms against
+numpy's 18-25 ms on the benchmark's 16 ``mbr`` pools of K = 16 (2 vCPU)."""
 
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import CandidateSet, ValidationError
 
@@ -75,55 +74,40 @@ def _pairwise_run(values: Sequence[float], lo: int, hi: int) -> float:
     return total
 
 
-def _float_rows(values: object, k: int) -> bool:
-    """Whether ``values`` is k lists or tuples of k Python floats."""
-    return (
-        isinstance(values, (list, tuple))
-        and len(values) == k
-        and all(
-            isinstance(row, (list, tuple))
-            and len(row) == k
-            and all(type(v) is float for v in row)
-            for row in values
-        )
-    )
+def _float_row(row: Iterable[object]) -> tuple[float, ...]:
+    """A matrix row read with ``float``.  A string is not a row, and an array
+    row has one axis: older numpy reads a one-entry array as a float."""
+    if isinstance(row, (str, bytes)) or getattr(row, "ndim", 1) != 1:
+        raise TypeError("a row is a string or an array of other than one axis")
+    return tuple(map(float, row))
 
 
 @dataclass(frozen=True, init=False)
 class UtilityMatrix:
     """Dense pairwise utility U[j, k] = utility(candidate j, candidate k).
 
-    ``rows`` holds the entries as tuples of Python floats.  The ``values``
-    argument is either k lists or tuples of k Python floats, taken as they
-    are, or anything ``np.asarray`` reads as a k x k float64 array.  The
-    ``values`` attribute is the matrix as a read-only float64 array, built
-    (and numpy imported) on first access.
+    ``values`` is k rows of k entries that ``float`` reads, such as a k x k
+    array's ``tolist()``; ``rows`` holds them as tuples of Python floats,
+    read without numpy.  The ``values`` attribute is the matrix as a
+    read-only float64 array, built (and numpy imported) on first access.
     """
 
     ids: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
 
-    def __init__(self, ids: Sequence[str], values: object) -> None:
+    def __init__(self, ids: Sequence[str], values: Iterable[Iterable[object]]) -> None:
         ids = tuple(ids)
         if not all(isinstance(c, str) for c in ids):
             raise ValidationError("utility matrix ids must be strings")
         if len(set(ids)) != len(ids) or not ids:
             raise ValidationError("utility matrix ids must be non-empty and distinct")
         k = len(ids)
-        if _float_rows(values, k):
-            rows = tuple(map(tuple, values))
-        else:
-            import numpy as np
-
-            try:
-                array = np.asarray(values, dtype=np.float64)
-            except (TypeError, ValueError) as err:
-                raise ValidationError(f"utility matrix must be {k}x{k} numbers: {err}") from None
-            if array.shape != (k, k):
-                raise ValidationError(
-                    f"utility matrix must be {k}x{k}, got shape {array.shape}"
-                )
-            rows = tuple(map(tuple, array.tolist()))
+        try:
+            rows = tuple(map(_float_row, values))
+            if len(rows) != k or any(len(row) != k for row in rows):
+                raise ValueError(f"got {len(rows)} rows of lengths {sorted(set(map(len, rows)))}")
+        except (TypeError, ValueError, OverflowError) as err:
+            raise ValidationError(f"utility matrix must be {k}x{k} numbers: {err}") from None
         if not all(map(math.isfinite, itertools.chain.from_iterable(rows))):
             raise ValidationError("utility matrix contains non-finite entries")
         object.__setattr__(self, "ids", ids)
@@ -244,4 +228,4 @@ def utility_matrix_for_set(cset: CandidateSet) -> UtilityMatrix:
     empty = lengths == 0
     values[empty[:, None] & empty[None, :]] = 1.0
     np.fill_diagonal(values, 1.0)
-    return UtilityMatrix(ids=tuple(c.id for c in cset.candidates), values=values)
+    return UtilityMatrix(ids=tuple(c.id for c in cset.candidates), values=values.tolist())

@@ -33,7 +33,7 @@ from .core import (
     is_integer,
 )
 from .losses import LossConfig, PairBatch, batch_loss_and_grad, log_softmax
-from .selectors import SelectionOutcome, random_pair_outcome, run_selector
+from .selectors import _SELECTORS, SelectionOutcome, random_pair_outcome, run_selector
 
 # Method tags the comparison harness accepts: every selector plus a
 # random-pair control baseline.
@@ -218,6 +218,8 @@ def nucleus_probs(probs: np.ndarray, top_p: float) -> np.ndarray:
     probs = np.asarray(probs, dtype=np.float64)
     if not np.all(np.isfinite(probs)) or probs.sum() <= 0:
         raise ValidationError("degenerate distribution after truncation")
+    if probs.min() < 0:
+        raise ValidationError("probabilities must not be negative")
     order = np.argsort(-probs, kind="stable")
     cumulative = np.cumsum(probs[order])
     cutoff = int(np.searchsorted(cumulative, top_p)) + 1
@@ -526,6 +528,9 @@ def run_comparison(
         raise ValidationError(f"comparison needs an integer k >= 2, got {k!r}")
     if k > MAX_COMPARE_K:
         raise ValidationError(f"comparison needs k <= {MAX_COMPARE_K}, got {k}")
+    for method in methods:
+        if method in _SELECTORS and k < _SELECTORS[method][0]:
+            raise ValidationError(f"method {method!r} needs k >= {_SELECTORS[method][0]}, got {k}")
     n_candidates = n_seeds * world.n_sources * k
     if n_candidates > MAX_COMPARE_CANDIDATES:
         raise ValidationError(

@@ -150,18 +150,20 @@ class TestSelectErrors:
         assert rc == 2
         assert "no utility matrix" in capsys.readouterr().err
 
-    def test_supplied_matrices_change_nothing_when_equivalent(self, tmp_path):
-        out = tmp_path / "pairs.jsonl"
-        rc = run_select(
-            out,
-            "mbr_bw",
-            ["--utility-matrix", str(GOLDEN / "utility_small.txt")],
-        )
-        assert rc == 0
-        # matrices were computed with the built-in utility, so the pair records
-        # must agree with the matrix-free golden run
-        golden_pairs = load_pairs(GOLDEN / "pairs_mbr_bw.jsonl").pairs
-        assert load_pairs(out).pairs == golden_pairs
+    # Matrices written by `utility matrix` hold the built-in utility, so
+    # selecting from them must give the bytes of the matrix-free run.
+    @pytest.mark.parametrize("method", ["mbr_bw", "mbr_bmw"])
+    @pytest.mark.parametrize(
+        "candidates", [FIXTURE, PARAPHRASE_FIXTURE], ids=["small", "paraphrase"]
+    )
+    def test_supplied_matrices_change_nothing_when_equivalent(self, tmp_path, candidates, method):
+        matrices = tmp_path / "u.txt"
+        built_in, supplied = tmp_path / "built_in.jsonl", tmp_path / "supplied.jsonl"
+        assert main(["utility", "matrix", "--in", str(candidates), "--out", str(matrices)]) == 0
+        select = ["select", "--in", str(candidates), "--method", method, "--out"]
+        assert main(select + [str(built_in)]) == 0
+        assert main(select + [str(supplied), "--utility-matrix", str(matrices)]) == 0
+        assert supplied.read_bytes() == built_in.read_bytes()
 
     @pytest.mark.parametrize("method", ["cr_plus", "minmax_r", "rso"])
     def test_utility_matrix_rejected_for_non_mbr_methods(self, tmp_path, method, capsys):
@@ -917,6 +919,16 @@ class TestStartupWithoutNumpy:
         loaded = json.loads(proc.stdout)
         assert "crpo.selectors" in loaded
         assert not [name for name in loaded if name.split(".")[0] == "numpy"]
+
+    def test_int_matrix_is_built_where_numpy_cannot_load(self):
+        proc = _run_python(
+            "import sys\n"
+            "sys.modules['numpy'] = None  # every import of numpy now fails\n"
+            "from crpo.scoring import UtilityMatrix\n"
+            "print(UtilityMatrix(('a', 'b'), [[1, 2**60 + 1], [-3, True]]).rows)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{((1.0, float(2**60 + 1)), (-3.0, 1.0))}\n"
 
     def test_reward_and_confidence_selectors_run_where_numpy_cannot_load(self, tmp_path):
         runs = {f"{method}.jsonl": [method] for method in NUMPY_FREE_METHODS}

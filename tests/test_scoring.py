@@ -139,6 +139,70 @@ class TestMbrUtilities:
             UtilityMatrix(ids=("A", "B"), values=[[1.0, "x"], [0.0, 1.0]])
 
 
+FLOATS = [[0.1, -0.0], [1e-310, -2.5e300]]
+FLOAT32S = np.array([[0.1, -3.3], [2.0**-149, 7e30]], dtype=np.float32)
+INTS = [[1, 2**53 + 1], [-(2**63) - 3, 2**70 + 1]]
+
+
+def numpy_rows(values) -> list[list[float]]:
+    return np.asarray(values, dtype=np.float64).tolist()
+
+
+def float_rows(values) -> list[list[float]]:
+    return [list(map(float, row)) for row in values]
+
+
+# Every numeric form of matrix gives, bit for bit, the rows of numpy's float64
+# conversion, and numeric strings the rows of ``float``.
+@pytest.mark.parametrize(
+    "values, oracle",
+    [
+        pytest.param(FLOATS, numpy_rows, id="float-lists"),
+        pytest.param(tuple(map(tuple, FLOATS)), numpy_rows, id="float-tuples"),
+        pytest.param(INTS, numpy_rows, id="int-lists"),
+        pytest.param([[True, False], [False, True]], numpy_rows, id="bools"),
+        pytest.param([["0.1", " -2e-3 "], ["7", "1e300"]], float_rows, id="numeric-strings"),
+        pytest.param(np.array(FLOATS), numpy_rows, id="float64-array"),
+        pytest.param(FLOAT32S, numpy_rows, id="float32-array"),
+        pytest.param(np.array([[1, -(2**62) - 1], [2**53 + 1, 0]]), numpy_rows, id="int-array"),
+    ],
+)
+def test_every_numeric_form_gives_the_same_rows(values, oracle):
+    rows = UtilityMatrix(("A", "B"), values).rows
+    assert [list(map(float.hex, row)) for row in rows] == [
+        list(map(float.hex, row)) for row in oracle(values)
+    ]
+
+
+class TwoAxisRow(list):
+    """A row of a 2 x 2 x 1 array as numpy 1.24 iterates it: its entries are
+    one-entry arrays, which ``float`` reads there, so only ``ndim`` tells."""
+
+    ndim = 2
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        pytest.param([[1.0, 2.0], [1.0]], id="ragged"),
+        pytest.param(np.zeros((2, 3)), id="2x3"),
+        pytest.param(np.zeros((3, 3)), id="3x3"),
+        pytest.param(1.0, id="scalar"),
+        pytest.param([[1j, 0.0], [0.0, 1.0]], id="complex"),
+        pytest.param([["x", 0.0], [0.0, 1.0]], id="x"),
+        pytest.param(["10", "01"], id="string-rows"),
+        pytest.param([[1.0, float("nan")], [0.0, 1.0]], id="nan"),
+        pytest.param([[1.0, 0.0], [float("-inf"), 1.0]], id="inf"),
+        pytest.param(np.zeros((2, 2, 1)), id="2x2x1-array"),
+        pytest.param([TwoAxisRow([0.0, 1.0]), TwoAxisRow([1.0, 0.0])], id="2x2x1-rows"),
+        pytest.param([[10**400, 0.0], [0.0, 1.0]], id="huge-int"),
+    ],
+)
+def test_non_matrices_are_validation_errors(values):
+    with pytest.raises(ValidationError, match="^utility matrix "):
+        UtilityMatrix(("A", "B"), values)
+
+
 def oracle_chrf(hyp: str, ref: str, max_order: int = 6, beta: float = 2.0) -> float:
     """Independent re-derivation of the built-in utility for cross-checking."""
     hyp = "".join(hyp.split())

@@ -226,6 +226,8 @@ class TestNucleusProbs:
             nucleus_probs(np.array([1.0]), 1.5)
         with pytest.raises(ValidationError, match="degenerate"):
             nucleus_probs(np.zeros(3), 0.9)
+        with pytest.raises(ValidationError, match="negative"):
+            nucleus_probs(np.array([-0.2, 0.5, 0.6]), 1.0)
 
 
 class TestSampleCandidates:
@@ -599,6 +601,8 @@ class TestRunComparison:
             run_comparison(world, (), n_seeds=1)
         with pytest.raises(ValidationError, match="k >= 2"):
             run_comparison(world, ("cr_plus",), n_seeds=1, k=1)
+        with pytest.raises(ValidationError, match="^method 'mbr_bmw' needs k >= 3, got 2$"):
+            run_comparison(world, ("cr_plus", "mbr_bmw"), n_seeds=1, k=2)
         for n_seeds, message in (
             (0, "got 0"),
             (-1, "got -1"),
@@ -631,6 +635,7 @@ def _seeds_reached(task, seeds):
         pytest.param("cr_plus", True, 2, 3, 2, id="bool-seeds"),
         pytest.param("cr_plus", 1, 2, 3, 1, id="k-below"),
         pytest.param("cr_plus", 1, 2, 3, MAX_COMPARE_K + 1, id="k-above"),
+        pytest.param("cr_plus,mbr_bmw", 2, 4, 8, 2, id="k-below-method"),
         pytest.param("cr_plus", MAX_COMPARE_CANDIDATES // 2 + 1, 1, 3, 2, id="candidates"),
         pytest.param("cr_plus", 10**6, 160, 64, 16, id="candidates-benchmark-world"),
         pytest.param("rs_dpo", 1, 6, 8, MAX_COMPARE_K, id="pair-cells"),
