@@ -19,9 +19,9 @@ through one path, so every malformed line is reported as ``file:line``.  Floats
 are written in Python's shortest round-trip representation, so emit followed by
 ingest is lossless, and identical inputs produce byte-identical outputs.
 
-No function here loads numpy.  ``emit_stats`` bins and averages on Python
-floats, bit for bit as ``np.linspace``, ``np.histogram`` and ``np.mean``
-did, and the utility-matrix reader keeps each row as Python floats.
+No function here loads numpy.  ``emit_stats`` bins on Python floats, bit for
+bit as ``np.linspace`` and ``np.histogram`` did, and averages with
+``math.fsum``; the utility-matrix reader keeps each row as Python floats.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .core import (
     effective_logprob,
     is_integer,
 )
-from .scoring import UtilityMatrix, pairwise_sum
+from .scoring import UtilityMatrix
 
 # Largest histogram resolution of ``emit_stats``.  Each method's report holds
 # four histograms of this many counts, so the bound keeps a size taken from the
@@ -373,15 +373,15 @@ _STATS_SERIES = (
 
 
 def _finite_mean(values: Sequence[float]) -> float:
-    """``np.mean`` of finite values, bit for bit, rescaled by the largest
-    magnitude when the plain sum overflows (log-likelihoods near -1.8e308
-    do); each rescaled partial sum is at most its count, so the mean stays
-    finite."""
-    mean = pairwise_sum(values) / len(values)
-    if not math.isfinite(mean):
+    """Mean of finite values: their exact sum rounded once (``math.fsum``)
+    / their count.  Where ``fsum`` overflows (log-likelihoods near -1.8e308
+    do), the values are rescaled by the largest magnitude first; each
+    rescaled partial sum is at most its count, so the mean stays finite."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
         scale = max(map(abs, values))
-        mean = scale * (pairwise_sum([v / scale for v in values]) / len(values))
-    return mean
+        return scale * (math.fsum([v / scale for v in values]) / len(values))
 
 
 def _linspace(lo: float, hi: float, num: int) -> list[float]:

@@ -2,13 +2,13 @@
 built-in character n-gram utility.
 
 Ranking by expected utility runs on Python floats: ``UtilityMatrix`` reads
-every entry with ``float``, and ``mbr_scores`` sums each row as numpy's
-float64 ``sum`` does (``pairwise_sum``), so a matrix read from a file is
-built and ranked without loading numpy.  numpy is imported inside the
-built-in n-gram utility and on first access to ``UtilityMatrix.values``;
-importing this module (as ``selectors`` and ``dataio`` do) does not load
-it.  The n-gram utility stays on arrays: pure Python took 71-98 ms against
-numpy's 18-25 ms on the benchmark's 16 ``mbr`` pools of K = 16 (2 vCPU)."""
+every entry with ``float``, and ``mbr_scores`` sums each row with
+``math.fsum``, so a matrix read from a file is built and ranked without
+loading numpy.  numpy is imported inside the built-in n-gram utility and on
+first access to ``UtilityMatrix.values``; importing this module (as
+``selectors`` and ``dataio`` do) does not load it.  The n-gram utility stays
+on arrays: pure Python took 71-98 ms against numpy's 18-25 ms on the
+benchmark's 16 ``mbr`` pools of K = 16 (2 vCPU)."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import CandidateSet, ValidationError
@@ -35,43 +34,6 @@ _TABLE_CELLS = 1 << 18
 # Every code point is below this, so gram * _CODE_POINTS + code point is a
 # one-to-one key of (gram, next character).
 _CODE_POINTS = 0x110000
-# numpy's pairwise sum adds blocks of up to this many values with 8
-# interleaved accumulators, and halves longer runs.
-_PAIRWISE_BLOCK = 128
-
-
-def pairwise_sum(values: Sequence[float]) -> float:
-    """numpy's float64 ``add.reduce`` of a list or tuple of floats, bit for bit.
-
-    numpy starts from the identity 0.0, so a sum of -0.0 entries is 0.0, and
-    adds its pairwise sum: fewer than 8 values in order; up to 128 in 8
-    interleaved accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
-    then the tail in order; a longer run as its two halves, split at n // 2
-    rounded down to a multiple of 8.
-    """
-    if len(values) < 8:
-        total = 0.0
-        for value in values:
-            total += value
-        return total
-    return 0.0 + _pairwise_run(values, 0, len(values))
-
-
-def _pairwise_run(values: Sequence[float], lo: int, hi: int) -> float:
-    """numpy's pairwise sum of values[lo:hi], which holds at least 8 values."""
-    n = hi - lo
-    if n > _PAIRWISE_BLOCK:
-        mid = lo + n // 2 - n // 2 % 8
-        return _pairwise_run(values, lo, mid) + _pairwise_run(values, mid, hi)
-    end = hi - n % 8
-    sums = values[lo:lo + 8]
-    for i in range(lo + 8, end, 8):
-        sums = list(map(add, sums, values[i:i + 8]))
-    r0, r1, r2, r3, r4, r5, r6, r7 = sums
-    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for value in values[end:hi]:
-        total += value
-    return total
 
 
 def _float_row(row: Iterable[object]) -> tuple[float, ...]:
@@ -123,12 +85,26 @@ class UtilityMatrix:
 
 
 def mbr_scores(matrix: UtilityMatrix) -> list[float]:
-    """Expected utility of every candidate, self-utility excluded:
-    (row sum - diagonal) / (K - 1), each row summed by ``pairwise_sum``."""
+    """Expected utility of every candidate, self-utility excluded: the
+    ``math.fsum`` of its row's K - 1 off-diagonal entries / (K - 1).
+
+    ``fsum`` rounds the exact sum once, so a score does not depend on the
+    order of the row's entries and equal utilities tie exactly.  A row whose
+    sum leaves the float range on the way (``fsum`` raises ``OverflowError``,
+    even where the exact sum would fit) has no score: ``ValidationError``.
+    """
     k = len(matrix.ids)
     if k < 2:
         raise ValidationError("expected utility needs at least 2 candidates")
-    return [(pairwise_sum(row) - row[j]) / (k - 1) for j, row in enumerate(matrix.rows)]
+    scores = []
+    for j, row in enumerate(matrix.rows):
+        try:
+            scores.append(math.fsum(row[:j] + row[j + 1:]) / (k - 1))
+        except OverflowError:
+            raise ValidationError(
+                f"expected utility of candidate {matrix.ids[j]!r} overflows"
+            ) from None
+    return scores
 
 
 def _clipped_matches(

@@ -353,7 +353,10 @@ def _mbr_scores(pool: _Pool, matrix: UtilityMatrix | None) -> list[float]:
             f"source {pool.cset.source_id!r}: utility matrix ids do not match the set"
         )
     rows = matrix.rows
-    return mbr_scores(UtilityMatrix(ids, [[rows[i][j] for j in order] for i in order]))
+    try:
+        return mbr_scores(UtilityMatrix(ids, [[rows[i][j] for j in order] for i in order]))
+    except ValidationError as err:  # a row's sum overflows
+        raise ValidationError(f"source {pool.cset.source_id!r}: {err}") from None
 
 
 def _mbr(pool: _Pool, config: SelectionConfig, utility: UtilityMatrix | None) -> SelectionOutcome:
@@ -365,20 +368,13 @@ def _mbr(pool: _Pool, config: SelectionConfig, utility: UtilityMatrix | None) ->
     ceil(K/2)) and emits (best, middle), (best, worst), (middle, worst).
     Labels follow the utility ranking, not the rewards; equal expected
     utilities keep id order.  ``utility`` is a precomputed matrix over the
-    set's ids; without one the built-in utility is used.  A finite matrix
-    can still sum to an infinite or NaN expected utility, which has no rank,
-    so that is rejected, and so is a gap between two finite expected
-    utilities that overflows (only K = 2 can: above it each expected
-    utility is at most half the largest float).
+    set's ids; without one the built-in utility is used.  A matrix row whose
+    sum overflows has no expected utility, so it is rejected, and so is a
+    gap between two expected utilities that overflows (only K = 2 can:
+    above it each expected utility is at most half the largest float).
     """
     method = config.method
     score = _mbr_scores(pool, utility)
-    for j, value in enumerate(score):
-        if not math.isfinite(value):
-            raise ValidationError(
-                f"source {pool.cset.source_id!r}: expected utility of candidate "
-                f"{pool.cset.candidates[j].id!r} is not finite ({value!r})"
-            )
     ranked = sorted(range(len(score)), key=lambda j: -score[j])
 
     def mbr_pair(chosen: int, rejected: int) -> PreferencePair:

@@ -34,12 +34,13 @@
   ``crpo.selectors`` ran them before it moved to Python lists; the list
   selectors must give the same outcome, with every score and extra equal bit
   for bit.
-- ``mbr_scores`` and ``array_mbr`` rank a pool by expected utility on arrays
-  (row sums with ``ndarray.sum``, the ``np.ix_`` permutation into id order, a
-  stable ``np.argsort``), and ``finite_mean``, ``linspace`` and ``histogram``
-  are the numpy calls of the stats report, as ``crpo.scoring``,
-  ``crpo.selectors`` and ``crpo.dataio`` ran them before they moved to
-  Python floats; the float versions must equal them bit for bit.
+- ``mbr_scores`` and ``finite_mean`` sum exactly with ``Fraction``, round
+  the sum once with ``float`` and then divide as crpo does; ``array_mbr``
+  ranks a pool by those expected utilities on arrays (the ``np.ix_``
+  permutation into id order, a stable ``np.argsort``).  ``linspace`` and
+  ``histogram`` are the numpy calls of the stats report, as ``crpo.dataio``
+  ran them before it moved to Python floats.  The crpo versions must equal
+  them bit for bit.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -733,9 +735,21 @@ def array_select(cset: CandidateSet, config: SelectionConfig) -> SelectionOutcom
     return _ARRAY_SELECTORS[config.method](ArrayPool.of(cset, config), config)
 
 
-def mbr_scores(values: np.ndarray) -> np.ndarray:
-    """Expected utility of every candidate, self-utility excluded."""
-    return (values.sum(axis=1) - np.diag(values)) / (len(values) - 1)
+def exact_sum(values: Sequence[float]) -> float:
+    """The exact sum of ``values`` rounded once to a float.  ``OverflowError``
+    where ``math.fsum`` overflows: where the rounded sum does not fit, and
+    where a partial sum in the given order leaves the float range though the
+    whole sum would fit."""
+    math.fsum(values)
+    return float(sum(map(Fraction, values)))
+
+
+def mbr_scores(values: Sequence[Sequence[float]]) -> list[float]:
+    """Expected utility of every candidate, self-utility excluded: the
+    exact sum of its row's off-diagonal entries / (K - 1)."""
+    k = len(values)
+    return [exact_sum([v for m, v in enumerate(row) if m != j]) / (k - 1)
+            for j, row in enumerate(values)]
 
 
 def array_mbr(
@@ -744,17 +758,18 @@ def array_mbr(
     """``config.method``'s MBR outcome on ``cset`` for a utility matrix over
     ``matrix_ids`` (the set's ids in any order)."""
     order = sorted(range(len(matrix_ids)), key=matrix_ids.__getitem__)
-    score = mbr_scores(np.asarray(values, dtype=np.float64)[np.ix_(order, order)])
-    ranked = [int(j) for j in np.argsort(-score, kind="stable")]
+    permuted = np.asarray(values, dtype=np.float64)[np.ix_(order, order)]
+    score = mbr_scores(permuted.tolist())
+    ranked = [int(j) for j in np.argsort(-np.array(score), kind="stable")]
     pool = ArrayPool.of(cset, config)
 
     def mbr_pair(chosen: int, rejected: int) -> PreferencePair:
         return pool.pair(
             chosen,
             rejected,
-            float(score[chosen] - score[rejected]),
+            score[chosen] - score[rejected],
             config.method,
-            extra={"mbr_chosen": float(score[chosen]), "mbr_rejected": float(score[rejected])},
+            extra={"mbr_chosen": score[chosen], "mbr_rejected": score[rejected]},
         )
 
     best, worst = ranked[0], ranked[-1]
@@ -767,14 +782,14 @@ def array_mbr(
 
 
 def finite_mean(values: Sequence[float]) -> float:
-    """``np.mean`` of finite values, rescaled by the largest magnitude when
-    the plain sum overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = np.mean(values)
-    if not np.isfinite(mean):
-        scale = np.max(np.abs(values))
-        mean = scale * np.mean(np.divide(values, scale))
-    return float(mean)
+    """The exact mean of finite values, rounded as crpo rounds it: the sum
+    rounded once / the count, or, where that sum overflows, the same of the
+    values / the largest magnitude, times it."""
+    try:
+        return exact_sum(values) / len(values)
+    except OverflowError:
+        scale = max(map(abs, values))
+        return scale * (exact_sum([v / scale for v in values]) / len(values))
 
 
 def linspace(lo: float, hi: float, num: int) -> list[float]:

@@ -223,12 +223,12 @@ def test_criterion_5_mbr_brute_force(capsys):
                     (p.chosen_id, p.rejected_id) for p in bmw
                 ] != want:
                     structural_failures += 1
-    ok = worst < 1e-12 and structural_failures == 0
+    ok = worst == 0.0 and structural_failures == 0
     report(
         capsys, 5, "expected-utility brute force", ok,
-        f"K=2..16, score error {worst:.2e}, {structural_failures} pairing mismatches",
+        f"K=2..16, score error {worst:.2e} (exact: 0), {structural_failures} pairing mismatches",
     )
-    assert worst < 1e-12
+    assert worst == 0.0
     assert structural_failures == 0
 
 

@@ -982,27 +982,33 @@ def _write_pool(path: Path, source_id: str, ids) -> Path:
     return path
 
 
-# Entries of row 0 of a K = 16 matrix.  numpy's sum of 16 values adds entries
-# j and j + 8 into accumulator j, so 1 and 9 make one accumulator +-inf, and
-# 2 and 10 the opposite one: a finite matrix whose expected utility is +-inf
-# or NaN.
-NON_FINITE_ROWS = {
-    "inf": {1: 1e308, 9: 1e308},
-    "-inf": {1: -1e308, 9: -1e308},
-    "nan": {1: 1e308, 9: 1e308, 2: -1e308, 10: -1e308},
+# Entries of row 0 of a K = 16 matrix whose row sum has no float value: it
+# leaves the float range above or below, or a partial sum does (1e308 +
+# 1e308) though the whole sum is finite.
+OVERFLOWING_ROWS = {
+    "above": {1: 1e308, 9: 1e308},
+    "below": {1: -1e308, 9: -1e308},
+    "partial": {1: 1e308, 2: 1e308, 9: -1e308, 10: -1e308},
 }
 
 
-@pytest.mark.parametrize("method", UTILITY_METHODS)
-@pytest.mark.parametrize("utility", list(NON_FINITE_ROWS))
-def test_non_finite_expected_utility_is_rejected(tmp_path, method, utility):
+def _big_pool(tmp_path, row0):
+    """A K = 16 pool 's_big' with a matrix file of 0.5 off the diagonal,
+    except row 0's entries in ``row0``."""
     ids = [f"c{j:02d}" for j in range(16)]
     candidates = _write_pool(tmp_path / "candidates.jsonl", "s_big", ids)
     values = [[1.0 if j == m else 0.5 for m in range(16)] for j in range(16)]
-    for m, value in NON_FINITE_ROWS[utility].items():
+    for m, value in row0.items():
         values[0][m] = value
     matrices = tmp_path / "util.txt"
     save_utility_matrices([("s_big", UtilityMatrix(tuple(ids), values))], matrices)
+    return candidates, matrices
+
+
+@pytest.mark.parametrize("method", UTILITY_METHODS)
+@pytest.mark.parametrize("row", list(OVERFLOWING_ROWS))
+def test_overflowing_row_sum_is_rejected(tmp_path, method, row):
+    candidates, matrices = _big_pool(tmp_path, OVERFLOWING_ROWS[row])
     out = tmp_path / "pairs.jsonl"
     proc = subprocess.run(
         [sys.executable, "-m", "crpo.cli", "select", "--in", str(candidates), "--out", str(out),
@@ -1014,9 +1020,45 @@ def test_non_finite_expected_utility_is_rejected(tmp_path, method, utility):
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.splitlines() == [
-        f"error: source 's_big': expected utility of candidate 'c00' is not finite ({utility})"
+        "error: source 's_big': expected utility of candidate 'c00' overflows"
     ]
     assert not out.exists()
+
+
+def test_row_whose_partial_sums_stay_in_range_is_ranked(tmp_path):
+    # +-1e308 cancel before the next 1e308 is added, so the row sums to 5.5.
+    candidates, matrices = _big_pool(tmp_path, {1: 1e308, 2: -1e308, 9: 1e308, 10: -1e308})
+    out = tmp_path / "pairs.jsonl"
+    assert main(["select", "--in", str(candidates), "--out", str(out), "--method", "mbr_bw",
+                 "--utility-matrix", str(matrices)]) == 0
+    (pair,) = load_pairs(out).pairs
+    assert (pair.chosen_id, pair.rejected_id) == ("c01", "c00")
+    assert pair.extras["mbr_rejected"] == 5.5 / 15
+
+
+@pytest.mark.parametrize(
+    "method, want",
+    [("mbr_bw", [("a", "d")]), ("mbr_bmw", [("a", "b"), ("a", "d"), ("b", "d")])],
+    ids=UTILITY_METHODS,
+)
+def test_equal_expected_utilities_rank_by_id(tmp_path, method, want):
+    # a and b hold the same off-diagonal utilities in a different order, so
+    # their expected utilities are equal and a, the smaller id, ranks first.
+    candidates = _write_pool(tmp_path / "candidates.jsonl", "s", ["a", "b", "c", "d"])
+    values = [
+        [1.0, 0.7, 0.1, 0.6],
+        [0.6, 1.0, 0.1, 0.7],
+        [0.3, 0.6, 1.0, 0.05],
+        [0.35, 0.05, 0.05, 1.0],
+    ]
+    matrices = tmp_path / "util.txt"
+    save_utility_matrices([("s", UtilityMatrix(("a", "b", "c", "d"), values))], matrices)
+    out = tmp_path / "pairs.jsonl"
+    assert main(["select", "--in", str(candidates), "--out", str(out), "--method", method,
+                 "--utility-matrix", str(matrices)]) == 0
+    pairs = load_pairs(out).pairs
+    assert [(p.chosen_id, p.rejected_id) for p in pairs] == want
+    assert pairs[0].extras["mbr_chosen"] == 1.4 / 3
 
 
 def test_overflowing_expected_utility_gap_is_rejected(tmp_path, capsys):
