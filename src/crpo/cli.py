@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import stat
 import sys
@@ -255,9 +254,7 @@ def _cmd_toy_compare(args: argparse.Namespace) -> int:
         reward_logit_corr=args.corr,
     )
     report = run_comparison(world, methods, args.seeds, k=args.k)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
+    save_stats(report, args.out)
     for method, mean, stderr in zip(report["methods"], report["means"], report["stderrs"]):
         print(f"{method}: mean gain {mean:+.5f} (stderr {stderr:.5f})")
     return 0

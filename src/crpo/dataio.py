@@ -234,10 +234,10 @@ def _fields(record: dict, fields: tuple, path: str | Path, lineno: int) -> list:
 def ingest_candidates(path: str | Path) -> list[CandidateSet]:
     """Read and validate a candidate file, grouping records by source.
 
-    Records for one source need not be contiguous; groups keep first-
-    appearance order and each set holds its candidates in id order.  Every
-    malformed record is reported with its line number, and a malformed
-    source with the line of its first record.
+    Records for one source need not be contiguous or in any order: the
+    sets come in source id order and each holds its candidates in id order.
+    Every malformed record is reported with its line number, and a
+    malformed source with the line of its first record.
     """
     # source_id -> (source_text, direction, candidates by id, first line)
     groups: dict[str, tuple[str, tuple[str, str], dict[str, Candidate], int]] = {}
@@ -286,6 +286,9 @@ def ingest_candidates(path: str | Path) -> list[CandidateSet]:
                 sets.append(CandidateSet(source_id, text, direction, tuple(candidates.values())))
             except ValidationError as err:
                 raise ValidationError(f"{path}:{lineno}: {err}") from None
+        # Sorted only once every set is built, so that of two malformed
+        # sources the one whose first record comes first is reported.
+        sets.sort(key=lambda cset: cset.source_id)
         return sets
     finally:
         if collecting:
@@ -474,6 +477,7 @@ def emit_stats(
 
 
 def save_stats(report: dict, path: str | Path) -> None:
+    """Write a JSON report, the stats or the toy comparison, indented."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, ensure_ascii=False, indent=2)
         handle.write("\n")

@@ -511,7 +511,10 @@ def run_comparison(
     Returns the report ``toy compare`` writes: ``gains`` and ``flags`` rows,
     ``means`` and ``stderrs`` are parallel to ``methods``;
     ``win_rates[a][b]`` is the fraction of seeds on which method a beat
-    method b (ties count one half).
+    method b (ties count one half).  Each gain is rounded to 12 decimal
+    places; the means and stderrs are ``math.fsum`` summaries of the rounded
+    gains, which use only correctly rounded float operations, so the report
+    is the same bytes on any CPU and Python.
     """
     if not methods:
         raise ValidationError("no methods to compare")
@@ -548,18 +551,24 @@ def run_comparison(
         functools.partial(_seed_gains, world, methods, k, base_reward), range(n_seeds)
     )
     by_method = list(zip(*per_seed))
-    gains = [[gain for gain, _ in runs] for runs in by_method]
+    # numpy's SIMD exp and log may move a gain in its last bit between CPUs;
+    # rounding it here makes every value below the same on any CPU.
+    gains = [[round(gain, 12) for gain, _ in runs] for runs in by_method]
     flags = [[flag for _, flag in runs] for runs in by_method]
+    means = [math.fsum(g) / n_seeds for g in gains]
+    stderrs = [
+        math.sqrt(math.fsum((x - m) * (x - m) for x in g) / (n_seeds - 1) / n_seeds)
+        if n_seeds > 1
+        else 0.0
+        for g, m in zip(gains, means)
+    ]
 
     return {
         "methods": list(methods),
         "seeds": list(range(n_seeds)),
         "gains": gains,
-        "means": [float(np.mean(g)) for g in gains],
-        "stderrs": [
-            float(np.std(g, ddof=1) / math.sqrt(len(g))) if len(g) > 1 else 0.0
-            for g in gains
-        ],
+        "means": means,
+        "stderrs": stderrs,
         "win_rates": {
             a: {
                 b: sum(

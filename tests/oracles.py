@@ -510,10 +510,10 @@ def _check_written(record: dict, keys: Sequence[str], path: str | Path, lineno: 
 def ingest_candidates(path: str | Path) -> list[CandidateSet]:
     """Read and validate a candidate file, grouping records by source.
 
-    Records for one source need not be contiguous; groups keep first-
-    appearance order and each set holds its candidates in id order.  Every
-    malformed record is reported with its line number, and a malformed
-    source with the line of its first record.
+    Records for one source need not be contiguous or in any order: the
+    sets come in source id order and each holds its candidates in id order.
+    Every malformed record is reported with its line number, and a
+    malformed source with the line of its first record.
     """
     # source_id -> (source_text, direction, candidates by id, first line)
     groups: dict[str, tuple[str, tuple[str, str], dict[str, Candidate], int]] = {}
@@ -549,7 +549,7 @@ def ingest_candidates(path: str | Path) -> list[CandidateSet]:
             sets.append(CandidateSet(source_id, text, direction, tuple(candidates.values())))
         except ValidationError as err:
             raise ValidationError(f"{path}:{lineno}: {err}") from None
-    return sets
+    return sorted(sets, key=lambda cset: cset.source_id)
 
 
 def load_pairs(path: str | Path) -> PreferenceDataset:

@@ -470,22 +470,16 @@ class TestToyCommand:
     def test_reference_run_matches_golden(
         self, golden_name, methods, seeds, sources, tmp_path, capsys
     ):
-        # Gains and their summaries are compared to 1e-9, not as bytes: numpy's
-        # SIMD exp and log may differ in the last bit between CPUs.
+        # The report rounds each gain to 12 places, so numpy's SIMD exp and
+        # log, which may differ in the last bit between CPUs, leave its bytes
+        # alone.  A gain within about 1e-16 of a 12-place rounding midpoint
+        # can still round two ways, with a probability of about 2e-4 per value.
         out = tmp_path / "report.json"
         argv = ["toy", "compare", "--methods", methods, "--seeds", seeds,
                 "--sources", sources, "--outputs", "16", "--k", "12",
                 "--world-seed", "7", "--out", str(out)]
         assert main(argv) == 0
-        report = json.loads(out.read_text(encoding="utf-8"))
-        golden = json.loads((GOLDEN / f"{golden_name}.json").read_text(encoding="utf-8"))
-        assert list(report) == list(golden)
-        for key in ("methods", "seeds", "flags", "win_rates"):
-            assert report[key] == golden[key]
-        for gains, expected in zip(report["gains"], golden["gains"], strict=True):
-            assert gains == pytest.approx(expected, rel=0, abs=1e-9)
-        for key in ("means", "stderrs"):
-            assert report[key] == pytest.approx(golden[key], rel=0, abs=1e-9)
+        assert out.read_bytes() == (GOLDEN / f"{golden_name}.json").read_bytes()
 
     def test_unknown_method_rejected(self, tmp_path, capsys):
         rc = main(

@@ -5,7 +5,7 @@ run through ``crpo.cli.main`` with generated flag values (small sizes), on the
 fixture and on generated candidate files.  Bad values must be rejected with
 exit 2, never with the ``internal error`` exit 1, and every file written on
 exit 0 must load back and agree with its inputs.  The order of a candidate
-file's records must not change any pair record.
+file's records must not change the bytes of any pair record or utility matrix.
 """
 
 from __future__ import annotations
@@ -146,24 +146,24 @@ def test_select_exits_0_or_2_and_writes_valid_pairs(workdir, argv, data, utility
 @given(records=word_salad_records(), data=st.data())
 def test_record_order_changes_no_pair_record(workdir, records, data):
     """Shuffling a candidate file's records, within and across sources,
-    leaves every method's pair records byte-identical: only
-    ``_meta.input_digest`` and the order of the sources may change."""
+    leaves every method's pair records and the ``utility matrix`` output
+    byte-identical: only ``_meta.input_digest`` may change."""
     shuffled = data.draw(st.permutations(records))
-    for method in METHODS:
-        results = []
-        for name, lines in (("ordered", records), ("shuffled", shuffled)):
-            source, out = workdir / f"{name}.jsonl", workdir / f"{name}_pairs.jsonl"
-            source.write_text("".join(lines), encoding="utf-8")
+    results = []
+    for name, lines in (("ordered", records), ("shuffled", shuffled)):
+        source, out = workdir / f"{name}.jsonl", workdir / f"{name}_out"
+        source.write_text("".join(lines), encoding="utf-8")
+        assert main(["utility", "matrix", "--in", str(source), "--out", str(out)]) == 0
+        result = {"utility matrix": out.read_bytes()}
+        for method in METHODS:
             assert main(["select", "--in", str(source), "--out", str(out),
                          "--method", method]) == 0, method
-            header, *body = out.read_text(encoding="utf-8").splitlines()
+            header, body = out.read_text(encoding="utf-8").split("\n", 1)
             meta = json.loads(header)["_meta"]
             del meta["input_digest"]
-            by_source: dict[str, list[str]] = {}
-            for line in body:
-                by_source.setdefault(json.loads(line)["source_id"], []).append(line)
-            results.append((meta, by_source))
-        assert results[0] == results[1], method
+            result[method] = (meta, body)
+        results.append(result)
+    assert results[0] == results[1]
 
 
 @settings(max_examples=40, deadline=None)

@@ -127,7 +127,7 @@ class TestIngestCandidates:
         assert cset.candidate("A").logprob == -1.5
         assert cset.candidate("B").reward_agg == pytest.approx(0.1)
 
-    def test_non_contiguous_sources_group_by_first_appearance(self, tmp_path):
+    def test_non_contiguous_sources_group_in_source_id_order(self, tmp_path):
         path = tmp_path / "cands.jsonl"
         write_lines(
             path,
@@ -138,8 +138,8 @@ class TestIngestCandidates:
             ],
         )
         sets = ingest_candidates(path)
-        assert [s.source_id for s in sets] == ["s2", "s1"]
-        assert [c.id for c in sets[0].candidates] == ["A", "B"]
+        assert [s.source_id for s in sets] == ["s1", "s2"]
+        assert [c.id for c in sets[1].candidates] == ["A", "B"]
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "cands.jsonl"

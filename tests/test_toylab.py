@@ -560,6 +560,8 @@ class TestRunComparison:
         assert all(len(g) == 3 for g in report["gains"])
         for gains, mean in zip(report["gains"], report["means"], strict=True):
             assert mean == pytest.approx(sum(gains) / 3, abs=1e-15)
+            assert all(g == round(g, 12) for g in gains)
+            assert mean == math.fsum(gains) / len(gains)
         json.dumps(report)  # serializable as-is
 
     def test_win_rates_are_complementary(self):
