@@ -82,6 +82,24 @@ def aggregate_reward(rewards: Mapping[str, float]) -> float:
     return math.fsum(rewards.values()) / len(rewards)
 
 
+def exact_mean(values: Sequence[float]) -> float:
+    """Mean of finite values, finite and the same for any order of them: the
+    exact sum rounded once (``math.fsum``) / the count.  ``fsum`` overflows
+    where a partial sum leaves the float range, even if the whole sum fits;
+    then the sum is taken exactly and rounded once, before the division where
+    it fits and after it where it does not."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        from fractions import Fraction  # imports decimal: kept off start-up
+
+        total = sum(map(Fraction, values))
+        try:
+            return float(total) / len(values)
+        except OverflowError:
+            return float(total / len(values))
+
+
 def direction_class(direction: tuple[str, str]) -> str:
     """Threshold class of a translation direction: into English or out of it."""
     return INTO_EN if direction[1] == "en" else OUT_OF_EN

@@ -21,7 +21,7 @@ ingest is lossless, and identical inputs produce byte-identical outputs.
 
 No function here loads numpy.  ``emit_stats`` bins on Python floats, bit for
 bit as ``np.linspace`` and ``np.histogram`` did, and averages with
-``math.fsum``; the utility-matrix reader keeps each row as Python floats.
+``core.exact_mean``; the utility-matrix reader keeps each row as Python floats.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import gc
 import hashlib
 import itertools
 import json
-import math
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -45,6 +44,7 @@ from .core import (
     SelectionConfig,
     ValidationError,
     effective_logprob,
+    exact_mean,
     is_integer,
 )
 from .scoring import UtilityMatrix
@@ -375,18 +375,6 @@ _STATS_SERIES = (
 )
 
 
-def _finite_mean(values: Sequence[float]) -> float:
-    """Mean of finite values: their exact sum rounded once (``math.fsum``)
-    / their count.  Where ``fsum`` overflows (log-likelihoods near -1.8e308
-    do), the values are rescaled by the largest magnitude first; each
-    rescaled partial sum is at most its count, so the mean stays finite."""
-    try:
-        return math.fsum(values) / len(values)
-    except OverflowError:
-        scale = max(map(abs, values))
-        return scale * (math.fsum([v / scale for v in values]) / len(values))
-
-
 def _linspace(lo: float, hi: float, num: int) -> list[float]:
     """``np.linspace(lo, hi, num).tolist()`` for num >= 2, bit for bit:
     i * step + lo, or (i / div) * delta + lo when the step underflows to 0,
@@ -465,7 +453,7 @@ def emit_stats(
         stats: dict[str, object] = {"n_pairs": len(chosen)}
         for name, edges_key in _STATS_SERIES:
             stats[f"{name}_hist"] = _histogram(series[name], report[edges_key])
-            stats[f"{name}_mean"] = _finite_mean(series[name])
+            stats[f"{name}_mean"] = exact_mean(series[name])
         stats["scatter"] = [
             [c.reward_agg - r.reward_agg, c_logprob - r_logprob]
             for c, r, c_logprob, r_logprob in zip(

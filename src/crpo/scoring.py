@@ -2,8 +2,8 @@
 built-in character n-gram utility.
 
 Ranking by expected utility runs on Python floats: ``UtilityMatrix`` reads
-every entry with ``float``, and ``mbr_scores`` sums each row with
-``math.fsum``, so a matrix read from a file is built and ranked without
+every entry with ``float``, and ``mbr_scores`` takes each row's
+``core.exact_mean``, so a matrix read from a file is built and ranked without
 loading numpy.  numpy is imported inside the built-in n-gram utility and on
 first access to ``UtilityMatrix.values``; importing this module (as
 ``selectors`` and ``dataio`` do) does not load it.  The n-gram utility stays
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .core import CandidateSet, ValidationError
+from .core import CandidateSet, ValidationError, exact_mean
 
 if TYPE_CHECKING:
     import numpy as np
@@ -86,25 +86,12 @@ class UtilityMatrix:
 
 def mbr_scores(matrix: UtilityMatrix) -> list[float]:
     """Expected utility of every candidate, self-utility excluded: the
-    ``math.fsum`` of its row's K - 1 off-diagonal entries / (K - 1).
-
-    ``fsum`` rounds the exact sum once, so a score does not depend on the
-    order of the row's entries and equal utilities tie exactly.  A row whose
-    sum leaves the float range on the way (``fsum`` raises ``OverflowError``,
-    even where the exact sum would fit) has no score: ``ValidationError``.
-    """
-    k = len(matrix.ids)
-    if k < 2:
+    ``exact_mean`` of its row's K - 1 off-diagonal entries.  It does not
+    depend on the order of the row's entries, so equal utilities tie exactly,
+    and it is finite for every row."""
+    if len(matrix.ids) < 2:
         raise ValidationError("expected utility needs at least 2 candidates")
-    scores = []
-    for j, row in enumerate(matrix.rows):
-        try:
-            scores.append(math.fsum(row[:j] + row[j + 1:]) / (k - 1))
-        except OverflowError:
-            raise ValidationError(
-                f"expected utility of candidate {matrix.ids[j]!r} overflows"
-            ) from None
-    return scores
+    return [exact_mean(row[:j] + row[j + 1:]) for j, row in enumerate(matrix.rows)]
 
 
 def _clipped_matches(

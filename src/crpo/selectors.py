@@ -342,21 +342,19 @@ def _rsdpo(pool: _Pool, config: SelectionConfig, _utility: object) -> SelectionO
 
 
 def _mbr_scores(pool: _Pool, matrix: UtilityMatrix | None) -> list[float]:
-    """Expected utility of every candidate in id order: of ``matrix``
-    permuted into id order, or of the built-in utility without one."""
+    """Expected utility of every candidate in id order: of ``matrix``, scored
+    in its own order and looked up by id, or of the built-in utility without
+    one.  A row's expected utility does not depend on the order of its
+    entries, so the matrix's order does not change a score."""
     if matrix is None:
         return mbr_scores(utility_matrix_for_set(pool.cset))
-    ids = tuple(c.id for c in pool.cset.candidates)
-    order = sorted(range(len(matrix.ids)), key=matrix.ids.__getitem__)
-    if tuple(matrix.ids[i] for i in order) != ids:
+    ids = [c.id for c in pool.cset.candidates]
+    if sorted(matrix.ids) != ids:
         raise ValidationError(
             f"source {pool.cset.source_id!r}: utility matrix ids do not match the set"
         )
-    rows = matrix.rows
-    try:
-        return mbr_scores(UtilityMatrix(ids, [[rows[i][j] for j in order] for i in order]))
-    except ValidationError as err:  # a row's sum overflows
-        raise ValidationError(f"source {pool.cset.source_id!r}: {err}") from None
+    by_id = dict(zip(matrix.ids, mbr_scores(matrix)))
+    return [by_id[cid] for cid in ids]
 
 
 def _mbr(pool: _Pool, config: SelectionConfig, utility: UtilityMatrix | None) -> SelectionOutcome:
@@ -368,10 +366,9 @@ def _mbr(pool: _Pool, config: SelectionConfig, utility: UtilityMatrix | None) ->
     ceil(K/2)) and emits (best, middle), (best, worst), (middle, worst).
     Labels follow the utility ranking, not the rewards; equal expected
     utilities keep id order.  ``utility`` is a precomputed matrix over the
-    set's ids; without one the built-in utility is used.  A matrix row whose
-    sum overflows has no expected utility, so it is rejected, and so is a
-    gap between two expected utilities that overflows (only K = 2 can:
-    above it each expected utility is at most half the largest float).
+    set's ids; without one the built-in utility is used.  Every expected
+    utility is finite, but the gap between two of them can overflow (at any
+    K: +M and -M for the largest float M), and such a pair is rejected.
     """
     method = config.method
     score = _mbr_scores(pool, utility)

@@ -29,6 +29,7 @@ from .core import (
     CandidateSet,
     SelectionConfig,
     ValidationError,
+    exact_mean,
     is_finite_number,
     is_integer,
 )
@@ -512,8 +513,8 @@ def run_comparison(
     ``means`` and ``stderrs`` are parallel to ``methods``;
     ``win_rates[a][b]`` is the fraction of seeds on which method a beat
     method b (ties count one half).  Each gain is rounded to 12 decimal
-    places; the means and stderrs are ``math.fsum`` summaries of the rounded
-    gains, which use only correctly rounded float operations, so the report
+    places; the means (``exact_mean``) and stderrs (``math.fsum``) of the
+    rounded gains use only correctly rounded float operations, so the report
     is the same bytes on any CPU and Python.
     """
     if not methods:
@@ -555,7 +556,7 @@ def run_comparison(
     # rounding it here makes every value below the same on any CPU.
     gains = [[round(gain, 12) for gain, _ in runs] for runs in by_method]
     flags = [[flag for _, flag in runs] for runs in by_method]
-    means = [math.fsum(g) / n_seeds for g in gains]
+    means = [exact_mean(g) for g in gains]
     stderrs = [
         math.sqrt(math.fsum((x - m) * (x - m) for x in g) / (n_seeds - 1) / n_seeds)
         if n_seeds > 1

@@ -34,13 +34,13 @@
   ``crpo.selectors`` ran them before it moved to Python lists; the list
   selectors must give the same outcome, with every score and extra equal bit
   for bit.
-- ``mbr_scores`` and ``finite_mean`` sum exactly with ``Fraction``, round
-  the sum once with ``float`` and then divide as crpo does; ``array_mbr``
-  ranks a pool by those expected utilities on arrays (the ``np.ix_``
-  permutation into id order, a stable ``np.argsort``).  ``linspace`` and
-  ``histogram`` are the numpy calls of the stats report, as ``crpo.dataio``
-  ran them before it moved to Python floats.  The crpo versions must equal
-  them bit for bit.
+- ``exact_mean`` sums exactly with ``Fraction``, rounds the sum once with
+  ``float`` and divides, or rounds the quotient where that sum does not
+  fit; ``mbr_scores`` takes it of every row, and ``array_mbr`` ranks a pool
+  by those expected utilities on arrays (the ``np.ix_`` permutation into id
+  order, a stable ``np.argsort``).  ``linspace`` and ``histogram`` are the
+  numpy calls of the stats report, as ``crpo.dataio`` ran them before it
+  moved to Python floats.  The crpo versions must equal them bit for bit.
 """
 
 from __future__ import annotations
@@ -735,21 +735,21 @@ def array_select(cset: CandidateSet, config: SelectionConfig) -> SelectionOutcom
     return _ARRAY_SELECTORS[config.method](ArrayPool.of(cset, config), config)
 
 
-def exact_sum(values: Sequence[float]) -> float:
-    """The exact sum of ``values`` rounded once to a float.  ``OverflowError``
-    where ``math.fsum`` overflows: where the rounded sum does not fit, and
-    where a partial sum in the given order leaves the float range though the
-    whole sum would fit."""
-    math.fsum(values)
-    return float(sum(map(Fraction, values)))
+def exact_mean(values: Sequence[float]) -> float:
+    """The exact mean of finite values, rounded as crpo rounds it: the exact
+    sum rounded once / the count where that rounded sum fits, else the exact
+    mean rounded once."""
+    total = sum(map(Fraction, values))
+    try:
+        return float(total) / len(values)
+    except OverflowError:
+        return float(total / len(values))
 
 
 def mbr_scores(values: Sequence[Sequence[float]]) -> list[float]:
     """Expected utility of every candidate, self-utility excluded: the
-    exact sum of its row's off-diagonal entries / (K - 1)."""
-    k = len(values)
-    return [exact_sum([v for m, v in enumerate(row) if m != j]) / (k - 1)
-            for j, row in enumerate(values)]
+    exact mean of its row's off-diagonal entries."""
+    return [exact_mean([v for m, v in enumerate(row) if m != j]) for j, row in enumerate(values)]
 
 
 def array_mbr(
@@ -779,17 +779,6 @@ def array_mbr(
     return SelectionOutcome(
         pairs=(mbr_pair(best, middle), mbr_pair(best, worst), mbr_pair(middle, worst))
     )
-
-
-def finite_mean(values: Sequence[float]) -> float:
-    """The exact mean of finite values, rounded as crpo rounds it: the sum
-    rounded once / the count, or, where that sum overflows, the same of the
-    values / the largest magnitude, times it."""
-    try:
-        return exact_sum(values) / len(values)
-    except OverflowError:
-        scale = max(map(abs, values))
-        return scale * (exact_sum([v / scale for v in values]) / len(values))
 
 
 def linspace(lo: float, hi: float, num: int) -> list[float]:

@@ -11,6 +11,7 @@ import resource
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -976,9 +977,9 @@ def _write_pool(path: Path, source_id: str, ids) -> Path:
     return path
 
 
-# Entries of row 0 of a K = 16 matrix whose row sum has no float value: it
-# leaves the float range above or below, or a partial sum does (1e308 +
-# 1e308) though the whole sum is finite.
+# Entries of row 0 of a K = 16 matrix on which ``math.fsum`` overflows: the
+# row sum leaves the float range above or below, or a partial sum does
+# (1e308 + 1e308) though the whole sum is finite.
 OVERFLOWING_ROWS = {
     "above": {1: 1e308, 9: 1e308},
     "below": {1: -1e308, 9: -1e308},
@@ -988,7 +989,8 @@ OVERFLOWING_ROWS = {
 
 def _big_pool(tmp_path, row0):
     """A K = 16 pool 's_big' with a matrix file of 0.5 off the diagonal,
-    except row 0's entries in ``row0``."""
+    except row 0's entries in ``row0``; also returns row 0's off-diagonal
+    entries."""
     ids = [f"c{j:02d}" for j in range(16)]
     candidates = _write_pool(tmp_path / "candidates.jsonl", "s_big", ids)
     values = [[1.0 if j == m else 0.5 for m in range(16)] for j in range(16)]
@@ -996,13 +998,15 @@ def _big_pool(tmp_path, row0):
         values[0][m] = value
     matrices = tmp_path / "util.txt"
     save_utility_matrices([("s_big", UtilityMatrix(tuple(ids), values))], matrices)
-    return candidates, matrices
+    return candidates, matrices, values[0][1:]
 
 
 @pytest.mark.parametrize("method", UTILITY_METHODS)
 @pytest.mark.parametrize("row", list(OVERFLOWING_ROWS))
-def test_overflowing_row_sum_is_rejected(tmp_path, method, row):
-    candidates, matrices = _big_pool(tmp_path, OVERFLOWING_ROWS[row])
+def test_overflowing_row_sum_ranks_with_its_exact_mean(tmp_path, method, row):
+    # c00's expected utility is the exact mean of its row, finite: far above
+    # the others' 0.5, far below, or 5.5 / 15 below.
+    candidates, matrices, row0 = _big_pool(tmp_path, OVERFLOWING_ROWS[row])
     out = tmp_path / "pairs.jsonl"
     proc = subprocess.run(
         [sys.executable, "-m", "crpo.cli", "select", "--in", str(candidates), "--out", str(out),
@@ -1012,16 +1016,37 @@ def test_overflowing_row_sum_is_rejected(tmp_path, method, row):
         text=True,
         timeout=60,
     )
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.splitlines() == [
-        "error: source 's_big': expected utility of candidate 'c00' overflows"
-    ]
-    assert not out.exists()
+    assert proc.returncode == 0, proc.stderr
+    pair = load_pairs(out).pairs[1 if method == "mbr_bmw" else 0]  # best versus worst
+    want = float(sum(map(Fraction, row0)) / 15)
+    if row == "above":
+        assert (pair.chosen_id, pair.extras["mbr_chosen"]) == ("c00", want)
+    else:
+        assert (pair.rejected_id, pair.extras["mbr_rejected"]) == ("c00", want)
+
+
+@pytest.mark.parametrize("method", UTILITY_METHODS)
+def test_row_ranks_the_same_whichever_columns_hold_its_large_entries(tmp_path, method):
+    # The same four entries of row 0: fsum overflows where the two 1e308 come
+    # first, and not where each is followed by a -1e308.
+    layouts = {
+        "overflows": OVERFLOWING_ROWS["partial"],
+        "cancels": {1: 1e308, 2: -1e308, 9: 1e308, 10: -1e308},
+    }
+    outputs = []
+    for name, row0 in layouts.items():
+        (tmp_path / name).mkdir()
+        candidates, matrices, _ = _big_pool(tmp_path / name, row0)
+        out = tmp_path / f"{name}.jsonl"
+        assert main(["select", "--in", str(candidates), "--out", str(out), "--method", method,
+                     "--utility-matrix", str(matrices)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_row_whose_partial_sums_stay_in_range_is_ranked(tmp_path):
     # +-1e308 cancel before the next 1e308 is added, so the row sums to 5.5.
-    candidates, matrices = _big_pool(tmp_path, {1: 1e308, 2: -1e308, 9: 1e308, 10: -1e308})
+    candidates, matrices, _ = _big_pool(tmp_path, {1: 1e308, 2: -1e308, 9: 1e308, 10: -1e308})
     out = tmp_path / "pairs.jsonl"
     assert main(["select", "--in", str(candidates), "--out", str(out), "--method", "mbr_bw",
                  "--utility-matrix", str(matrices)]) == 0
@@ -1074,8 +1099,8 @@ def test_overflowing_expected_utility_gap_is_rejected(tmp_path, capsys):
 
 @pytest.mark.parametrize("method", UTILITY_METHODS)
 def test_largest_expected_utility_gap_of_three_candidates_is_kept(tmp_path, method):
-    # From K = 3 on, each expected utility is at most half the largest float,
-    # so no gap overflows: this matrix gives expected utilities +-M/2 and 0.
+    # This matrix gives expected utilities +-M/2 and 0, so the largest gap is
+    # M, the largest float, and every gap is kept.
     big = sys.float_info.max
     candidates = _write_pool(tmp_path / "candidates.jsonl", "s", ["a", "b", "c"])
     matrices = tmp_path / "util.txt"
@@ -1089,6 +1114,29 @@ def test_largest_expected_utility_gap_of_three_candidates_is_kept(tmp_path, meth
     if method == "mbr_bmw":
         assert pairs == {("a", "b"): big / 2, ("a", "c"): big, ("b", "c"): big / 2}
 
+
+@pytest.mark.parametrize("method", UTILITY_METHODS)
+@pytest.mark.parametrize("reverse", [False, True], ids=["id_order", "reversed"])
+def test_overflowing_expected_utility_gap_of_three_candidates_is_rejected(
+    tmp_path, capsys, method, reverse
+):
+    # Expected utilities +M, 0 and -M are finite at any K, their gap is not.
+    big = sys.float_info.max
+    candidates = _write_pool(tmp_path / "candidates.jsonl", "s", ["a", "b", "c"])
+    ids, values = ["a", "b", "c"], [[1.0, big, big], [0.0, 1.0, 0.0], [-big, -big, 1.0]]
+    if reverse:
+        ids, values = ids[::-1], [row[::-1] for row in values[::-1]]
+    matrices = tmp_path / "util.txt"
+    save_utility_matrices([("s", UtilityMatrix(ids, values))], matrices)
+    out = tmp_path / "pairs.jsonl"
+    rc = main(["select", "--in", str(candidates), "--out", str(out), "--method", method,
+               "--utility-matrix", str(matrices)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: source 's': expected-utility gap of candidate 'a' over 'c' overflows "
+        f"({big!r} - {-big!r})"
+    ]
+    assert not out.exists()
 
 def _crpo_process(*argv, prefix=("-m", "crpo.cli"), unbuffered=False, **kwargs):
     """Run ``python <prefix> <argv>`` from src/ with stdout and stderr
