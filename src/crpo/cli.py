@@ -10,13 +10,17 @@ crpo.cli`` and the ``crpo`` console script: it ends the process as soon as
 
 Importing this module loads no numpy: ``losses`` and ``toylab`` load when a
 ``losses`` or ``toy`` command runs, and ``scoring``, ``selectors`` and
-``dataio`` import numpy inside the functions that compute with arrays.
+``dataio`` import numpy inside the functions that compute with arrays.  The
+fork helper ``workers`` (with ``pickle`` and ``ctypes``) loads only when
+``select`` runs an input in shards.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
+import operator
 import os
 import stat
 import sys
@@ -30,6 +34,7 @@ from .core import (
     METHODS,
     OUT_OF_EN,
     UTILITY_RANKED_METHODS,
+    PreferenceDataset,
     SelectionConfig,
     ValidationError,
 )
@@ -43,6 +48,7 @@ from .dataio import (
     save_stats,
     save_stats_csv,
     save_utility_matrices,
+    source_spans,
 )
 from .scoring import utility_matrix_for_set
 from .selectors import select_dataset
@@ -146,28 +152,114 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _check_outputs(outputs: dict[str, str | None], inputs: dict[str, str | None]) -> None:
-    """Reject, before anything is read, an output flag that names the same
-    regular file as an input flag or an earlier output flag: writing it would
-    destroy that input or output.  Devices such as ``/dev/null`` may repeat."""
+    """Reject, before anything is read, an output flag whose directory does
+    not exist, or that names the same regular file as an input flag or an
+    earlier output flag: writing it would destroy that input or output.
+    Devices such as ``/dev/null`` may repeat."""
     earlier = {flag: path for flag, path in inputs.items() if path is not None}
     for flag, path in outputs.items():
         if path is None:
             continue
+        if not os.path.isdir(os.path.dirname(path) or os.curdir):
+            raise ValidationError(f"{flag} names a file in a missing directory: {path}")
         for other, other_path in earlier.items():
             if _same_file(path, other_path):
                 raise ValidationError(f"{flag} names the same file as {other}: {path}")
         earlier[flag] = path
 
 
-def _check_digestible(flag: str, path: str) -> None:
+def _check_digestible(flag: str, path: str) -> os.stat_result:
     """Reject, before it is read, an input that is opened a second time for
     its digest but is not a regular file: a pipe holds no bytes by then, and
     a FIFO blocks the second open.  ``os.stat`` follows links, so
-    ``/dev/stdin`` redirected from a regular file passes."""
-    if not stat.S_ISREG(os.stat(path).st_mode):
+    ``/dev/stdin`` redirected from a regular file passes.  Returns the stat
+    that ``_digest_unchanged`` compares with."""
+    before = os.stat(path)
+    if not stat.S_ISREG(before.st_mode):
         raise ValidationError(
             f"{flag} must name a regular file, since its digest reads it again: {path}"
         )
+    return before
+
+
+# What identifies a file's bytes without reading them.
+_FILE_IDENTITY = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
+
+
+def _digest_unchanged(flag: str, path: str, before: os.stat_result) -> str:
+    """``digest_file(path)``, when the file is still the one ``before`` was
+    taken of: one that was replaced, grown or rewritten between the reads
+    would get the digest of bytes that were not the ones read."""
+    digest = digest_file(path)
+    if _FILE_IDENTITY(os.stat(path)) != _FILE_IDENTITY(before):
+        raise ValidationError(f"{flag} changed while it was read: {path}")
+    return digest
+
+
+# Smallest byte range that ``select`` hands to a forked worker.  Importing
+# the fork helper takes about 5-7 ms, and forking two workers and pickling
+# their pairs back about 4 ms more, while ingest and selection take about
+# 15-25 ms per MiB (2 vCPU, ``cr_plus`` on the benchmark's input).  So two
+# ranges of this size about break even, and a smaller file runs in one
+# process.
+_MIN_SHARD_BYTES = 1 << 19
+
+
+def _select_shard(
+    path: str, config: SelectionConfig, utilities: dict | None, span: tuple[int, int]
+) -> tuple[tuple[str, ...], PreferenceDataset]:
+    """One worker's share of ``_select_in_shards``: the source ids of
+    ``span`` and their selection."""
+    sets = ingest_candidates(path, span)
+    dataset = select_dataset(sets, config, utilities=utilities)
+    return tuple(cset.source_id for cset in sets), dataset
+
+
+def _select_in_shards(
+    path: str, before: os.stat_result, config: SelectionConfig, utility_path: str | None
+) -> PreferenceDataset | None:
+    """``select_dataset`` over the ``--in`` file whose stat is ``before``,
+    run on one byte range of it per usable CPU (``source_spans``), each in a
+    forked worker.  None, for the caller to run the whole file in one
+    process, where that would do the same or better: a file under two
+    ``_MIN_SHARD_BYTES`` ranges or one usable CPU, a range that fails (its
+    records are malformed or not grouped by source, a utility matrix is
+    missing), or a source in two ranges.  So the one process raises every
+    error, and the merged dataset is the one it would build."""
+    if before.st_size < 2 * _MIN_SHARD_BYTES:
+        return None
+    from .workers import _map_seeds, _usable_cpus
+
+    shards = min(_usable_cpus(), before.st_size // _MIN_SHARD_BYTES)
+    if shards < 2:
+        return None
+    try:
+        spans = source_spans(path, shards)
+        if len(spans) < 2:
+            return None
+        utilities = None if utility_path is None else load_utility_matrices(utility_path)
+        results = _map_seeds(functools.partial(_select_shard, path, config, utilities), spans)
+    except Exception:  # the one process raises it again, as the whole file gives it
+        return None
+    source_ids = [source_id for ids, _ in results for source_id in ids]
+    if len(set(source_ids)) != len(source_ids):
+        return None
+    datasets = [dataset for _, dataset in results]
+    provenance = dict(datasets[0].provenance)
+    provenance["n_sources"] = len(source_ids)
+    provenance["n_skipped"] = sum(d.provenance["n_skipped"] for d in datasets)
+    provenance["input_digest"] = _digest_unchanged("--in", path, before)
+    # Each range's output is in source id order, and no source is in two
+    # ranges, so a stable sort merges them.
+    return PreferenceDataset(
+        pairs=sorted(
+            (pair for d in datasets for pair in d.pairs), key=operator.attrgetter("source_id")
+        ),
+        sft_targets=sorted(
+            (target for d in datasets for target in d.sft_targets), key=operator.itemgetter(0)
+        ),
+        provenance=provenance,
+    )
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
@@ -190,19 +282,21 @@ def _cmd_select(args: argparse.Namespace) -> int:
     _check_outputs(
         {"--out": args.out}, {"--in": args.input, "--utility-matrix": args.utility_matrix}
     )
-    _check_digestible("--in", args.input)
-    sets = ingest_candidates(args.input)
-    utilities = None
-    if args.utility_matrix is not None:
-        utilities = load_utility_matrices(args.utility_matrix)
-    dataset = select_dataset(
-        sets, config, utilities=utilities, input_digest=digest_file(args.input)
-    )
+    before = _check_digestible("--in", args.input)
+    dataset = _select_in_shards(args.input, before, config, args.utility_matrix)
+    if dataset is None:
+        sets = ingest_candidates(args.input)
+        utilities = None
+        if args.utility_matrix is not None:
+            utilities = load_utility_matrices(args.utility_matrix)
+        digest = _digest_unchanged("--in", args.input, before)
+        dataset = select_dataset(sets, config, utilities=utilities, input_digest=digest)
     emit_pairs(dataset, args.out)
-    skipped = dataset.provenance.get("n_skipped", 0)
+    provenance = dataset.provenance
     print(
         f"wrote {len(dataset.pairs)} pairs, {len(dataset.sft_targets)} sft targets "
-        f"({skipped} of {len(sets)} sources skipped) -> {args.out}"
+        f"({provenance['n_skipped']} of {provenance['n_sources']} sources skipped) "
+        f"-> {args.out}"
     )
     return 0
 
@@ -215,9 +309,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     dataset = load_pairs(args.pairs)
     expected = dataset.provenance.get("input_digest")
     if expected is not None:
-        _check_digestible("--candidates", args.candidates)
+        before = _check_digestible("--candidates", args.candidates)
     sets = ingest_candidates(args.candidates)
-    if expected is not None and expected != digest_file(args.candidates):
+    if expected is not None and expected != _digest_unchanged(
+        "--candidates", args.candidates, before
+    ):
         raise ValidationError(
             "pair file was produced from a different candidate file (digest mismatch)"
         )
@@ -246,6 +342,7 @@ def _cmd_check_grad(args: argparse.Namespace) -> int:
 
 
 def _cmd_toy_compare(args: argparse.Namespace) -> int:
+    _check_outputs({"--out": args.out}, {})
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     world = make_world(
         n_sources=args.sources,

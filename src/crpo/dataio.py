@@ -30,10 +30,11 @@ import bisect
 import csv
 import gc
 import hashlib
+import io
 import itertools
 import json
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     _FLOAT_MAX,
@@ -80,13 +81,18 @@ def parse_direction(tag: str) -> tuple[str, str]:
     return (parts[0], parts[1])
 
 
-def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
+def _lines(path: str | Path, span: tuple[int, int] | None = None) -> Iterator[tuple[int, str]]:
     """Numbered lines of a UTF-8 file, split on ``\\n`` only: a CR, which is
     JSON whitespace, stays in its line, as do U+2028 and U+0085, which
     ``json.dumps`` writes unescaped in ids.  A line that is not strict UTF-8
-    is named in the error."""
+    is named in the error.  With a ``(start, stop)`` byte span, only the
+    lines of that range, numbered from its start."""
     with open(path, "rb", buffering=_READ_BUFFER) as handle:
-        for lineno, line in enumerate(handle, start=1):
+        lines: Iterable[bytes] = handle
+        if span is not None:
+            handle.seek(span[0])
+            lines = io.BytesIO(handle.read(span[1] - span[0]))
+        for lineno, line in enumerate(lines, start=1):
             try:
                 text = line.decode()
             except UnicodeDecodeError:
@@ -121,11 +127,14 @@ def _json_object(line: str, path: str | Path, lineno: int) -> dict:
     return record
 
 
-def _read_records(path: str | Path, add: Callable[[dict, int], None]) -> dict:
+def _read_records(
+    path: str | Path, add: Callable[[dict, int], None], span: tuple[int, int] | None = None
+) -> dict:
     """Call ``add(record, lineno)`` for the object on every non-blank line of
-    a JSONL file, and return the object of its ``{"_meta": {...}}`` header,
-    or ``{}`` without one; ``_meta`` anywhere but in a first record that holds
-    nothing else is an error.
+    a JSONL file, or of its ``span`` (``_lines``), and return the object of
+    its ``{"_meta": {...}}`` header, or ``{}`` without one; ``_meta``
+    anywhere but in a first record that holds nothing else is an error, and
+    so is any ``_meta`` in a span that does not start the file.
 
     Each line costs one scanner call.  A line the scanner does not take whole
     (leading whitespace, a BOM, extra data, bad syntax, or a record followed
@@ -133,8 +142,8 @@ def _read_records(path: str | Path, add: Callable[[dict, int], None]) -> dict:
     or raises its own error; the whitespace after a record is matched only
     when the record does not end just before the line break.
     """
-    header = None
-    for lineno, line in _lines(path):
+    header = None if span is None or span[0] == 0 else {}
+    for lineno, line in _lines(path, span):
         try:
             record, end = _scan_once(line, 0)
         except (StopIteration, ValueError, RecursionError):
@@ -231,17 +240,26 @@ def _fields(record: dict, fields: tuple, path: str | Path, lineno: int) -> list:
     return values
 
 
-def ingest_candidates(path: str | Path) -> list[CandidateSet]:
+def ingest_candidates(
+    path: str | Path, span: tuple[int, int] | None = None
+) -> list[CandidateSet]:
     """Read and validate a candidate file, grouping records by source.
 
     Records for one source need not be contiguous or in any order: the
     sets come in source id order and each holds its candidates in id order.
     Every malformed record is reported with its line number, and a
     malformed source with the line of its first record.
+
+    With a ``(start, stop)`` byte ``span`` (``source_spans``), only the
+    records of that range are read, as one shard of the file: line numbers
+    count from ``start``, a ``_meta`` record is an error unless ``start`` is
+    0, and so is a source whose records are not contiguous, at its first
+    record after another source began.
     """
     # source_id -> (source_text, direction, candidates by id, first line)
     groups: dict[str, tuple[str, tuple[str, str], dict[str, Candidate], int]] = {}
     directions: dict[str, tuple[str, str]] = {}  # each distinct tag, parsed once
+    newest = None  # the group of the source that began last, in a span
 
     def add(record: dict, lineno: int) -> None:
         source_id, source_text, tag, candidate_id, text, logprob, rewards, token_count = (
@@ -256,9 +274,14 @@ def ingest_candidates(path: str | Path) -> list[CandidateSet]:
             candidate = Candidate(candidate_id, text, logprob, rewards, token_count)
         except ValidationError as err:
             raise ValidationError(f"{path}:{lineno}: {err}") from None
+        nonlocal newest
         group = groups.get(source_id)
         if group is None:
-            group = groups[source_id] = (source_text, direction, {}, lineno)
+            group = newest = groups[source_id] = (source_text, direction, {}, lineno)
+        elif span is not None and group is not newest:
+            raise ValidationError(
+                f"{path}:{lineno}: source {source_id!r} comes back after another source began"
+            )
         elif group[0] != source_text or group[1] != direction:
             raise ValidationError(
                 f"{path}:{lineno}: source {source_id!r} has inconsistent "
@@ -279,7 +302,7 @@ def ingest_candidates(path: str | Path) -> list[CandidateSet]:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        _read_records(path, add)  # returns the _meta header, which ingest does not use
+        _read_records(path, add, span)  # returns the _meta header, which ingest does not use
         sets = []
         for source_id, (text, direction, candidates, lineno) in groups.items():
             try:
@@ -293,6 +316,43 @@ def ingest_candidates(path: str | Path) -> list[CandidateSet]:
     finally:
         if collecting:
             gc.enable()
+
+
+def _source_id(line: bytes) -> object:
+    """The source id of a candidate record, or the line itself when it is
+    not a record that holds one."""
+    try:
+        record = json.loads(line)
+    except (ValueError, RecursionError):
+        return line
+    return record.get("source_id", line) if type(record) is dict else line
+
+
+def source_spans(path: str | Path, shards: int) -> list[tuple[int, int]]:
+    """Cut a candidate file into at most ``shards`` nonempty ``(start, stop)``
+    byte ranges that together cover it, for ``ingest_candidates``.  Cut i
+    starts near i/shards of the file, at the first record after that offset
+    whose source id differs from the record before it, so a file whose
+    sources are contiguous has each source in one range.  Nothing is checked
+    here: a malformed line is cut at like a source change."""
+    with open(path, "rb") as handle:
+        size = handle.seek(0, 2)
+        cuts = [0]
+        for i in range(1, shards):
+            handle.seek(max(size * i // shards, cuts[-1]))
+            handle.readline()  # the rest of the line the offset falls in
+            previous = None
+            while line := handle.readline():
+                if line.isspace():
+                    continue
+                source_id = _source_id(line)
+                if previous is not None and source_id != previous:
+                    handle.seek(-len(line), 1)
+                    break
+                previous = source_id
+            cuts.append(handle.tell())
+    cuts.append(size)
+    return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
 
 
 # One encoder for every record the writers emit; ``json.dumps`` would build a

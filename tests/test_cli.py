@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crpo import dataio
 from crpo.cli import main
 from crpo.core import PreferenceDataset, SelectionConfig
 from crpo.dataio import (
@@ -730,6 +731,92 @@ class TestOutputNamesAnotherFile:
         argv = ["stats", "--pairs", str(files["p"]), "--candidates", str(files["c"]),
                 "--out", os.devnull, "--csv", os.devnull]
         assert main(argv) == 0
+
+
+class _ReadReached(Exception):
+    """Raised by a reader or the toy run when a test expects none to be called."""
+
+
+class TestOutputInAMissingDirectory:
+    """An output flag whose directory does not exist exits 2 naming the flag
+    before any input is read or any toy world is run."""
+
+    @pytest.fixture(autouse=True)
+    def no_reads(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise _ReadReached
+
+        for name in ("ingest_candidates", "load_pairs", "make_world", "run_comparison"):
+            monkeypatch.setattr(f"crpo.cli.{name}", reached)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["select", "--in", FIXTURE, "--out", "{m}", "--method", "cr_plus"], "--out"),
+            (["stats", "--pairs", GOLDEN / "pairs_cr_plus.jsonl", "--candidates", FIXTURE,
+              "--out", "{m}"], "--out"),
+            (["stats", "--pairs", GOLDEN / "pairs_cr_plus.jsonl", "--candidates", FIXTURE,
+              "--out", os.devnull, "--csv", "{m}"], "--csv"),
+            (["utility", "matrix", "--in", FIXTURE, "--out", "{m}"], "--out"),
+            (["toy", "compare", "--methods", "cr_plus", "--seeds", "2", "--out", "{m}"], "--out"),
+        ],
+        ids=["select", "stats --out", "stats --csv", "utility matrix", "toy compare"],
+    )
+    def test_exits_2_before_reading(self, tmp_path, capsys, argv, flag):
+        missing = tmp_path / "missing" / "out"
+        assert main([str(arg).format(m=missing) for arg in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} names a file in a missing directory: {missing}\n"
+        )
+        assert not missing.parent.exists()
+
+    def test_dev_null_passes_the_check(self, capsys):
+        argv = ["toy", "compare", "--methods", "cr_plus", "--seeds", "2", "--out", os.devnull]
+        assert main(argv) == 1  # reached the patched toy world
+        assert "_ReadReached" in capsys.readouterr().err
+
+
+class TestInputChangedWhileRead:
+    """``select --in`` and a digest-checked ``stats --candidates`` are read
+    twice, once for the records and once for the digest: a file that grows
+    in between exits 2 naming the flag, rather than recording the digest of
+    bytes that were not the ones read."""
+
+    @pytest.fixture
+    def grow_before_digest(self, monkeypatch):
+        extra = FIXTURE.read_text(encoding="utf-8").splitlines(keepends=True)[1]
+
+        def digest_after_append(path):
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(extra)
+            return dataio.digest_file(path)
+
+        monkeypatch.setattr("crpo.cli.digest_file", digest_after_append)
+        return extra
+
+    def test_select_exits_2(self, tmp_path, capsys, grow_before_digest):
+        candidates, out = tmp_path / "c.jsonl", tmp_path / "pairs.jsonl"
+        candidates.write_bytes(FIXTURE.read_bytes())
+        assert main([str(arg) for arg in _select_argv(out, candidates)]) == 2
+        assert capsys.readouterr().err == f"error: --in changed while it was read: {candidates}\n"
+        assert not out.exists()
+
+    def test_stats_exits_2(self, tmp_path, capsys, grow_before_digest):
+        # The pair file records the digest of the grown file, so only the
+        # changed file, not the digest, tells that its records were not read.
+        candidates, out = tmp_path / "c.jsonl", tmp_path / "stats.json"
+        candidates.write_bytes(FIXTURE.read_bytes() + grow_before_digest.encode())
+        pairs = tmp_path / "pairs.jsonl"
+        lines = (GOLDEN / "pairs_cr_plus.jsonl").read_text(encoding="utf-8").splitlines(True)
+        header = json.loads(lines[0])
+        header["_meta"]["input_digest"] = dataio.digest_file(candidates)
+        pairs.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
+        candidates.write_bytes(FIXTURE.read_bytes())
+        assert main([str(arg) for arg in _stats_argv(out, candidates, pairs)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --candidates changed while it was read: {candidates}\n"
+        )
+        assert not out.exists()
 
 
 def _with_line_2(source: Path, dest: Path, corruption: str, blank_first: bool = False) -> str:
