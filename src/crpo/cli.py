@@ -24,7 +24,7 @@ import operator
 import os
 import stat
 import sys
-from typing import NoReturn, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from .core import (
     DEFAULT_ETA,
@@ -206,60 +206,42 @@ _MIN_SHARD_BYTES = 1 << 19
 
 
 def _select_shard(
-    path: str, config: SelectionConfig, utilities: dict | None, span: tuple[int, int]
+    path: str, config: SelectionConfig, utilities: dict | None, span: tuple[int, int] | None
 ) -> tuple[tuple[str, ...], PreferenceDataset]:
-    """One worker's share of ``_select_in_shards``: the source ids of
-    ``span`` and their selection."""
+    """The selection of the records of ``span`` of the ``--in`` file, or of
+    the whole file when it is None, with the source ids it holds."""
     sets = ingest_candidates(path, span)
     dataset = select_dataset(sets, config, utilities=utilities)
     return tuple(cset.source_id for cset in sets), dataset
 
 
-def _select_in_shards(
-    path: str, before: os.stat_result, config: SelectionConfig, utility_path: str | None
-) -> PreferenceDataset | None:
-    """``select_dataset`` over the ``--in`` file whose stat is ``before``,
-    run on one byte range of it per usable CPU (``source_spans``), each in a
-    forked worker.  None, for the caller to run the whole file in one
-    process, where that would do the same or better: a file under two
+def _select_in_shards(path: str, size: int, task: Callable) -> list | None:
+    """``task`` run on one byte range of the ``size``-byte ``--in`` file per
+    usable CPU (``source_spans``), each in a forked worker: the results, in
+    file order.  None, for the caller to run the whole file in one process,
+    where that would do the same or better: a file under two
     ``_MIN_SHARD_BYTES`` ranges or one usable CPU, a range that fails (its
     records are malformed or not grouped by source, a utility matrix is
     missing), or a source in two ranges.  So the one process raises every
-    error, and the merged dataset is the one it would build."""
-    if before.st_size < 2 * _MIN_SHARD_BYTES:
+    error, and the ranges select what it would."""
+    if size < 2 * _MIN_SHARD_BYTES:
         return None
     from .workers import _map_seeds, _usable_cpus
 
-    shards = min(_usable_cpus(), before.st_size // _MIN_SHARD_BYTES)
+    shards = min(_usable_cpus(), size // _MIN_SHARD_BYTES)
     if shards < 2:
         return None
     try:
         spans = source_spans(path, shards)
         if len(spans) < 2:
             return None
-        utilities = None if utility_path is None else load_utility_matrices(utility_path)
-        results = _map_seeds(functools.partial(_select_shard, path, config, utilities), spans)
+        results = _map_seeds(task, spans)
     except Exception:  # the one process raises it again, as the whole file gives it
         return None
     source_ids = [source_id for ids, _ in results for source_id in ids]
     if len(set(source_ids)) != len(source_ids):
         return None
-    datasets = [dataset for _, dataset in results]
-    provenance = dict(datasets[0].provenance)
-    provenance["n_sources"] = len(source_ids)
-    provenance["n_skipped"] = sum(d.provenance["n_skipped"] for d in datasets)
-    provenance["input_digest"] = _digest_unchanged("--in", path, before)
-    # Each range's output is in source id order, and no source is in two
-    # ranges, so a stable sort merges them.
-    return PreferenceDataset(
-        pairs=sorted(
-            (pair for d in datasets for pair in d.pairs), key=operator.attrgetter("source_id")
-        ),
-        sft_targets=sorted(
-            (target for d in datasets for target in d.sft_targets), key=operator.itemgetter(0)
-        ),
-        provenance=provenance,
-    )
+    return results
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
@@ -283,16 +265,29 @@ def _cmd_select(args: argparse.Namespace) -> int:
         {"--out": args.out}, {"--in": args.input, "--utility-matrix": args.utility_matrix}
     )
     before = _check_digestible("--in", args.input)
-    dataset = _select_in_shards(args.input, before, config, args.utility_matrix)
-    if dataset is None:
-        sets = ingest_candidates(args.input)
-        utilities = None
-        if args.utility_matrix is not None:
-            utilities = load_utility_matrices(args.utility_matrix)
-        digest = _digest_unchanged("--in", args.input, before)
-        dataset = select_dataset(sets, config, utilities=utilities, input_digest=digest)
+    # Read once, before the ingest: a pipe holds no bytes for a second read.
+    utilities = None
+    if args.utility_matrix is not None:
+        utilities = load_utility_matrices(args.utility_matrix)
+    task = functools.partial(_select_shard, args.input, config, utilities)
+    results = _select_in_shards(args.input, before.st_size, task) or [task(None)]
+    datasets = [dataset for _, dataset in results]
+    provenance = dict(datasets[0].provenance)
+    provenance["n_sources"] = sum(d.provenance["n_sources"] for d in datasets)
+    provenance["n_skipped"] = sum(d.provenance["n_skipped"] for d in datasets)
+    provenance["input_digest"] = _digest_unchanged("--in", args.input, before)
+    # Each range's output is in source id order, and no source is in two
+    # ranges, so a stable sort merges them.
+    dataset = PreferenceDataset(
+        pairs=sorted(
+            (pair for d in datasets for pair in d.pairs), key=operator.attrgetter("source_id")
+        ),
+        sft_targets=sorted(
+            (target for d in datasets for target in d.sft_targets), key=operator.itemgetter(0)
+        ),
+        provenance=provenance,
+    )
     emit_pairs(dataset, args.out)
-    provenance = dataset.provenance
     print(
         f"wrote {len(dataset.pairs)} pairs, {len(dataset.sft_targets)} sft targets "
         f"({provenance['n_skipped']} of {provenance['n_sources']} sources skipped) "

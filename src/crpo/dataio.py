@@ -30,11 +30,10 @@ import bisect
 import csv
 import gc
 import hashlib
-import io
 import itertools
 import json
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     _FLOAT_MAX,
@@ -86,13 +85,18 @@ def _lines(path: str | Path, span: tuple[int, int] | None = None) -> Iterator[tu
     JSON whitespace, stays in its line, as do U+2028 and U+0085, which
     ``json.dumps`` writes unescaped in ids.  A line that is not strict UTF-8
     is named in the error.  With a ``(start, stop)`` byte span, only the
-    lines of that range, numbered from its start."""
+    lines that begin in that range, read up to ``stop`` and numbered from
+    ``start``; ``source_spans`` ends each range on a line boundary."""
     with open(path, "rb", buffering=_READ_BUFFER) as handle:
-        lines: Iterable[bytes] = handle
+        start, stop = 0, None  # a pipe cannot seek
         if span is not None:
-            handle.seek(span[0])
-            lines = io.BytesIO(handle.read(span[1] - span[0]))
-        for lineno, line in enumerate(lines, start=1):
+            start, stop = span
+            handle.seek(start)
+        for lineno, line in enumerate(handle, start=1):
+            if stop is not None:
+                if start >= stop:
+                    return
+                start += len(line)
             try:
                 text = line.decode()
             except UnicodeDecodeError:
@@ -483,17 +487,21 @@ def emit_stats(
     if not all_logprobs:
         raise ValidationError("no candidates to summarize")
     lo, hi = min(all_logprobs), max(all_logprobs)
-    if lo == hi:
-        # One value: a range of 1 around it, or of 2**-23 of its magnitude when
-        # that is wider, so that every edge stays above the last even where a
-        # unit is below the value's ulp (-1e300 - 0.5 == -1e300).  The low edge
-        # stops at the most negative float.
+    logprob_edges = _linspace(lo, hi, bins + 1)
+    if lo == hi or logprob_edges[-2] > hi:
+        # One value, or a subnormal range whose step rounds up so far that the
+        # edge before ``hi`` passes it (numpy refuses such edges): a range of 1
+        # around it, or of 2**-23 of its magnitude when that is wider, so that
+        # every edge stays above the last even where a unit is below the
+        # value's ulp (-1e300 - 0.5 == -1e300).  The low edge stops at the most
+        # negative float.
         half = max(0.5, abs(lo) * 2.0**-24)
         lo, hi = max(lo - half, -_FLOAT_MAX), hi + half
+        logprob_edges = _linspace(lo, hi, bins + 1)
     report = {
         "bins": bins,
         "reward_edges": _linspace(0.0, 1.0, bins + 1),
-        "logprob_edges": _linspace(lo, hi, bins + 1),
+        "logprob_edges": logprob_edges,
         "methods": {},
         "n_pairs": len(dataset.pairs),
         "n_sft_targets": len(dataset.sft_targets),

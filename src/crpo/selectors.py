@@ -496,7 +496,6 @@ def select_dataset(
     sets: Sequence[CandidateSet],
     config: SelectionConfig,
     utilities: Mapping[str, UtilityMatrix] | None = None,
-    input_digest: str | None = None,
 ) -> PreferenceDataset:
     """Run the configured selector over many candidate sets, in order.
 
@@ -520,13 +519,10 @@ def select_dataset(
             sft_targets.append((cset.source_id, outcome.sft_target))
         if outcome.skipped_reason is not None:
             skipped += 1
-    provenance: dict[str, object] = {
-        "config": dataclasses.asdict(config),
-        "n_sources": len(sets),
-        "n_skipped": skipped,
-    }
-    if input_digest is not None:
-        provenance["input_digest"] = input_digest
     return PreferenceDataset(
-        pairs=tuple(pairs), sft_targets=tuple(sft_targets), provenance=provenance
+        pairs=tuple(pairs),
+        sft_targets=tuple(sft_targets),
+        provenance={
+            "config": dataclasses.asdict(config), "n_sources": len(sets), "n_skipped": skipped
+        },
     )

@@ -683,6 +683,27 @@ class TestStats:
             assert stats[series][held] == 1
             assert edges[held] <= logprob <= edges[held + 1]
 
+    @pytest.mark.parametrize("bins", [1, 5, 20])
+    def test_a_subnormal_logprob_range_has_edges_that_never_fall_back(self, bins):
+        # Over three subnormal ulps, a step of 3/5 ulp rounds up to 1 ulp, so
+        # with 5 bins the edge before hi would lie one ulp above it.
+        sets = [make_set([("A", 0.9, 0.0), ("B", 0.1, -1.5e-323)])]
+        dataset = PreferenceDataset(
+            pairs=(
+                PreferencePair(
+                    source_id="s1", chosen_id="A", rejected_id="B", score=0.8, method="minmax_r"
+                ),
+            )
+        )
+        report = emit_stats(dataset, sets, bins=bins)
+        edges = report["logprob_edges"]
+        assert len(edges) == bins + 1
+        assert all(a <= b for a, b in zip(edges, edges[1:]))
+        stats = report["methods"]["minmax_r"]
+        for series, logprob in (("chosen_logprob_hist", 0.0), ("rejected_logprob_hist", -1.5e-323)):
+            (held,) = [i for i, count in enumerate(stats[series]) if count]
+            assert edges[held] <= logprob <= edges[held + 1]
+
     def test_means_are_finite_and_exact_when_the_sum_fits(self):
         # Log-likelihoods reach -1.8e308, so a plain sum of two can overflow.
         rng = np.random.default_rng(21)

@@ -166,7 +166,14 @@ def test_histogram_is_numpys_on_edges_and_between(bounds, num, data):
     around = [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
     points = st.sampled_from(edges + outside + around + [0.0, -0.0]) | FINITE
     values = data.draw(st.lists(points, max_size=60))
-    assert dataio._histogram(values, edges) == oracles.histogram(values, edges)
+    try:
+        want = oracles.histogram(values, edges)
+    except ValueError:
+        # numpy refuses edges that fall back, which a subnormal range gives
+        # when its step rounds up; ``emit_stats`` widens such a range.
+        assert any(a > b for a, b in zip(edges, edges[1:]))
+        return
+    assert dataio._histogram(values, edges) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -207,6 +214,14 @@ def stats_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(stats_cases())
+@example((
+    PreferenceDataset(pairs=(PreferencePair("s", "a", "b", 1.0, "cr_plus"),)),
+    [CandidateSet("s", "source", ("en", "de"), (
+        Candidate(id="a", text="t", logprob=0.0, rewards={"qe": 1.0}),
+        Candidate(id="b", text="t", logprob=-1.5e-323, rewards={"qe": 0.0}),
+    ))],
+    5,
+))
 def test_stats_report_is_the_reference_report(case):
     dataset, sets, bins = case
     report = json.dumps(dataio.emit_stats(dataset, sets, bins))

@@ -13,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -26,6 +27,8 @@ from crpo.core import METHODS, ValidationError
 pytestmark = pytest.mark.skipif(
     sys.platform != "linux", reason="select shards its input in forked workers on Linux only"
 )
+
+SMALL = Path(__file__).parent / "fixtures" / "candidates_small.jsonl"
 
 WORDS = ("der", "hund", "schläft", "die", "katze", "läuft", "ein", "haus", "blau", "rot")
 
@@ -216,6 +219,14 @@ def test_a_range_stops_where_a_source_comes_back_or_a_header_follows(tmp_path):
     with pytest.raises(ValidationError, match=r":1: a _meta header must be the first record"):
         dataio.ingest_candidates(with_header_later, (start, with_header_later.stat().st_size))
     assert len(dataio.ingest_candidates(path, (0, len(lines[0]) + len(lines[1])))) == 1
+    # A range is read up to its end only: a malformed line after it is not
+    # read, whether the range starts the file or not.
+    with_bad_line = tmp_path / "bad.jsonl"
+    with_bad_line.write_bytes(b"".join(lines[:3]) + b"{not json\n")
+    end = sum(map(len, lines[:3]))
+    for start in (0, len(lines[0])):
+        sets = dataio.ingest_candidates(with_bad_line, (start, end))
+        assert [cset.source_id for cset in sets] == ["a", "b"]
 
 
 def test_ranges_that_share_a_source_fall_back(files, cpus, ingests, monkeypatch, tmp_path):
@@ -293,6 +304,53 @@ def test_a_missing_utility_matrix_in_a_later_range_fails_as_in_one_process(
     assert errors == {f"error: no utility matrix for source {last!r}\n"}
 
 
+def test_a_piped_utility_matrix_is_read_once(files, cpus, tmp_path):
+    # A pipe holds its bytes for one read: the shuffled file falls back from
+    # the ranges to one process, which must select with the matrix read
+    # before the ranges ran.
+    cpus(1)
+    one = tmp_path / "one.jsonl"
+    assert _select(files["shuffled"], one, "mbr_bmw_file", files["utility"]) == 0
+    cpus(2)
+    read_end, write_end = os.pipe()
+
+    def feed() -> None:
+        with open(write_end, "wb") as handle:
+            handle.write(files["utility"].read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    piped = tmp_path / "piped.jsonl"
+    try:
+        assert _select(files["shuffled"], piped, "mbr_bmw_file", f"/dev/fd/{read_end}") == 0
+    finally:
+        writer.join()
+        os.close(read_end)
+    assert piped.read_bytes() == one.read_bytes()
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["small", "sharded"])
+def test_a_malformed_utility_matrix_fails_before_the_ingest(
+    files, cpus, tmp_path, capsys, sharded
+):
+    # Both files are malformed: the matrix is read first, so its line is
+    # the one reported.
+    cpus(2 if sharded else 1)
+    source = files["grouped"] if sharded else SMALL
+    lines = source.read_bytes().splitlines(keepends=True)
+    lines[3] = b"{not json\n"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"".join(lines))
+    rows = files["utility"].read_bytes().splitlines(keepends=True)
+    rows[1] = b"x" + rows[1][rows[1].index(b" "):]
+    matrix = tmp_path / "utility.txt"
+    matrix.write_bytes(b"".join(rows))
+    out = tmp_path / "pairs.jsonl"
+    assert _select(bad, out, "mbr_bmw_file", matrix) == 2
+    assert capsys.readouterr().err == f"error: {matrix}:2: non-numeric matrix entry\n"
+    assert not out.exists()
+
+
 def test_workers_die_with_a_killed_parent(files, tmp_path):
     # A parent whose workers block in selection is killed: the kernel must
     # end the workers too, or they would run on for nobody.
@@ -357,9 +415,8 @@ def test_a_small_file_runs_in_one_process_and_loads_no_fork_helper(tmp_path):
         "loaded = [m for m in ('crpo.workers', 'pickle', 'ctypes') if m in sys.modules]\n"
         "print(json.dumps([code, loaded]), file=sys.stderr)\n"
     )
-    fixture = Path(__file__).parent / "fixtures" / "candidates_small.jsonl"
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(fixture), str(tmp_path / "p.jsonl")],
+        [sys.executable, "-c", script, str(SMALL), str(tmp_path / "p.jsonl")],
         cwd=Path(cli.__file__).parents[1], capture_output=True, text=True, timeout=120,
     )
     assert json.loads(proc.stderr.splitlines()[-1]) == [0, []], proc.stderr
